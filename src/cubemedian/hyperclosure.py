@@ -2,7 +2,9 @@
 whole complex and every combinatorial hyperplane that is closed under gate
 projections and parallelism.
 
-The fixpoint is computed by a worklist over member pairs, deduplicating by
+It is computed once, by breadth-first search over nested projections of
+the hyperplane sides (Hagen–Susse, arXiv:1609.01313: every member is a
+nested projection of combinatorial hyperplanes), deduplicating by
 canonical vertex tuple.  Grades record the least number of nested
 hyperplane-side projections producing each member (grade 0: the whole
 complex; grade 1: combinatorial hyperplanes), and every member carries one
@@ -13,7 +15,6 @@ subcomplexes at their basepoints.
 
 from __future__ import annotations
 
-import heapq
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -27,7 +28,7 @@ from .core import (
     whole_complex,
 )
 from .errors import InvariantViolation, ResourceLimitError
-from .gates import comb_side, crossing_signature, parallel_copies, project
+from .gates import comb_side, crossing_signature, project
 from .orthocomplement import orth
 
 DEFAULT_MAX_MEMBERS = 100_000
@@ -75,69 +76,84 @@ def _hyperplane_sides(cx: MedianComplex) -> list[tuple[int, int, ConvexSubcomple
 
 def hyperclosure(cx: MedianComplex, *, max_members: int = DEFAULT_MAX_MEMBERS,
                  max_grade: int = DEFAULT_MAX_GRADE) -> Hyperclosure:
-    """Compute the hyperclosure as a worklist fixpoint, then grade it.
+    """Compute the hyperclosure by graded projection of the hyperplane sides.
 
-    Raises ResourceLimitError (naming the limit) if the member count or the
-    grading depth exceeds the configured bounds; no partial result is kept.
+    Level 0 is the whole complex X.  Level n projects every side S onto
+    every member f of level n-1 (sides outer, frontier inner), and each
+    project(S, f) not seen before becomes a member of grade n, derived from
+    (S, f).  The search stops at the first level that adds nothing.  The
+    result equals the least family containing X and the sides that is
+    closed under projection and parallelism.
+
+    Write a vertex as its signs over the wall classes; a class crosses a
+    convex Y iff both signs occur in Y.  The gate map g_Y keeps the sign of
+    x on the classes crossing Y and takes Y's constant sign on the others,
+    and project(Y, Z) = g_Y(Z).
+
+    Closed under projection: for convex A and B, g_{g_A(B)} = g_A ∘ g_B
+    (compare signs class by class: a class crossing A and B keeps x's sign,
+    one missing A takes A's sign, one crossing A but missing B takes B's).
+    A member of grade a is P = g_{S_a} ∘ ... ∘ g_{S_1}(X), so by induction
+    g_P = g_{S_a} ∘ ... ∘ g_{S_1}, and projecting another nested side
+    projection Q of length b onto P is a nested side projection of length
+    a+b.  Breadth-first search reaches every finite word of sides.
+
+    Closed under parallelism: let F' be parallel to a member F (the same
+    classes cross both) and let W be the classes separating them.  Each
+    w in W crosses every class h crossing F, because F and F' put both
+    signs of h on either side of w.  Project F onto the F'-side
+    combinatorial hyperplane C_w of each w in W, in order of decreasing
+    size of w's F'-halfspace.  C_w is crossed exactly by the classes
+    crossing w, so the crossing classes of F survive every step, and w
+    itself takes the sign of F'.  A later C_v (v in W, not crossing w) lies
+    in the F'-halfspace of w, because those halfspaces are nested and v's
+    is the smaller, so w keeps the sign of F'.  A class h outside W not crossing
+    F is constant with the same sign on F and F'; C_w lies on that side of
+    h, or else h would cross w.  So the result is F', a nested side
+    projection of F.
+
+    The graded family therefore contains the whole complex and every side,
+    and it is closed under both operations, so it equals the least such
+    family.  tests/oracles.py keeps the pairwise worklist fixpoint this
+    replaced, and the tests check that both agree.
+
+    Raises ResourceLimitError naming the limit when the (max_members+1)-th
+    member is found, or when a member of grade above max_grade appears; no
+    partial result is kept.
     """
+    if max_members < 1:
+        raise ResourceLimitError(
+            "max_members", f"hyperclosure exceeds max_members={max_members}")
     whole = whole_complex(cx)
-    members: set[ConvexSubcomplex] = set()
-    member_list: list[ConvexSubcomplex] = []
-    queue: list[tuple[tuple[int, ...], ConvexSubcomplex]] = []
-
-    def add(s: ConvexSubcomplex) -> None:
-        if s not in members:
-            if len(members) >= max_members:
-                raise ResourceLimitError(
-                    "max_members", f"hyperclosure exceeds max_members={max_members}")
-            members.add(s)
-            member_list.append(s)
-            heapq.heappush(queue, (s.vertices, s))
-
-    add(whole)
-    sides = _hyperplane_sides(cx)
-    for _, _, side in sides:
-        add(side)
-
-    # pending members in canonical vertex-list order; the result is a set
-    # fixpoint, so scheduling cannot change it
-    while queue:
-        _, f = heapq.heappop(queue)
-        for f2 in list(member_list):
-            add(project(f, f2))
-            add(project(f2, f))
-        for copy in parallel_copies(f):
-            add(copy)
-
     grade: dict[ConvexSubcomplex, int] = {whole: 0}
     derivation: dict[ConvexSubcomplex, Derivation] = {whole: Derivation("whole")}
+    sides = _hyperplane_sides(cx)
     frontier = [whole]
     level = 0
-    while len(grade) < len(members):
+    while frontier:
         level += 1
-        if level > max_grade:
-            raise ResourceLimitError(
-                "max_grade", f"hyperclosure grading exceeds max_grade={max_grade}")
         new: list[ConvexSubcomplex] = []
         for cid, sign, side in sides:
             for f in frontier:
                 p = project(side, f)
-                if p not in grade:
-                    if p not in members:
-                        raise InvariantViolation(
-                            "grading produced a subcomplex outside the fixpoint")
-                    grade[p] = level
-                    if level == 1:
-                        derivation[p] = Derivation("side", class_id=cid, sign=sign)
-                    else:
-                        derivation[p] = Derivation(
-                            "projection", class_id=cid, sign=sign, source=f)
-                    new.append(p)
-        if not new:
-            raise InvariantViolation("grading stalled before exhausting the members")
+                if p in grade:
+                    continue
+                if level > max_grade:
+                    raise ResourceLimitError(
+                        "max_grade", f"hyperclosure grading exceeds max_grade={max_grade}")
+                if len(grade) >= max_members:
+                    raise ResourceLimitError(
+                        "max_members", f"hyperclosure exceeds max_members={max_members}")
+                grade[p] = level
+                if level == 1:
+                    derivation[p] = Derivation("side", class_id=cid, sign=sign)
+                else:
+                    derivation[p] = Derivation(
+                        "projection", class_id=cid, sign=sign, source=f)
+                new.append(p)
         frontier = new
 
-    ordered = sorted(members, key=lambda s: (len(s.vertices), s.vertices))
+    ordered = sorted(grade, key=lambda s: (len(s.vertices), s.vertices))
     by_sig: dict[frozenset[int], list[ConvexSubcomplex]] = {}
     for m in ordered:
         by_sig.setdefault(crossing_signature(m), []).append(m)
@@ -152,7 +168,7 @@ def oracle_hyperclosure(cx: MedianComplex, *,
                         max_vertices: int = DEFAULT_ORACLE_BOUND) -> frozenset[ConvexSubcomplex]:
     """Brute-force oracle: orthogonal complements of every convex subcomplex
     at every basepoint.  Guarded by a vertex bound; independent of the
-    worklist fixpoint."""
+    graded projection search."""
     if cx.vertex_count > max_vertices:
         raise ResourceLimitError(
             "oracle_vertex_bound",

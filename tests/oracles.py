@@ -4,12 +4,27 @@ Everything here works by exhaustive enumeration (2^n subset scans, 4-cycle
 scans, networkx BFS) and is only meant for fixtures of at most ~14
 vertices.  These implementations deliberately avoid the library's interval
 tables, gate maps and fixpoints wherever the corresponding operation is
-under test.
+under test.  The exception is `fixpoint_hyperclosure`, the pairwise
+worklist fixpoint the library used before its graded search; it is slow but
+obviously closed under projection and parallelism, and is kept as the
+reference the graded search must reproduce.
 """
+
+import heapq
 
 import networkx as nx
 
 from cubemedian import is_convex, orth, subcomplex
+from cubemedian.core import whole_complex
+from cubemedian.errors import InvariantViolation, ResourceLimitError
+from cubemedian.gates import crossing_signature, parallel_copies, project
+from cubemedian.hyperclosure import (
+    DEFAULT_MAX_GRADE,
+    DEFAULT_MAX_MEMBERS,
+    Derivation,
+    Hyperclosure,
+    _hyperplane_sides,
+)
 
 
 def nx_graph(cx):
@@ -159,3 +174,81 @@ def medians_by_paths(cx, x, y, z):
         return {w for w in range(cx.vertex_count) if d[u][w] + d[w][v] == d[u][v]}
 
     return between(x, y) & between(y, z) & between(x, z)
+
+
+def fixpoint_hyperclosure(cx, *, max_members=DEFAULT_MAX_MEMBERS,
+                          max_grade=DEFAULT_MAX_GRADE):
+    """Compute the hyperclosure as a worklist fixpoint, then grade it.
+
+    Every popped member is projected against every member in both
+    directions and all its parallel copies are added, until nothing new
+    appears; a grading pass then rebuilds the family breadth-first from the
+    hyperplane sides and raises if it leaves the fixpoint or stalls short
+    of it.  About |F|^2 projections: for fixtures of a few hundred members.
+    """
+    whole = whole_complex(cx)
+    members = set()
+    member_list = []
+    queue = []
+
+    def add(s):
+        if s not in members:
+            if len(members) >= max_members:
+                raise ResourceLimitError(
+                    "max_members", f"hyperclosure exceeds max_members={max_members}")
+            members.add(s)
+            member_list.append(s)
+            heapq.heappush(queue, (s.vertices, s))
+
+    add(whole)
+    sides = _hyperplane_sides(cx)
+    for _, _, side in sides:
+        add(side)
+
+    # pending members in canonical vertex-list order; the result is a set
+    # fixpoint, so scheduling cannot change it
+    while queue:
+        _, f = heapq.heappop(queue)
+        for f2 in list(member_list):
+            add(project(f, f2))
+            add(project(f2, f))
+        for copy in parallel_copies(f):
+            add(copy)
+
+    grade = {whole: 0}
+    derivation = {whole: Derivation("whole")}
+    frontier = [whole]
+    level = 0
+    while len(grade) < len(members):
+        level += 1
+        if level > max_grade:
+            raise ResourceLimitError(
+                "max_grade", f"hyperclosure grading exceeds max_grade={max_grade}")
+        new = []
+        for cid, sign, side in sides:
+            for f in frontier:
+                p = project(side, f)
+                if p not in grade:
+                    if p not in members:
+                        raise InvariantViolation(
+                            "grading produced a subcomplex outside the fixpoint")
+                    grade[p] = level
+                    if level == 1:
+                        derivation[p] = Derivation("side", class_id=cid, sign=sign)
+                    else:
+                        derivation[p] = Derivation(
+                            "projection", class_id=cid, sign=sign, source=f)
+                    new.append(p)
+        if not new:
+            raise InvariantViolation("grading stalled before exhausting the members")
+        frontier = new
+
+    ordered = sorted(members, key=lambda s: (len(s.vertices), s.vertices))
+    by_sig = {}
+    for m in ordered:
+        by_sig.setdefault(crossing_signature(m), []).append(m)
+    classes = tuple(tuple(group) for group in
+                    sorted(by_sig.values(), key=lambda g: (len(g[0].vertices), g[0].vertices)))
+    return Hyperclosure(complex=cx, members=tuple(ordered), grade=grade,
+                        derivation=derivation, parallel_classes=classes,
+                        max_members=max_members, max_grade=max_grade)

@@ -1,8 +1,12 @@
-"""The fixpoint family: members, grades, multiplicity, chains, clean containers."""
+"""The hyperclosure: members, grades, limits, agreement with the pairwise
+fixpoint oracle, multiplicity, chains and clean containers."""
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conftest import by_label
+from oracles import fixpoint_hyperclosure
 from cubemedian import (
     ResourceLimitError,
     clean_container,
@@ -16,12 +20,42 @@ from cubemedian import (
     oracle_hyperclosure,
     parallel_copies,
     parallel_into,
+    product,
     project,
+    random_median,
     subcomplex,
     theta_classes,
+    wedge,
     whole_complex,
 )
+from cubemedian.generators import generate, parse_spec
 from cubemedian.rng import SplitMix64
+
+MEDIAN_FIXTURES = ("q2", "p3", "g33", "box222", "st2", "st3", "tree8", "rm451",
+                   "single_vertex")
+
+# Operands for drawn products and wedges: small enough that the pairwise
+# fixpoint oracle stays fast on their products.
+SMALL_SPECS = ("box(1)", "box(2)", "box(3)", "grid(1,1)", "staircase(2)",
+               "tree(5,seed={})", "random_median(3,3,seed={})")
+
+# The fixpoint oracle costs about |F|^2 projections, about a million on the
+# full 6-cube (64 vertices, 729 members), so drawn complexes stop below it.
+ORACLE_VERTEX_CAP = 48
+
+
+def closure_key(h):
+    """Members in order, grades, derivations and parallel classes, by vertices."""
+    def der(d):
+        return (d.kind, d.class_id, d.sign, d.source.vertices if d.source else None)
+    return ([m.vertices for m in h.members],
+            {m.vertices: g for m, g in h.grade.items()},
+            {m.vertices: der(d) for m, d in h.derivation.items()},
+            [[m.vertices for m in group] for group in h.parallel_classes])
+
+
+def assert_matches_fixpoint(cx):
+    assert closure_key(hyperclosure(cx)) == closure_key(fixpoint_hyperclosure(cx))
 
 
 class TestFixpoint:
@@ -56,6 +90,65 @@ class TestFixpoint:
         with pytest.raises(ResourceLimitError) as err:
             hyperclosure(st2, max_grade=1)
         assert err.value.limit == "max_grade"
+
+
+class TestLimitBoundaries:
+    @pytest.mark.parametrize("name", MEDIAN_FIXTURES)
+    def test_max_members_boundary(self, name, request):
+        cx = request.getfixturevalue(name)
+        size = len(hyperclosure(cx))
+        assert len(hyperclosure(cx, max_members=size)) == size
+        with pytest.raises(ResourceLimitError) as err:
+            hyperclosure(cx, max_members=size - 1)
+        assert err.value.limit == "max_members"
+        assert f"max_members={size - 1}" in str(err.value)
+
+    @pytest.mark.parametrize("name", MEDIAN_FIXTURES)
+    def test_max_grade_boundary(self, name, request):
+        cx = request.getfixturevalue(name)
+        top = max(hyperclosure(cx).grade.values())
+        # the empty level after the top grade must not trip the limit
+        assert hyperclosure(cx, max_grade=top).grade == hyperclosure(cx).grade
+        if top == 0:
+            return
+        with pytest.raises(ResourceLimitError) as err:
+            hyperclosure(cx, max_grade=top - 1)
+        assert err.value.limit == "max_grade"
+        assert f"max_grade={top - 1}" in str(err.value)
+
+
+class TestFixpointOracleAgreement:
+    """The graded search against the pairwise worklist fixpoint it replaced."""
+
+    @pytest.mark.parametrize("name", MEDIAN_FIXTURES)
+    def test_fixtures(self, name, request):
+        assert_matches_fixpoint(request.getfixturevalue(name))
+
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_random_median(self, data):
+        dim = data.draw(st.integers(1, 6))
+        count = data.draw(st.integers(1, min(10, 1 << dim)))
+        cx = random_median(dim, count, seed=data.draw(st.integers(0, 2**64 - 1)))
+        assume(cx.vertex_count <= ORACLE_VERTEX_CAP)
+        assert_matches_fixpoint(cx)
+
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_products_and_wedges(self, data):
+        def small():
+            text = data.draw(st.sampled_from(SMALL_SPECS))
+            return generate(parse_spec(text.format(data.draw(st.integers(0, 99)))))
+
+        x1, x2 = small(), small()
+        if data.draw(st.booleans()):
+            cx = product(x1, x2)
+        else:
+            v1 = data.draw(st.integers(0, x1.vertex_count - 1))
+            v2 = data.draw(st.integers(0, x2.vertex_count - 1))
+            cx = wedge(x1, v1, x2, v2)
+        assume(cx.vertex_count <= ORACLE_VERTEX_CAP)
+        assert_matches_fixpoint(cx)
 
 
 class TestOracleAgreement:

@@ -1,5 +1,6 @@
 """Complex files, DOT export, report schema, CLI subcommands and exit codes."""
 
+import hashlib
 import json
 
 import pytest
@@ -10,6 +11,7 @@ from cubemedian import (
     analyze,
     complex_from_json,
     complex_to_json,
+    hyperclosure,
     load_complex,
     report_from_json,
     report_to_json,
@@ -161,6 +163,18 @@ class TestCli:
         assert run(["analyze", st4_file, "--max-members", "5"]) == 3
         assert "max_members" in capsys.readouterr().err
 
+    def test_resource_limit_boundaries(self, st4_file, capsys):
+        h = hyperclosure(staircase(4))
+        size, top = len(h), max(h.grade.values())
+        for flag, ok, refused in (("--max-members", size, size - 1),
+                                  ("--max-grade", top, top - 1)):
+            assert run(["analyze", st4_file, flag, str(ok)]) == 0
+            capsys.readouterr()
+            assert run(["analyze", st4_file, flag, str(refused)]) == 3
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: resource limit '{flag[2:].replace('-', '_')}'")
+            assert err.count("\n") == 1
+
     def test_invalid_complex_exit_1(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"vertices": 3, "edges": [[0, 1], [1, 2], [0, 2]]}))
@@ -196,3 +210,27 @@ class TestCli:
         out = capsys.readouterr().out
         assert st4_file in out and "gate-crossing-law" in out
         assert "--seed 9" in out and "(0, 1)" in out
+
+
+# SHA-256 of `cubemedian analyze <file>` stdout for files written by
+# `cubemedian build ... -o <file>`, run from the directory holding them.
+# Any change to member sets, grades, chains or report layout moves these.
+PINNED_REPORTS = {
+    "staircase4.json": (["staircase", "--params", "4"],
+                        "3ee69c94aa797109f778e8063d7ec9c9b1d3c61f322eb673c73e1ae39473fc3a"),
+    "box222.json": (["box", "--params", "2", "2", "2"],
+                    "1df786e630253112d823fe1a6c0b56af7d5f87a4b2f37c90a39232a4c6ae01b4"),
+    "rm573.json": (["random_median", "--params", "5", "7", "--seed", "3"],
+                   "89db03b5671dad91a7b0748791d1e30bc05eee0aa60fdad4fda192cb8b454988"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_REPORTS))
+def test_analyze_report_bytes_pinned(name, tmp_path, monkeypatch, capsys):
+    build_args, digest = PINNED_REPORTS[name]
+    monkeypatch.chdir(tmp_path)
+    assert run(["build", "--kind", *build_args, "-o", name]) == 0
+    capsys.readouterr()
+    assert run(["analyze", name]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
