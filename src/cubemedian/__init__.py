@@ -68,7 +68,7 @@ from .hyperclosure import (
     oracle_hyperclosure,
 )
 from .io import complex_from_json, complex_to_json, load_complex, save_complex, to_dot
-from .orthocomplement import BasedComplement, based_complement, orth, witness_compact
+from .orthocomplement import orth, witness_compact
 from .verify import Violation, verify_complex
 
 __all__ = [
@@ -87,6 +87,6 @@ __all__ = [
     "grades_report", "hyperclosure", "longest_chain", "multiplicity",
     "oracle_hyperclosure",
     "complex_from_json", "complex_to_json", "load_complex", "save_complex", "to_dot",
-    "BasedComplement", "based_complement", "orth", "witness_compact",
+    "orth", "witness_compact",
     "Violation", "verify_complex",
 ]

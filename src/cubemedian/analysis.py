@@ -34,7 +34,6 @@ class AnalysisReport:
     longest_chain: dict
     oracle_checked: bool
     oracle_agrees: Optional[bool]
-    limits_hit: Optional[str]
     tool_version: str
     spec_echo: dict
 
@@ -70,7 +69,6 @@ def analyze(cx: MedianComplex, *, max_members: int = DEFAULT_MAX_MEMBERS,
         },
         oracle_checked=with_oracle,
         oracle_agrees=oracle_agrees,
-        limits_hit=None,
         tool_version=__version__,
         spec_echo={
             "input": source,
@@ -98,8 +96,6 @@ def report_to_json(report: AnalysisReport) -> str:
     obj["oracle_checked"] = report.oracle_checked
     if report.oracle_checked:
         obj["oracle_agrees"] = report.oracle_agrees
-    if report.limits_hit is not None:
-        obj["limits_hit"] = report.limits_hit
     obj["tool_version"] = report.tool_version
     obj["spec_echo"] = report.spec_echo
     return json.dumps(obj, indent=2) + "\n"
@@ -118,7 +114,6 @@ def report_from_json(text: str) -> AnalysisReport:
         longest_chain=obj["longest_chain"],
         oracle_checked=obj["oracle_checked"],
         oracle_agrees=obj.get("oracle_agrees"),
-        limits_hit=obj.get("limits_hit"),
         tool_version=obj["tool_version"],
         spec_echo=obj["spec_echo"],
     )

@@ -2,11 +2,17 @@
 
 A finite CAT(0) cube complex is represented by its 1-skeleton, a median
 graph on vertices 0..n-1.  Wall classes (hyperplanes) are equivalence
-classes of edges under the Djokovic distance relation; each wall splits
-the vertex set into two halfspaces.  Convex subcomplexes are canonical
-sorted vertex tuples and are the currency of every higher operation.
+classes of edges under the Djokovic relation; each wall splits the vertex
+set into two halfspaces.  A vertex is fixed by the side of each wall it
+lies on, so it is stored as its sign vector: an int with bit i set when the
+vertex is on the plus side of class i.  The sign vectors embed the graph
+isometrically in a hypercube, and distance, interval, median, hull and
+convexity are bit expressions over them.
 
-Vertex sets are manipulated as int bitmasks throughout.
+Convex subcomplexes are canonical sorted vertex tuples and are the currency
+of every higher operation.  A convex set is the set of all vertices that
+agree with it on the classes where its signs are constant; the other
+classes are the ones crossing it.
 """
 
 from __future__ import annotations
@@ -34,14 +40,35 @@ def _mask_of(vertices: Iterable[int]) -> int:
     return m
 
 
+def _two_colour(cx: "MedianComplex") -> tuple[list[int], list[int], Optional[tuple[int, int]]]:
+    """BFS 2-colouring from vertex 0: colours (-1 if unreachable), BFS
+    parents, and the first edge found joining two vertices of one colour."""
+    n = cx.vertex_count
+    color = [-1] * n
+    parent = [-1] * n
+    odd = None
+    if n:
+        color[0] = 0
+        queue = deque([0])
+        while queue:
+            x = queue.popleft()
+            for y in cx.neighbors[x]:
+                if color[y] < 0:
+                    color[y] = color[x] ^ 1
+                    parent[y] = x
+                    queue.append(y)
+                elif color[y] == color[x] and odd is None:
+                    odd = (x, y)
+    return color, parent, odd
+
+
 class MedianComplex:
     """A finite graph with wall structure, intended to be a median graph.
 
     The constructor only checks that the adjacency is well-formed (indices
     in range, no loops, no duplicate edges); the median invariants are
-    checked by `validate`.  Instances are immutable after construction;
-    derived structure (distances, intervals, wall classes) is cached
-    lazily.
+    checked by `validate`.  Instances are immutable after construction; the
+    wall classes and the sign vectors are computed on first use and cached.
     """
 
     def __init__(self, vertex_count: int, edges: Iterable[tuple[int, int]],
@@ -71,161 +98,111 @@ class MedianComplex:
         self.generator = generator
         self.validated = False
         self.full_mask = (1 << vertex_count) - 1
-        self._dist: Optional[list[list[int]]] = None
-        self._intervals: Optional[list[list[int]]] = None
-        self._classes: Optional[tuple[HyperplaneClass, ...]] = None
-        self._crossing: Optional[tuple[frozenset[int], ...]] = None
-        self._sig_cache: dict[tuple[int, ...], frozenset[int]] = {}
 
-    # -- metric ---------------------------------------------------------
+    # -- wall classes and sign vectors -------------------------------------
 
-    @property
-    def distances(self) -> list[list[int]]:
-        """All-pairs distance table (BFS); -1 marks unreachable pairs."""
-        if self._dist is None:
-            n = self.vertex_count
-            table = []
-            for src in range(n):
-                row = [-1] * n
-                row[src] = 0
-                queue = deque([src])
-                while queue:
-                    x = queue.popleft()
-                    dx = row[x] + 1
-                    for y in self.neighbors[x]:
-                        if row[y] < 0:
-                            row[y] = dx
-                            queue.append(y)
-                table.append(row)
-            self._dist = table
-        return self._dist
-
-    def distance(self, u: int, v: int) -> int:
-        return self.distances[u][v]
-
-    @property
-    def interval_masks(self) -> list[list[int]]:
-        """interval_masks[x][y] is the bitmask of I(x,y) = {v : d(x,v)+d(v,y) = d(x,y)}."""
-        if self._intervals is None:
-            n = self.vertex_count
-            dist = self.distances
-            table = [[0] * n for _ in range(n)]
-            for x in range(n):
-                dx = dist[x]
-                table[x][x] = 1 << x
-                for y in range(x + 1, n):
-                    dy = dist[y]
-                    dxy = dx[y]
-                    m = 0
-                    for v in range(n):
-                        if dx[v] + dy[v] == dxy:
-                            m |= 1 << v
-                    table[x][y] = m
-                    table[y][x] = m
-            self._intervals = table
-        return self._intervals
-
-    # -- wall classes ----------------------------------------------------
-
-    @property
+    @cached_property
     def classes(self) -> tuple["HyperplaneClass", ...]:
-        if self._classes is None:
-            self._classes = self._compute_classes()
-        return self._classes
+        """Wall classes, numbered by least edge.
 
-    def _compute_classes(self) -> tuple["HyperplaneClass", ...]:
-        n = self.vertex_count
-        dist = self.distances
-        if n and any(d < 0 for d in dist[0]):
+        The first edge uv (in sorted order) in no class yet starts the next
+        class: one BFS from u and v together splits the vertices into those
+        nearer u (the minus side) and those nearer v, and every edge cut by
+        the split is Djokovic-related to uv and joins the class.  An edge
+        cut by two splits means the relation is not transitive.
+        """
+        color, _, odd = _two_colour(self)
+        if -1 in color:
             raise InvariantViolation("wall classes undefined: graph is disconnected")
-        # halfspace pair of each edge; bipartiteness makes the split total
-        by_key: dict[tuple[int, int], list[tuple[int, int]]] = {}
-        edge_key = {}
-        for u, v in self.edges:
-            mu = 0
-            mv = 0
-            du, dv = dist[u], dist[v]
-            for w in range(n):
-                if du[w] < dv[w]:
-                    mu |= 1 << w
-                elif dv[w] < du[w]:
-                    mv |= 1 << w
-            if mu | mv != self.full_mask:
-                raise InvariantViolation(
-                    f"wall classes undefined: edge ({u},{v}) has equidistant vertices "
-                    "(graph is not bipartite)")
-            key = (mu, mv) if mu < mv else (mv, mu)
-            by_key.setdefault(key, []).append((u, v))
-            edge_key[(u, v)] = key
-        # the Djokovic relation must match the halfspace grouping pairwise,
-        # otherwise it is not transitive and the graph is not median
-        edges = self.edges
-        for i, (x, y) in enumerate(edges):
-            for (u, v) in edges[i + 1:]:
-                related = dist[x][u] + dist[y][v] != dist[x][v] + dist[y][u]
-                if related != (edge_key[(x, y)] == edge_key[(u, v)]):
-                    raise InvariantViolation(
-                        f"wall relation is not transitive: witness edges ({x},{y}), ({u},{v})")
-        groups = sorted(by_key.values(), key=lambda es: min(es))
+        if odd is not None:
+            raise InvariantViolation(
+                f"wall classes undefined: edge ({odd[0]},{odd[1]}) joins two vertices "
+                "of one colour (graph is not bipartite)")
+        edge_class: dict[tuple[int, int], int] = {}
         classes = []
-        for cid, dual in enumerate(groups):
-            dual = tuple(sorted(dual))
-            u0 = dual[0][0]
-            key = edge_key[dual[0]]
-            side_minus = key[0] if (key[0] >> u0) & 1 else key[1]
-            side_plus = key[0] if side_minus == key[1] else key[1]
-            comb_minus = 0
-            comb_plus = 0
+        for u, v in self.edges:
+            if (u, v) in edge_class:
+                continue
+            cid = len(classes)
+            minus = self._nearer(u, v)
+            dual = tuple(e for e in self.edges if ((minus >> e[0]) ^ (minus >> e[1])) & 1)
+            ends = 0
             for a, b in dual:
-                if (side_minus >> a) & 1:
-                    comb_minus |= 1 << a
-                    comb_plus |= 1 << b
-                else:
-                    comb_minus |= 1 << b
-                    comb_plus |= 1 << a
-            classes.append(HyperplaneClass(
-                parent=self, class_id=cid, dual_edges=dual,
-                side_minus=frozenset(_bits(side_minus)), side_plus=frozenset(_bits(side_plus)),
-                side_minus_mask=side_minus, side_plus_mask=side_plus,
-                comb_minus_mask=comb_minus, comb_plus_mask=comb_plus))
+                if edge_class.setdefault((a, b), cid) != cid:
+                    raise InvariantViolation(
+                        f"wall relation is not transitive: witness edges ({u},{v}), ({a},{b})")
+                ends |= (1 << a) | (1 << b)
+            classes.append(HyperplaneClass(self, cid, dual, minus, self.full_mask & ~minus,
+                                           ends & minus, ends & ~minus))
         return tuple(classes)
 
-    @property
+    def _nearer(self, u: int, v: int) -> int:
+        """Mask of the vertices nearer u than v, by one BFS from u and v
+        together; a connected bipartite graph has no ties."""
+        near = {u: True, v: False}
+        queue = deque((u, v))
+        while queue:
+            x = queue.popleft()
+            for y in self.neighbors[x]:
+                if y not in near:
+                    near[y] = near[x]
+                    queue.append(y)
+        return _mask_of(w for w, is_near in near.items() if is_near)
+
+    @cached_property
+    def signs(self) -> tuple[int, ...]:
+        """signs[v] has bit i set iff v lies on the plus side of class i."""
+        signs = [0] * self.vertex_count
+        for h in self.classes:
+            for w in _bits(h.side_plus_mask):
+                signs[w] |= 1 << h.class_id
+        return tuple(signs)
+
+    @cached_property
+    def by_sign(self) -> dict[int, int]:
+        """The inverse of `signs`; raises unless the walls separate all vertices."""
+        out: dict[int, int] = {}
+        for w, s in enumerate(self.signs):
+            first = out.setdefault(s, w)
+            if first != w:
+                raise InvariantViolation(
+                    f"wall classes do not separate vertices {first} and {w}")
+        return out
+
+    def vertex_at(self, sign: int) -> int:
+        """The vertex with the given sign vector."""
+        v = self.by_sign.get(sign)
+        if v is None:
+            raise InvariantViolation(f"no vertex has sign vector {sign:#b}")
+        return v
+
+    def distance(self, u: int, v: int) -> int:
+        """The number of walls separating u and v."""
+        return (self.signs[u] ^ self.signs[v]).bit_count()
+
+    @cached_property
     def crossing(self) -> tuple[frozenset[int], ...]:
-        """crossing[i] is the set of class ids whose wall crosses wall i."""
-        if self._crossing is None:
-            cls = self.classes
-            out = []
-            for h in cls:
-                ids = set()
-                for w in cls:
-                    if w.class_id == h.class_id:
-                        continue
-                    if (h.side_minus_mask & w.side_minus_mask and
-                            h.side_minus_mask & w.side_plus_mask and
-                            h.side_plus_mask & w.side_minus_mask and
-                            h.side_plus_mask & w.side_plus_mask):
-                        ids.add(w.class_id)
-                out.append(frozenset(ids))
-            self._crossing = tuple(out)
-        return self._crossing
+        """crossing[i] is the set of class ids whose wall crosses wall i: all
+        four intersections of their halfspaces are nonempty."""
+        sides = [(h.side_minus_mask, h.side_plus_mask) for h in self.classes]
+        return tuple(frozenset(j for j, b in enumerate(sides)
+                               if j != i and all(x & y for x in a for y in b))
+                     for i, a in enumerate(sides))
 
 
 @dataclass(frozen=True)
 class HyperplaneClass:
-    """A wall: an edge class with its two halfspaces.
+    """A wall: an edge class with its two halfspaces, as vertex bitmasks.
 
-    side_minus is the halfspace containing the least endpoint of the least
-    dual edge, which makes class numbering and side order reproducible.
-    comb_minus/comb_plus (the combinatorial hyperplanes) are the endpoints
-    of the dual edges inside each halfspace.
+    The minus side is the halfspace containing the least endpoint of the
+    least dual edge, which makes class numbering and side order
+    reproducible.  comb_minus/comb_plus (the combinatorial hyperplanes) are
+    the endpoints of the dual edges inside each halfspace.
     """
 
     parent: MedianComplex = field(repr=False)
     class_id: int
     dual_edges: tuple[tuple[int, int], ...]
-    side_minus: frozenset[int] = field(repr=False)
-    side_plus: frozenset[int] = field(repr=False)
     side_minus_mask: int = field(repr=False)
     side_plus_mask: int = field(repr=False)
     comb_minus_mask: int = field(repr=False)
@@ -254,6 +231,21 @@ class ConvexSubcomplex:
     def mask(self) -> int:
         return _mask_of(self.vertices)
 
+    @cached_property
+    def crossing_mask(self) -> int:
+        """Bit i is set iff both signs of class i occur in the subcomplex."""
+        signs = self.parent.signs
+        s0 = signs[self.vertices[0]]
+        m = 0
+        for v in self.vertices:
+            m |= signs[v] ^ s0
+        return m
+
+    @cached_property
+    def signature(self) -> frozenset[int]:
+        """Ids of the classes crossing the subcomplex."""
+        return frozenset(_bits(self.crossing_mask))
+
     def __len__(self) -> int:
         return len(self.vertices)
 
@@ -278,7 +270,20 @@ def subcomplex(parent: MedianComplex, vertices: Iterable[int], *,
 
 
 def _from_mask(parent: MedianComplex, mask: int) -> ConvexSubcomplex:
+    if not mask:
+        raise InvariantViolation("empty vertex set where a convex subcomplex is required "
+                                 "(the graph is not median)")
     return ConvexSubcomplex(parent, tuple(_bits(mask)))
+
+
+def _agreeing(parent: MedianComplex, fixed: int, base: int,
+              among: Iterable[int]) -> ConvexSubcomplex:
+    """The vertices of `among` whose signs equal `base` on the bits of `fixed`."""
+    signs = parent.signs
+    verts = tuple(v for v in among if signs[v] & fixed == base)
+    if not verts:
+        raise InvariantViolation("no vertex has the required signs (the graph is not median)")
+    return ConvexSubcomplex(parent, verts)
 
 
 def whole_complex(cx: MedianComplex) -> ConvexSubcomplex:
@@ -319,13 +324,59 @@ def _odd_cycle_witness(cx: MedianComplex, color: list[int], parent: list[int],
     return path_u + path_v[::-1][1:]
 
 
+def _non_edge_at_one_wall(cx: MedianComplex) -> Optional[tuple[int, int]]:
+    """The first vertex pair whose signs differ in one bit but that is not an edge."""
+    edges, by_sign, k = set(cx.edges), cx.by_sign, len(cx.classes)
+    for v, s in enumerate(cx.signs):
+        for i in range(k):
+            w = by_sign.get(s ^ (1 << i), -1)
+            if w > v and (v, w) not in edges:
+                return v, w
+    return None
+
+
+def _majority_gap(signs: tuple[int, ...]) -> Optional[tuple[int, int, int]]:
+    """The first triple x < y < z whose bitwise majority is no sign vector."""
+    present = frozenset(signs)
+    for x, sx in enumerate(signs):
+        for y in range(x + 1, len(signs)):
+            both, either = sx & signs[y], sx | signs[y]
+            if not {both | (s & either) for s in signs[y + 1:]} <= present:
+                z = next(z for z in range(y + 1, len(signs))
+                         if both | (signs[z] & either) not in present)
+                return x, y, z
+    return None
+
+
 def validate(cx: MedianComplex) -> ValidationReport:
     """Check the median-graph invariants, reporting every failure with a witness.
 
-    Checks, in order: connectivity, bipartiteness, unique medians for all
-    vertex triples, transitivity of the wall relation, and that removing
-    any one wall class leaves exactly two components.  Metric checks are
-    skipped when the graph is disconnected or odd.
+    Checks, in order: connectivity and bipartiteness (one BFS); that the
+    wall classes exist and separate all vertices, so that the sign vectors
+    are injective; that the edges are exactly the vertex pairs whose signs
+    differ in one bit; that the sign vectors are closed under bitwise
+    majority; and that removing any one wall class leaves exactly two
+    components.  The later checks need sign vectors, so they are skipped
+    when the graph is disconnected or odd or has no wall classes: a
+    bipartite graph that is not a partial cube (K2,3, say) is reported by
+    its wall-relation failure alone.
+
+    Why this is equivalent to the graph being median.  Let the sign vectors
+    be injective, the edges exactly the pairs one bit apart and the set V
+    of sign vectors majority-closed.  Every edge changes one bit, so d(u,v)
+    is at least the Hamming distance h(u,v).  For the converse, map each
+    vertex w of a u-v path to maj(u,v,w), which is in V.  This retracts the
+    path into the hypercube interval of u and v: images of adjacent
+    vertices are equal or one bit apart, hence adjacent.  The first step
+    of the image walk that leaves u reaches a neighbour u' of u with
+    h(u',v) = h(u,v) - 1, so by induction on h, d(u,v) = h(u,v) and the
+    graph is isometric to V.  Graph intervals are then hypercube intervals
+    intersected with V, and the three intervals of a triple meet exactly
+    in its majority, which is in V: every triple has one median.
+    Conversely, a median graph's Djokovic relation is transitive, its
+    halfspace labelling is an isometric embedding (injective, and vertices
+    one bit apart are adjacent), its medians are majorities, and its
+    halfspaces are convex, hence connected, so it passes every check.
     """
     failures: list[InvariantFailure] = []
     n = cx.vertex_count
@@ -333,74 +384,46 @@ def validate(cx: MedianComplex) -> ValidationReport:
         failures.append(InvariantFailure("connected", "empty complex"))
         return ValidationReport(False, failures)
 
-    color = [-1] * n
-    parent = [-1] * n
-    color[0] = 0
-    queue = deque([0])
-    odd = None
-    while queue:
-        x = queue.popleft()
-        for y in cx.neighbors[x]:
-            if color[y] < 0:
-                color[y] = color[x] ^ 1
-                parent[y] = x
-                queue.append(y)
-            elif color[y] == color[x] and odd is None:
-                odd = (x, y)
-    unreachable = [v for v in range(n) if color[v] < 0]
-    if unreachable:
+    color, parent, odd = _two_colour(cx)
+    if -1 in color:
         failures.append(InvariantFailure(
-            "connected", f"vertex {unreachable[0]} unreachable from vertex 0"))
+            "connected", f"vertex {color.index(-1)} unreachable from vertex 0"))
     if odd is not None:
         cycle = _odd_cycle_witness(cx, color, parent, *odd)
         failures.append(InvariantFailure("bipartite", f"odd cycle {cycle}"))
     if failures:
         return ValidationReport(False, failures)
 
-    ivals = cx.interval_masks
-    for x in range(n):
-        row_x = ivals[x]
-        for y in range(x + 1, n):
-            ixy = row_x[y]
-            row_y = ivals[y]
-            for z in range(y + 1, n):
-                m = ixy & row_y[z] & row_x[z]
-                if m.bit_count() != 1:
-                    meds = list(_bits(m))
-                    failures.append(InvariantFailure(
-                        "unique-median", f"triple ({x},{y},{z}) has medians {meds}"))
-                    break
-            else:
-                continue
-            break
-        else:
-            continue
-        break
-
     try:
-        classes = cx.classes
+        cx.by_sign  # builds the classes and sign vectors, or says why they do not exist
     except InvariantViolation as exc:
         failures.append(InvariantFailure("wall-relation", str(exc)))
-        classes = ()
+        return ValidationReport(False, failures)
 
-    for h in classes:
+    pair = _non_edge_at_one_wall(cx)
+    if pair is not None:
+        failures.append(InvariantFailure(
+            "partial-cube", "vertices {} and {} are one wall apart but not adjacent".format(*pair)))
+    triple = _majority_gap(cx.signs)
+    if triple is not None:
+        failures.append(InvariantFailure(
+            "unique-median", "triple ({},{},{}) has medians []".format(*triple)))
+    for h in cx.classes:
         removed = set(h.dual_edges)
-        comp = [-1] * n
+        seen = [False] * n
         count = 0
         for start in range(n):
-            if comp[start] >= 0:
+            if seen[start]:
                 continue
             count += 1
-            comp[start] = count
-            queue = deque([start])
-            while queue:
-                a = queue.popleft()
+            seen[start] = True
+            stack = [start]
+            while stack:
+                a = stack.pop()
                 for b in cx.neighbors[a]:
-                    e = (a, b) if a < b else (b, a)
-                    if e in removed or comp[b] >= 0:
-                        continue
-                    comp[b] = count
-                    queue.append(b)
+                    if not seen[b] and ((a, b) if a < b else (b, a)) not in removed:
+                        seen[b] = True
+                        stack.append(b)
         if count != 2:
             failures.append(InvariantFailure(
                 "wall-cut", f"removing class {h.class_id} leaves {count} components"))
@@ -414,22 +437,23 @@ def validate(cx: MedianComplex) -> ValidationReport:
 
 
 def median(cx: MedianComplex, x: int, y: int, z: int) -> int:
-    """The unique vertex in I(x,y) ∩ I(y,z) ∩ I(x,z).
+    """The vertex whose signs are the bitwise majority of those of x, y, z.
 
     >>> from cubemedian.generators import grid
     >>> median(grid(1, 1), 0, 1, 2)
     0
     """
-    ivals = cx.interval_masks
-    m = ivals[x][y] & ivals[y][z] & ivals[x][z]
-    if m.bit_count() != 1:
-        raise InvariantViolation(f"triple ({x},{y},{z}) has {m.bit_count()} medians")
-    return m.bit_length() - 1
+    a, b, c = cx.signs[x], cx.signs[y], cx.signs[z]
+    m = cx.by_sign.get((a & b) | (a & c) | (b & c))
+    if m is None:
+        raise InvariantViolation(f"triple ({x},{y},{z}) has no median")
+    return m
 
 
 def interval(cx: MedianComplex, x: int, y: int) -> frozenset[int]:
-    """I(x,y) = {v : d(x,v)+d(v,y) = d(x,y)}."""
-    return frozenset(_bits(cx.interval_masks[x][y]))
+    """I(x,y) = {v : d(x,v)+d(v,y) = d(x,y)}: the vertices that agree with x
+    and y where those two agree, which is hull({x, y})."""
+    return frozenset(hull(cx, (x, y)).vertices)
 
 
 def theta_classes(cx: MedianComplex) -> tuple[HyperplaneClass, ...]:
@@ -438,51 +462,26 @@ def theta_classes(cx: MedianComplex) -> tuple[HyperplaneClass, ...]:
 
 
 def is_convex(cx: MedianComplex, vertices: Iterable[int]) -> bool:
-    """True iff the set induces a connected subgraph and is interval-closed."""
-    verts = sorted(set(vertices))
+    """True iff the set equals its hull."""
+    verts = tuple(sorted(set(vertices)))
     if not verts:
         raise ValueError("is_convex requires a nonempty vertex set")
-    mask = _mask_of(verts)
-    seen = 1 << verts[0]
-    queue = deque([verts[0]])
-    while queue:
-        x = queue.popleft()
-        for y in cx.neighbors[x]:
-            b = 1 << y
-            if mask & b and not seen & b:
-                seen |= b
-                queue.append(y)
-    if seen != mask:
-        return False
-    ivals = cx.interval_masks
-    for i, x in enumerate(verts):
-        row = ivals[x]
-        for y in verts[i + 1:]:
-            if row[y] & ~mask:
-                return False
-    return True
-
-
-def _hull_mask(cx: MedianComplex, mask: int) -> int:
-    ivals = cx.interval_masks
-    while True:
-        verts = list(_bits(mask))
-        new = mask
-        for i, x in enumerate(verts):
-            row = ivals[x]
-            for y in verts[i + 1:]:
-                new |= row[y]
-        if new == mask:
-            return mask
-        mask = new
+    return hull(cx, verts).vertices == verts
 
 
 def hull(cx: MedianComplex, vertices: Iterable[int]) -> ConvexSubcomplex:
-    """Least convex superset: the fixed point of pairwise interval closure."""
-    mask = _mask_of(vertices)
-    if not mask:
+    """Least convex superset: every vertex that agrees with the set on the
+    classes where the set's signs are constant."""
+    verts = list(vertices)
+    if not verts:
         raise ValueError("hull requires a nonempty vertex set")
-    return _from_mask(cx, _hull_mask(cx, mask))
+    if not all(0 <= v < cx.vertex_count for v in verts):
+        raise ValueError("vertex index out of range")
+    signs = [cx.signs[v] for v in verts]
+    free = 0
+    for s in signs:
+        free |= s ^ signs[0]
+    return _agreeing(cx, ~free, signs[0] & ~free, range(cx.vertex_count))
 
 
 def _max_clique(adj: list[int], n: int) -> int:
@@ -531,22 +530,20 @@ def all_convex_subcomplexes(cx: MedianComplex) -> list[ConvexSubcomplex]:
 
     Every convex set C is reached: grow from a singleton of C by repeatedly
     hulling in one more vertex of C; all intermediate hulls stay inside C.
+    A hull is kept as its crossing classes and its signs on the others.
     """
-    seen: set[int] = set()
-    queue: deque[int] = deque()
-    for v in range(cx.vertex_count):
-        m = 1 << v
-        seen.add(m)
-        queue.append(m)
-    full = cx.full_mask
+    signs = cx.signs
+    seen = {(0, s) for s in signs}
+    queue = deque(seen)
     while queue:
-        m = queue.popleft()
-        rest = full & ~m
-        for v in _bits(rest):
-            grown = _hull_mask(cx, m | (1 << v))
-            if grown not in seen:
-                seen.add(grown)
-                queue.append(grown)
-    subs = [_from_mask(cx, m) for m in seen]
-    subs.sort(key=lambda s: (len(s.vertices), s.vertices))
-    return subs
+        free, base = queue.popleft()
+        for s in signs:
+            grown = free | (s ^ base)
+            if grown != free:
+                key = (grown, base & ~grown)
+                if key not in seen:
+                    seen.add(key)
+                    queue.append(key)
+    n = cx.vertex_count
+    subs = {_agreeing(cx, ~free, base, range(n)) for free, base in seen}
+    return sorted(subs, key=lambda s: (len(s.vertices), s.vertices))

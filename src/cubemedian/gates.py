@@ -2,48 +2,43 @@
 
 The gate of a vertex in a convex subcomplex is its unique nearest point;
 gating one convex subcomplex into another gives the projection.  Crossing
-signatures (the set of wall classes with a dual edge inside a subcomplex,
+signatures (the wall classes on which a subcomplex has both signs,
 represented as a frozenset of class ids) control everything here: two
 subcomplexes are parallel iff their signatures agree, and a projection is
-crossed exactly by the classes crossing both factors.
+crossed exactly by the classes crossing both factors.  Gates and
+projections keep a vertex's signs on the classes crossing the target and
+take the target's signs on the others, so each is one bit expression over
+sign vectors.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import ConvexSubcomplex, HyperplaneClass, _from_mask, hull, subcomplex
+from .core import ConvexSubcomplex, HyperplaneClass, _agreeing, _from_mask, hull, subcomplex
 
 
 def gate(y: ConvexSubcomplex, x: int) -> int:
-    """The vertex of Y closest to x (unique, since Y is convex)."""
-    row = y.parent.distances[x]
-    return min(y.vertices, key=row.__getitem__)
+    """The vertex of Y closest to x: x's signs on the classes crossing Y,
+    Y's signs on the others."""
+    signs = y.parent.signs
+    free = y.crossing_mask
+    return y.parent.vertex_at((signs[x] & free) | (signs[y.vertices[0]] & ~free))
 
 
 def project(y: ConvexSubcomplex, z: ConvexSubcomplex) -> ConvexSubcomplex:
-    """Gate image of Z in Y; crossed exactly by the classes crossing both."""
+    """Gate image of Z in Y: the vertices of Y with Z's signs on the classes
+    crossing Y but not Z.  It is crossed exactly by the classes crossing both."""
     if y.parent is not z.parent:
         raise ValueError("projection requires subcomplexes of the same complex")
-    return subcomplex(y.parent, {gate(y, v) for v in z.vertices})
+    fixed = y.crossing_mask & ~z.crossing_mask
+    return _agreeing(y.parent, fixed, y.parent.signs[z.vertices[0]] & fixed, y.vertices)
 
 
 def crossing_signature(s: ConvexSubcomplex) -> frozenset[int]:
-    """Ids of the wall classes with at least one dual edge inside S."""
-    cx = s.parent
-    cached = cx._sig_cache.get(s.vertices)
-    if cached is not None:
-        return cached
-    mask = s.mask
-    ids = set()
-    for h in cx.classes:
-        for u, v in h.dual_edges:
-            if (mask >> u) & 1 and (mask >> v) & 1:
-                ids.add(h.class_id)
-                break
-    sig = frozenset(ids)
-    cx._sig_cache[s.vertices] = sig
-    return sig
+    """Ids of the wall classes crossing S (for convex S: those with a dual
+    edge inside S), cached on S."""
+    return s.signature
 
 
 def crosses(h: HyperplaneClass, w: HyperplaneClass) -> bool:
@@ -65,11 +60,7 @@ def parallel_into(s: ConvexSubcomplex, t: ConvexSubcomplex) -> bool:
 
 def carrier(h: HyperplaneClass) -> ConvexSubcomplex:
     """Endpoints of the dual edges: the union of the two combinatorial sides."""
-    verts = set()
-    for u, v in h.dual_edges:
-        verts.add(u)
-        verts.add(v)
-    return subcomplex(h.parent, verts)
+    return _from_mask(h.parent, h.comb_minus_mask | h.comb_plus_mask)
 
 
 def comb_side(h: HyperplaneClass, sign: int) -> ConvexSubcomplex:
@@ -81,8 +72,11 @@ def comb_side(h: HyperplaneClass, sign: int) -> ConvexSubcomplex:
 
 
 def set_distance(s: ConvexSubcomplex, t: ConvexSubcomplex) -> int:
-    dist = s.parent.distances
-    return min(dist[a][b] for a in s.vertices for b in t.vertices)
+    """The number of walls separating S and T: constant on both, with
+    different signs."""
+    signs = s.parent.signs
+    apart = signs[s.vertices[0]] ^ signs[t.vertices[0]]
+    return (apart & ~(s.crossing_mask | t.crossing_mask)).bit_count()
 
 
 def separators(f: ConvexSubcomplex, f2: ConvexSubcomplex) -> frozenset[int]:
@@ -93,10 +87,12 @@ def separators(f: ConvexSubcomplex, f2: ConvexSubcomplex) -> frozenset[int]:
 
 def parallel_bridge(f: ConvexSubcomplex, f2: ConvexSubcomplex) -> ConvexSubcomplex:
     """Hull of a shortest geodesic between F and F2 (least starting vertex)."""
-    dist = f.parent.distances
-    x = min(f.vertices, key=lambda v: (min(dist[v][w] for w in f2.vertices), v))
-    y = gate(f2, x)
-    return _from_mask(f.parent, f.parent.interval_masks[x][y])
+    signs = f.parent.signs
+    fixed = ~f2.crossing_mask
+    t0 = signs[f2.vertices[0]]
+    # d(v, F2) counts the classes missing F2 on which v differs from F2
+    x = min(f.vertices, key=lambda v: (((signs[v] ^ t0) & fixed).bit_count(), v))
+    return hull(f.parent, (x, gate(f2, x)))
 
 
 @dataclass(frozen=True, eq=False)

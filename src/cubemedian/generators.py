@@ -20,6 +20,7 @@ from .rng import SplitMix64
 KINDS = ("grid", "box", "tree", "product", "staircase", "wedge",
          "glued_staircase_ray", "random_median")
 _RANDOM_KINDS = ("tree", "random_median")
+MAX_SPEC_DEPTH = 64
 
 Param = Union[int, "GeneratorSpec"]
 
@@ -43,6 +44,8 @@ def spec_to_string(spec: GeneratorSpec) -> str:
 
 def parse_spec(text: str) -> GeneratorSpec:
     """Parse the compact spec form used by the CLI and the label block.
+
+    Specs nested deeper than MAX_SPEC_DEPTH are rejected with ValueError.
 
     >>> spec_to_string(parse_spec("product( grid(1,1), tree(5, seed=2) )"))
     'product(grid(1,1),tree(5,seed=2))'
@@ -75,8 +78,10 @@ def parse_spec(text: str) -> GeneratorSpec:
             fail("a generator kind")
         return text[start:pos]
 
-    def parse_node() -> GeneratorSpec:
+    def parse_node(depth: int) -> GeneratorSpec:
         nonlocal pos
+        if depth > MAX_SPEC_DEPTH:
+            raise ValueError(f"generator spec nests deeper than {MAX_SPEC_DEPTH} levels")
         skip_ws()
         name = parse_name()
         if name not in KINDS:
@@ -104,7 +109,7 @@ def parse_spec(text: str) -> GeneratorSpec:
                 seed = parse_int()
             else:
                 pos = word_start
-                params.append(parse_node())
+                params.append(parse_node(depth + 1))
 
         skip_ws()
         if pos < len(text) and text[pos] != ")":
@@ -120,7 +125,7 @@ def parse_spec(text: str) -> GeneratorSpec:
         pos += 1
         return GeneratorSpec(name, tuple(params), seed)
 
-    node = parse_node()
+    node = parse_node(1)
     skip_ws()
     if pos != len(text):
         fail("end of spec")

@@ -42,6 +42,17 @@ def complex_to_json(cx: MedianComplex) -> str:
     return json.dumps(obj, indent=2) + "\n"
 
 
+def _check_types(vertices, edges) -> None:
+    """Reject JSON values of the wrong type before they reach the constructor."""
+    if type(vertices) is not int:
+        raise StructuralError(f'"vertices" must be an integer, not {type(vertices).__name__}')
+    if type(edges) is not list:
+        raise StructuralError(f'"edges" must be a list of vertex pairs, not {type(edges).__name__}')
+    for i, e in enumerate(edges):
+        if type(e) is not list or len(e) != 2 or any(type(x) is not int for x in e):
+            raise StructuralError(f'"edges"[{i}] must be a pair of integers')
+
+
 def complex_from_json(text: str, *, run_validate: bool = True) -> MedianComplex:
     try:
         obj = json.loads(text)
@@ -62,6 +73,7 @@ def complex_from_json(text: str, *, run_validate: bool = True) -> MedianComplex:
         except ValueError as exc:
             raise StructuralError(f"label key {key!r} is not a vertex index") from exc
         labels[v] = _label_from_json(value)
+    _check_types(obj["vertices"], obj["edges"])
     cx = MedianComplex(obj["vertices"], [tuple(e) for e in obj["edges"]],
                        labels=labels or None, generator=generator)
     if run_validate:

@@ -13,8 +13,6 @@ by recursion over the member's derivation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .core import ConvexSubcomplex, _from_mask, hull, subcomplex, whole_complex
 from .errors import InvariantViolation
 from .gates import crossing_signature, parallel_copies, project, set_distance
@@ -35,12 +33,9 @@ def orth(a: ConvexSubcomplex, basepoint: int) -> ConvexSubcomplex:
     classes = cx.classes
     y_mask = cx.full_mask
     for cid in sig:
-        h = classes[cid]
-        if any(basepoint in e for e in h.dual_edges):
-            if (h.side_minus_mask >> basepoint) & 1:
-                y_mask &= h.comb_minus_mask
-            else:
-                y_mask &= h.comb_plus_mask
+        for comb in (classes[cid].comb_minus_mask, classes[cid].comb_plus_mask):
+            if (comb >> basepoint) & 1:
+                y_mask &= comb
     y = _from_mask(cx, y_mask)
     result = cx.full_mask
     for cid in sig:
@@ -48,17 +43,6 @@ def orth(a: ConvexSubcomplex, basepoint: int) -> ConvexSubcomplex:
         for side_mask in (h.comb_minus_mask, h.comb_plus_mask):
             result &= project(y, _from_mask(cx, side_mask)).mask
     return _from_mask(cx, result)
-
-
-@dataclass(frozen=True, eq=False)
-class BasedComplement:
-    base: ConvexSubcomplex
-    basepoint: int
-    complement: ConvexSubcomplex
-
-
-def based_complement(a: ConvexSubcomplex, basepoint: int) -> BasedComplement:
-    return BasedComplement(a, basepoint, orth(a, basepoint))
 
 
 def witness_compact(f: ConvexSubcomplex, closure=None) -> tuple[ConvexSubcomplex, int]:

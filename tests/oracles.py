@@ -2,20 +2,31 @@
 
 Everything here works by exhaustive enumeration (2^n subset scans, 4-cycle
 scans, networkx BFS) and is only meant for fixtures of at most ~14
-vertices.  These implementations deliberately avoid the library's interval
-tables, gate maps and fixpoints wherever the corresponding operation is
-under test.  The exception is `fixpoint_hyperclosure`, the pairwise
-worklist fixpoint the library used before its graded search; it is slow but
-obviously closed under projection and parallelism, and is kept as the
-reference the graded search must reproduce.
+vertices.  These implementations deliberately avoid the library's sign
+vectors, gate maps and fixpoints wherever the corresponding operation is
+under test.  Two exceptions are algorithms the library used before and
+replaced, kept as references it must reproduce because they are slow but
+obviously right: `fixpoint_hyperclosure`, the pairwise worklist fixpoint
+that preceded the graded search, and `table_validate`, the validation by
+all-pairs distance and interval tables that preceded the sign-vector
+checks.
 """
 
+import functools
 import heapq
+from collections import deque
+from itertools import combinations
 
 import networkx as nx
 
-from cubemedian import is_convex, orth, subcomplex
-from cubemedian.core import whole_complex
+from cubemedian import orth, subcomplex
+from cubemedian.core import (
+    InvariantFailure,
+    ValidationReport,
+    _bits,
+    _odd_cycle_witness,
+    whole_complex,
+)
 from cubemedian.errors import InvariantViolation, ResourceLimitError
 from cubemedian.gates import crossing_signature, parallel_copies, project
 from cubemedian.hyperclosure import (
@@ -38,16 +49,35 @@ def nx_distances(cx):
     return dict(nx.all_pairs_shortest_path_length(nx_graph(cx)))
 
 
+@functools.lru_cache(maxsize=None)
+def nx_interval_masks(cx):
+    """ival[x][y] is the bitmask of the vertices on x-y geodesics, from networkx distances."""
+    d = nx_distances(cx)
+    n = cx.vertex_count
+    return [[sum(1 << w for w in range(n) if d[x][w] + d[w][y] == d[x][y])
+             for y in range(n)] for x in range(n)]
+
+
+def nx_is_convex(cx, verts):
+    """True iff the set contains every networkx geodesic between two of its
+    vertices and induces a connected subgraph."""
+    ival = nx_interval_masks(cx)
+    mask = sum(1 << v for v in set(verts))
+    return (all(ival[x][y] & ~mask == 0 for x, y in combinations(verts, 2))
+            and nx.is_connected(nx_graph(cx).subgraph(verts)))
+
+
+@functools.lru_cache(maxsize=None)
 def exhaustive_convex_subsets(cx):
-    """All nonempty convex vertex sets, by scanning all 2^n subsets."""
+    """All nonempty convex vertex sets, by scanning all 2^n subsets with nx_is_convex."""
     n = cx.vertex_count
     assert n <= 14, "subset scan limited to 14 vertices"
     out = []
     for mask in range(1, 1 << n):
-        verts = [v for v in range(n) if (mask >> v) & 1]
-        if is_convex(cx, verts):
-            out.append(tuple(verts))
-    return out
+        verts = tuple(v for v in range(n) if (mask >> v) & 1)
+        if nx_is_convex(cx, verts):
+            out.append(verts)
+    return tuple(out)
 
 
 def brute_hull(cx, vertices):
@@ -252,3 +282,166 @@ def fixpoint_hyperclosure(cx, *, max_members=DEFAULT_MAX_MEMBERS,
     return Hyperclosure(complex=cx, members=tuple(ordered), grade=grade,
                         derivation=derivation, parallel_classes=classes,
                         max_members=max_members, max_grade=max_grade)
+
+
+def table_distances(cx):
+    """All-pairs distance table (BFS); -1 marks unreachable pairs."""
+    n = cx.vertex_count
+    table = []
+    for src in range(n):
+        row = [-1] * n
+        row[src] = 0
+        queue = deque([src])
+        while queue:
+            x = queue.popleft()
+            dx = row[x] + 1
+            for y in cx.neighbors[x]:
+                if row[y] < 0:
+                    row[y] = dx
+                    queue.append(y)
+        table.append(row)
+    return table
+
+
+def table_interval_masks(cx, dist):
+    """ival[x][y] is the bitmask of I(x,y) = {v : d(x,v)+d(v,y) = d(x,y)}."""
+    n = cx.vertex_count
+    table = [[0] * n for _ in range(n)]
+    for x in range(n):
+        dx = dist[x]
+        table[x][x] = 1 << x
+        for y in range(x + 1, n):
+            dy = dist[y]
+            dxy = dx[y]
+            m = 0
+            for v in range(n):
+                if dx[v] + dy[v] == dxy:
+                    m |= 1 << v
+            table[x][y] = m
+            table[y][x] = m
+    return table
+
+
+def table_wall_classes(cx, dist):
+    """Dual edge groups of the wall classes, by halfspace pair per edge and the
+    pairwise Djokovic check; raises InvariantViolation where they are undefined."""
+    n = cx.vertex_count
+    full_mask = (1 << n) - 1
+    if n and any(d < 0 for d in dist[0]):
+        raise InvariantViolation("wall classes undefined: graph is disconnected")
+    by_key = {}
+    edge_key = {}
+    for u, v in cx.edges:
+        mu = 0
+        mv = 0
+        du, dv = dist[u], dist[v]
+        for w in range(n):
+            if du[w] < dv[w]:
+                mu |= 1 << w
+            elif dv[w] < du[w]:
+                mv |= 1 << w
+        if mu | mv != full_mask:
+            raise InvariantViolation(
+                f"wall classes undefined: edge ({u},{v}) has equidistant vertices "
+                "(graph is not bipartite)")
+        key = (mu, mv) if mu < mv else (mv, mu)
+        by_key.setdefault(key, []).append((u, v))
+        edge_key[(u, v)] = key
+    # the Djokovic relation must match the halfspace grouping pairwise,
+    # otherwise it is not transitive and the graph is not median
+    edges = cx.edges
+    for i, (x, y) in enumerate(edges):
+        for (u, v) in edges[i + 1:]:
+            related = dist[x][u] + dist[y][v] != dist[x][v] + dist[y][u]
+            if related != (edge_key[(x, y)] == edge_key[(u, v)]):
+                raise InvariantViolation(
+                    f"wall relation is not transitive: witness edges ({x},{y}), ({u},{v})")
+    return [tuple(sorted(dual)) for dual in sorted(by_key.values(), key=lambda es: min(es))]
+
+
+def table_validate(cx):
+    """Median-graph validation by tables: connectivity, bipartiteness, unique
+    medians for all vertex triples from the interval table, the pairwise
+    Djokovic check, and that removing any one wall class leaves exactly two
+    components.  Metric checks are skipped when the graph is disconnected or
+    odd.  Cubic in the vertex count; leaves cx.validated unchanged."""
+    failures = []
+    n = cx.vertex_count
+    if n == 0:
+        failures.append(InvariantFailure("connected", "empty complex"))
+        return ValidationReport(False, failures)
+
+    color = [-1] * n
+    parent = [-1] * n
+    color[0] = 0
+    queue = deque([0])
+    odd = None
+    while queue:
+        x = queue.popleft()
+        for y in cx.neighbors[x]:
+            if color[y] < 0:
+                color[y] = color[x] ^ 1
+                parent[y] = x
+                queue.append(y)
+            elif color[y] == color[x] and odd is None:
+                odd = (x, y)
+    unreachable = [v for v in range(n) if color[v] < 0]
+    if unreachable:
+        failures.append(InvariantFailure(
+            "connected", f"vertex {unreachable[0]} unreachable from vertex 0"))
+    if odd is not None:
+        cycle = _odd_cycle_witness(cx, color, parent, *odd)
+        failures.append(InvariantFailure("bipartite", f"odd cycle {cycle}"))
+    if failures:
+        return ValidationReport(False, failures)
+
+    dist = table_distances(cx)
+    ivals = table_interval_masks(cx, dist)
+    for x in range(n):
+        row_x = ivals[x]
+        for y in range(x + 1, n):
+            ixy = row_x[y]
+            row_y = ivals[y]
+            for z in range(y + 1, n):
+                m = ixy & row_y[z] & row_x[z]
+                if m.bit_count() != 1:
+                    meds = list(_bits(m))
+                    failures.append(InvariantFailure(
+                        "unique-median", f"triple ({x},{y},{z}) has medians {meds}"))
+                    break
+            else:
+                continue
+            break
+        else:
+            continue
+        break
+
+    try:
+        classes = table_wall_classes(cx, dist)
+    except InvariantViolation as exc:
+        failures.append(InvariantFailure("wall-relation", str(exc)))
+        classes = []
+
+    for class_id, dual in enumerate(classes):
+        removed = set(dual)
+        comp = [-1] * n
+        count = 0
+        for start in range(n):
+            if comp[start] >= 0:
+                continue
+            count += 1
+            comp[start] = count
+            queue = deque([start])
+            while queue:
+                a = queue.popleft()
+                for b in cx.neighbors[a]:
+                    e = (a, b) if a < b else (b, a)
+                    if e in removed or comp[b] >= 0:
+                        continue
+                    comp[b] = count
+                    queue.append(b)
+        if count != 2:
+            failures.append(InvariantFailure(
+                "wall-cut", f"removing class {class_id} leaves {count} components"))
+
+    return ValidationReport(not failures, failures)

@@ -22,6 +22,11 @@ from cubemedian import (
 from cubemedian.rng import SplitMix64
 
 
+def members(mask):
+    """Vertex indices of a bitmask."""
+    return [v for v in range(mask.bit_length()) if (mask >> v) & 1]
+
+
 class TestStructural:
     def test_loop_rejected(self):
         with pytest.raises(StructuralError):
@@ -61,6 +66,88 @@ class TestValidate:
     def test_all_fixtures_pass(self, q2, p3, g33, box222, st2, st3, tree8, rm451):
         for cx in (q2, p3, g33, box222, st2, st3, tree8, rm451):
             assert cx.validated
+
+
+def component_of_zero(n, edges):
+    """The connected component of vertex 0, relabelled 0..m-1 in order."""
+    nbrs = {v: [] for v in range(n)}
+    for u, v in edges:
+        nbrs[u].append(v)
+        nbrs[v].append(u)
+    seen = {0}
+    stack = [0]
+    while stack:
+        for w in nbrs[stack.pop()]:
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    index = {v: i for i, v in enumerate(sorted(seen))}
+    return MedianComplex(len(index), [(index[u], index[v]) for u, v in edges
+                                      if u in index and v in index])
+
+
+@st.composite
+def grid_edge_subsets(draw):
+    """A grid of at most 16 vertices with a few edges removed (bipartite),
+    cut down to the component of vertex 0."""
+    w = draw(st.integers(1, 3))
+    h = draw(st.integers(1, 3))
+    index = {(i, j): i * (h + 1) + j for i in range(w + 1) for j in range(h + 1)}
+    edges = [(index[c], index[(c[0] + 1, c[1])]) for c in index if c[0] < w]
+    edges += [(index[c], index[(c[0], c[1] + 1)]) for c in index if c[1] < h]
+    drop = draw(st.sets(st.integers(0, len(edges) - 1), max_size=4))
+    return component_of_zero(len(index), [e for i, e in enumerate(edges) if i not in drop])
+
+
+@st.composite
+def induced_hypercube_subgraphs(draw):
+    """The subgraph of the 4-cube induced by a random vertex set containing
+    vertex 0, cut down to the component of vertex 0."""
+    chosen = sorted(draw(st.sets(st.integers(1, 15), min_size=3, max_size=15)) | {0})
+    index = {v: i for i, v in enumerate(chosen)}
+    edges = [(index[a], index[b]) for a in chosen for b in chosen
+             if a < b and (a ^ b).bit_count() == 1]
+    return component_of_zero(len(chosen), edges)
+
+
+class TestValidateOracle:
+    """validate() agrees with the table-based validation it replaced."""
+
+    def test_fixtures(self, q2, p3, g33, box222, st2, st3, tree8, rm451, single_vertex,
+                      k3, c6):
+        for cx in (q2, p3, g33, box222, st2, st3, tree8, rm451, single_vertex, k3, c6):
+            assert validate(cx).passed == oracles.table_validate(cx).passed
+
+    @pytest.mark.parametrize("n,edges,passed", [
+        (3, [(0, 1), (1, 2), (0, 2)], False),                                  # K3
+        (6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5)], False),          # C6
+        (5, [(0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4)], False),          # K2,3
+        (4, [(0, 1), (2, 3)], False),                                          # disconnected
+        # K2,4: its wall classes give vertices 1 and 2 one sign vector
+        (6, [(0, 4), (0, 5), (1, 4), (1, 5), (2, 4), (2, 5), (3, 4), (3, 5)], False),
+        # majority-closed sign vectors, but vertices 3 and 4 are one wall
+        # apart and not adjacent
+        (8, [(0, 5), (0, 6), (0, 7), (1, 4), (1, 5), (1, 6), (2, 4), (2, 6), (2, 7),
+             (3, 5), (3, 7)], False),
+    ])
+    def test_non_median(self, n, edges, passed):
+        cx = MedianComplex(n, edges)
+        assert oracles.table_validate(cx).passed is passed
+        assert validate(cx).passed is passed
+
+    def test_k23_names_the_wall_relation(self):
+        k23 = MedianComplex(5, [(0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4)])
+        assert [f.invariant for f in validate(k23).failures] == ["wall-relation"]
+
+    @settings(max_examples=80, deadline=None)
+    @given(cx=grid_edge_subsets())
+    def test_grid_edge_subsets(self, cx):
+        assert validate(cx).passed == oracles.table_validate(cx).passed
+
+    @settings(max_examples=80, deadline=None)
+    @given(cx=induced_hypercube_subgraphs())
+    def test_induced_hypercube_subgraphs(self, cx):
+        assert validate(cx).passed == oracles.table_validate(cx).passed
 
 
 class TestMedian:
@@ -129,10 +216,10 @@ class TestThetaClasses:
 
     def test_halfspaces_partition(self, st3):
         for h in theta_classes(st3):
-            assert h.side_minus | h.side_plus == set(range(st3.vertex_count))
-            assert not h.side_minus & h.side_plus
+            assert h.side_minus_mask | h.side_plus_mask == st3.full_mask
+            assert not h.side_minus_mask & h.side_plus_mask
             for u, v in h.dual_edges:
-                assert (u in h.side_minus) != (v in h.side_minus)
+                assert (h.side_minus_mask >> u) & 1 != (h.side_minus_mask >> v) & 1
 
     def test_canonical_numbering(self, st3):
         classes = theta_classes(st3)
@@ -140,7 +227,7 @@ class TestThetaClasses:
         assert least == sorted(least)
         for h in classes:
             u0 = min(h.dual_edges)[0]
-            assert u0 in h.side_minus
+            assert (h.side_minus_mask >> u0) & 1
 
     def test_nontransitive_raises(self):
         k23 = MedianComplex(5, [(0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4)])
@@ -162,14 +249,16 @@ class TestConvexity:
     def test_halfspaces_convex(self, q2, p3, st2, st3, box222, rm451):
         for cx in (q2, p3, st2, st3, box222, rm451):
             for h in theta_classes(cx):
-                assert is_convex(cx, h.side_minus)
-                assert is_convex(cx, h.side_plus)
+                for side in (members(h.side_minus_mask), members(h.side_plus_mask)):
+                    assert is_convex(cx, side)
+                    assert oracles.nx_is_convex(cx, side)
 
     def test_comb_sides_convex(self, q2, p3, st2, st3, box222, rm451):
         for cx in (q2, p3, st2, st3, box222, rm451):
             for h in theta_classes(cx):
-                assert is_convex(cx, h.comb_minus)
-                assert is_convex(cx, h.comb_plus)
+                for side in (sorted(h.comb_minus), sorted(h.comb_plus)):
+                    assert is_convex(cx, side)
+                    assert oracles.nx_is_convex(cx, side)
 
 
 class TestHull:

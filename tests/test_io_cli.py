@@ -13,6 +13,7 @@ from cubemedian import (
     complex_to_json,
     hyperclosure,
     load_complex,
+    parse_spec,
     report_from_json,
     report_to_json,
     save_complex,
@@ -210,6 +211,57 @@ class TestCli:
         out = capsys.readouterr().out
         assert st4_file in out and "gate-crossing-law" in out
         assert "--seed 9" in out and "(0, 1)" in out
+
+
+NON_MEDIAN = {
+    "c6": {"vertices": 6, "edges": [[0, 1], [1, 2], [2, 3], [3, 4], [4, 5], [0, 5]]},
+    "k23": {"vertices": 5, "edges": [[0, 2], [0, 3], [0, 4], [1, 2], [1, 3], [1, 4]]},
+    "k3": {"vertices": 3, "edges": [[0, 1], [1, 2], [0, 2]]},
+    "disconnected": {"vertices": 4, "edges": [[0, 1], [2, 3]]},
+}
+
+
+@pytest.mark.parametrize("command", ["analyze", "verify", "oracle", "export"])
+@pytest.mark.parametrize("name", sorted(NON_MEDIAN))
+def test_no_validate_non_median_exits_cleanly(name, command, tmp_path, capsys):
+    # without validation a non-median input may run to the end (exit 0) or
+    # stop at an invariant violation (exit 1), never with another error
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(NON_MEDIAN[name]))
+    extra = {"verify": ["--cases", "20"], "export": ["--dot", str(tmp_path / "out.dot")]}
+    assert run([command, str(path), "--no-validate", *extra.get(command, [])]) in (0, 1)
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and err.count("\n") <= 1
+
+
+@pytest.mark.parametrize("text,field", [
+    ('{"vertices": "3", "edges": []}', '"vertices"'),
+    ('{"vertices": 2.5, "edges": []}', '"vertices"'),
+    ('{"vertices": true, "edges": []}', '"vertices"'),
+    ('{"vertices": 2, "edges": [["0", 1]]}', '"edges"[0]'),
+    ('{"vertices": 2, "edges": 5}', '"edges"'),
+    ('{"vertices": 2, "edges": [[0, 1, 1]]}', '"edges"[0]'),
+])
+def test_malformed_complex_file_exit_2(text, field, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    assert run(["analyze", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {field}") and err.count("\n") == 1
+    with pytest.raises(StructuralError):
+        complex_from_json(text)
+
+
+def test_deep_spec_nesting_exit_2(tmp_path, capsys):
+    from cubemedian.generators import MAX_SPEC_DEPTH
+    deep = "product(" * 2000 + "grid(1,1),grid(1,1)" + ")" * 1999
+    assert run(["build", "--kind", "product", "--params", deep,
+                "-o", str(tmp_path / "deep.json")]) == 2
+    assert f"deeper than {MAX_SPEC_DEPTH}" in capsys.readouterr().err
+    with pytest.raises(ValueError):
+        parse_spec("product(" * MAX_SPEC_DEPTH + "grid(1,1),grid(1,1)" + ")" * MAX_SPEC_DEPTH)
+    nested = "product(" * (MAX_SPEC_DEPTH - 2) + "grid(0,0),grid(0,0)" + ")" * (MAX_SPEC_DEPTH - 2)
+    assert parse_spec(nested).kind == "product"
 
 
 # SHA-256 of `cubemedian analyze <file>` stdout for files written by

@@ -5,7 +5,6 @@ import pytest
 import oracles
 from conftest import by_label
 from cubemedian import (
-    based_complement,
     crossing_signature,
     hull,
     hyperclosure,
@@ -118,16 +117,16 @@ class TestBasedComplement:
             for _ in range(80):
                 a = random_convex(cx, rng)
                 x = rng.choice(a.vertices)
-                bc = based_complement(a, x)
-                assert x in bc.complement
+                complement = orth(a, x)
+                assert x in complement
                 sig_a = crossing_signature(a)
-                sig_c = crossing_signature(bc.complement)
+                sig_c = crossing_signature(complement)
                 assert not sig_a & sig_c
                 for i in sig_c:
                     for j in sig_a:
                         assert j in cx.crossing[i]
                 if len(a) == 1:
-                    assert bc.complement == whole_complex(cx)
+                    assert complement == whole_complex(cx)
 
 
 class TestWitnessCompact:
