@@ -335,16 +335,26 @@ def _non_edge_at_one_wall(cx: MedianComplex) -> Optional[tuple[int, int]]:
     return None
 
 
-def _majority_gap(signs: tuple[int, ...]) -> Optional[tuple[int, int, int]]:
-    """The first triple x < y < z whose bitwise majority is no sign vector."""
-    present = frozenset(signs)
-    for x, sx in enumerate(signs):
-        for y in range(x + 1, len(signs)):
-            both, either = sx & signs[y], sx | signs[y]
-            if not {both | (s & either) for s in signs[y + 1:]} <= present:
-                z = next(z for z in range(y + 1, len(signs))
-                         if both | (signs[z] & either) not in present)
-                return x, y, z
+def _square_gap(cx: MedianComplex) -> Optional[tuple[int, int, int]]:
+    """The first triple (z^i, z^j, w), sorted, that breaks the square condition
+    of `validate`: z in vertex order, then its neighbour pairs in order, and
+    w the least vertex beyond walls i and j from z.  Beyond wall i from z is
+    the halfspace holding z^i.  The majority of the triple, z^i^j, is missing.
+    """
+    signs, by_sign = cx.signs, cx.by_sign
+    sides = [(h.side_minus_mask, h.side_plus_mask) for h in cx.classes]
+    for z, s in enumerate(signs):
+        flips = []
+        for y in cx.neighbors[z]:
+            i = (signs[y] ^ s).bit_length() - 1
+            flips.append((y, 1 << i, sides[i][(signs[y] >> i) & 1]))
+        for a, (y, bit_y, beyond_y) in enumerate(flips):
+            for x, bit_x, beyond_x in flips[a + 1:]:
+                if s ^ bit_y ^ bit_x not in by_sign:
+                    quadrant = beyond_y & beyond_x
+                    if quadrant:
+                        w = (quadrant & -quadrant).bit_length() - 1
+                        return tuple(sorted((y, x, w)))
     return None
 
 
@@ -354,29 +364,47 @@ def validate(cx: MedianComplex) -> ValidationReport:
     Checks, in order: connectivity and bipartiteness (one BFS); that the
     wall classes exist and separate all vertices, so that the sign vectors
     are injective; that the edges are exactly the vertex pairs whose signs
-    differ in one bit; that the sign vectors are closed under bitwise
-    majority; and that removing any one wall class leaves exactly two
-    components.  The later checks need sign vectors, so they are skipped
-    when the graph is disconnected or odd or has no wall classes: a
-    bipartite graph that is not a partial cube (K2,3, say) is reported by
-    its wall-relation failure alone.
+    differ in one bit; the square condition (SC) below; and that removing
+    any one wall class leaves exactly two components.  The later checks
+    need sign vectors, so they are skipped when the graph is disconnected
+    or odd or has no wall classes: a bipartite graph that is not a partial
+    cube (K2,3, say) is reported by its wall-relation failure alone.
+
+    SC: for every vertex z and every two neighbours z^i and z^j of z (z
+    with bit i, resp. bit j, flipped), either z^i^j is a vertex or no
+    vertex w has w_i != z_i and w_j != z_j.  It costs one lookup and one
+    AND of two halfspace masks per pair of neighbours, sum of deg(z)^2 in
+    all.  A failure is reported as the triple (z^i, z^j, w), whose
+    majority z^i^j is missing.
 
     Why this is equivalent to the graph being median.  Let the sign vectors
-    be injective, the edges exactly the pairs one bit apart and the set V
-    of sign vectors majority-closed.  Every edge changes one bit, so d(u,v)
-    is at least the Hamming distance h(u,v).  For the converse, map each
-    vertex w of a u-v path to maj(u,v,w), which is in V.  This retracts the
-    path into the hypercube interval of u and v: images of adjacent
-    vertices are equal or one bit apart, hence adjacent.  The first step
-    of the image walk that leaves u reaches a neighbour u' of u with
-    h(u',v) = h(u,v) - 1, so by induction on h, d(u,v) = h(u,v) and the
-    graph is isometric to V.  Graph intervals are then hypercube intervals
-    intersected with V, and the three intervals of a triple meet exactly
-    in its majority, which is in V: every triple has one median.
-    Conversely, a median graph's Djokovic relation is transitive, its
-    halfspace labelling is an isometric embedding (injective, and vertices
-    one bit apart are adjacent), its medians are majorities, and its
-    halfspaces are convex, hence connected, so it passes every check.
+    be injective, the edges exactly the pairs one bit apart, the graph
+    connected and SC hold.  Every step of a path flips one bit.
+    (1) SC gives an isometry.  Take a shortest path that flips some bit i
+    twice, and the two flips of one bit that are nearest on it, so no bit
+    flips twice between them.  Let b be the vertex just before the second
+    flip of i, reached by flipping bit j, and a the vertex just before the
+    first.  Then a differs from b in bits i and j, so SC at b, with
+    neighbours b^i and b^j and witness a, puts b^j^i in V: the second flip
+    of i moves one step earlier.  Repeating this brings the two flips
+    together, so the path revisits a vertex, against minimality.  So
+    shortest paths flip each bit at most once, and d(u,v) is the Hamming
+    distance h(u,v); intervals are then the vertices that agree with both
+    ends where the ends agree.
+    (2) SC gives majority closure.  For x, y, z, let p be the vertex of
+    I(y,z) nearest x.  If p != maj(x,y,z), then p differs from x in some
+    bit i where y and z differ.  On a p-x geodesic, let i be the first such
+    bit to flip; the flips before it are bits where y and z agree.  SC at
+    the vertex just before the flip of i, with y or z (whichever differs
+    from p in bit i) as witness, moves that flip one step earlier, and
+    again, until p^i is in V.  But p^i is in I(y,z) and nearer x.  So
+    maj(x,y,z) = p is in V, and as the three intervals of a triple meet
+    exactly in its majority, every triple has one median.
+    (3) A median graph satisfies SC: maj(z^i, z^j, w) = z^i^j.  Its
+    Djokovic relation is transitive, its halfspace labelling is an
+    isometric embedding (injective, and vertices one bit apart are
+    adjacent), and its halfspaces are convex, hence connected, so it passes
+    every other check too.
     """
     failures: list[InvariantFailure] = []
     n = cx.vertex_count
@@ -404,7 +432,7 @@ def validate(cx: MedianComplex) -> ValidationReport:
     if pair is not None:
         failures.append(InvariantFailure(
             "partial-cube", "vertices {} and {} are one wall apart but not adjacent".format(*pair)))
-    triple = _majority_gap(cx.signs)
+    triple = _square_gap(cx)
     if triple is not None:
         failures.append(InvariantFailure(
             "unique-median", "triple ({},{},{}) has medians []".format(*triple)))

@@ -302,8 +302,8 @@ def generate(spec: GeneratorSpec) -> MedianComplex:
     elif kind == "random_median":
         _require(ints and len(params) == 2, "random_median(dim, count) needs two ints")
         dim, count = params
-        # the majority closure can approach 2^dim points and validation is
-        # cubic in the vertex count, so the dimension is kept small
+        # the majority closure can approach 2^dim points, and both it and
+        # the edge scan work on triples of points, so the dimension is kept small
         _require(1 <= dim <= 8, "random_median dimension must be in 1..8")
         _require(1 <= count <= (1 << dim), "random_median count must be in 1..2^dim")
         n, edges, labels = _build_random_median(dim, count, seed or 0)

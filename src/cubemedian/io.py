@@ -1,8 +1,9 @@
 """Complex files (JSON) and DOT export.
 
 File format: {"vertices": n, "edges": [[u,v],...], "labels": {...}}.
-Label keys are vertex indices; the reserved "generator" key inside the
-label block records the spec string of a generated complex.
+Label keys are vertex indices 0..n-1 and label values arrays of integers
+(coordinates); the reserved "generator" key inside the label block records
+the spec string of a generated complex.
 """
 
 from __future__ import annotations
@@ -23,10 +24,6 @@ PALETTE = (
 
 def _label_to_json(label):
     return list(label) if isinstance(label, tuple) else label
-
-
-def _label_from_json(label):
-    return tuple(label) if isinstance(label, list) else label
 
 
 def complex_to_json(cx: MedianComplex) -> str:
@@ -53,6 +50,23 @@ def _check_types(vertices, edges) -> None:
             raise StructuralError(f'"edges"[{i}] must be a pair of integers')
 
 
+def _labels_from_json(raw_labels: dict, n: int) -> dict[int, tuple[int, ...]]:
+    """Vertex labels from the label block: keys are vertex indices 0..n-1 in
+    decimal, values arrays of integers."""
+    labels = {}
+    for key, value in raw_labels.items():
+        if key == "generator":
+            continue
+        v = int(key) if key.isascii() and key.isdigit() else -1
+        if not 0 <= v < n or str(v) != key:
+            raise StructuralError(f'"labels" key {json.dumps(key)} is not a vertex index '
+                                  f'in 0..{n - 1}')
+        if type(value) is not list or any(type(x) is not int for x in value):
+            raise StructuralError(f'"labels"[{json.dumps(key)}] must be an array of integers')
+        labels[v] = tuple(value)
+    return labels
+
+
 def complex_from_json(text: str, *, run_validate: bool = True) -> MedianComplex:
     try:
         obj = json.loads(text)
@@ -63,19 +77,10 @@ def complex_from_json(text: str, *, run_validate: bool = True) -> MedianComplex:
     raw_labels = obj.get("labels") or {}
     if not isinstance(raw_labels, dict):
         raise StructuralError('"labels" must be a map')
-    generator = raw_labels.get("generator")
-    labels = {}
-    for key, value in raw_labels.items():
-        if key == "generator":
-            continue
-        try:
-            v = int(key)
-        except ValueError as exc:
-            raise StructuralError(f"label key {key!r} is not a vertex index") from exc
-        labels[v] = _label_from_json(value)
     _check_types(obj["vertices"], obj["edges"])
+    labels = _labels_from_json(raw_labels, obj["vertices"])
     cx = MedianComplex(obj["vertices"], [tuple(e) for e in obj["edges"]],
-                       labels=labels or None, generator=generator)
+                       labels=labels or None, generator=raw_labels.get("generator"))
     if run_validate:
         report = validate(cx)
         if not report.passed:

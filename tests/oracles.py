@@ -7,15 +7,17 @@ vectors, gate maps and fixpoints wherever the corresponding operation is
 under test.  Two exceptions are algorithms the library used before and
 replaced, kept as references it must reproduce because they are slow but
 obviously right: `fixpoint_hyperclosure`, the pairwise worklist fixpoint
-that preceded the graded search, and `table_validate`, the validation by
+that preceded the graded search; `table_validate`, the validation by
 all-pairs distance and interval tables that preceded the sign-vector
-checks.
+checks; and `majority_gap`, the triple scan for majority closure that
+preceded the square condition.
 """
 
 import functools
 import heapq
 from collections import deque
 from itertools import combinations
+from typing import Optional
 
 import networkx as nx
 
@@ -357,6 +359,19 @@ def table_wall_classes(cx, dist):
                 raise InvariantViolation(
                     f"wall relation is not transitive: witness edges ({x},{y}), ({u},{v})")
     return [tuple(sorted(dual)) for dual in sorted(by_key.values(), key=lambda es: min(es))]
+
+
+def majority_gap(signs: tuple[int, ...]) -> Optional[tuple[int, int, int]]:
+    """The first triple x < y < z whose bitwise majority is no sign vector."""
+    present = frozenset(signs)
+    for x, sx in enumerate(signs):
+        for y in range(x + 1, len(signs)):
+            both, either = sx & signs[y], sx | signs[y]
+            if not {both | (s & either) for s in signs[y + 1:]} <= present:
+                z = next(z for z in range(y + 1, len(signs))
+                         if both | (signs[z] & either) not in present)
+                return x, y, z
+    return None
 
 
 def table_validate(cx):

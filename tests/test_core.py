@@ -1,7 +1,7 @@
 """Base combinatorics: validation, medians, intervals, walls, convexity, hulls."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -19,6 +19,7 @@ from cubemedian import (
     theta_classes,
     validate,
 )
+from cubemedian.core import _square_gap
 from cubemedian.rng import SplitMix64
 
 
@@ -43,29 +44,6 @@ class TestStructural:
     def test_negative_vertex_count_rejected(self):
         with pytest.raises(StructuralError):
             MedianComplex(-1, [])
-
-
-class TestValidate:
-    def test_q2_passes(self, q2):
-        assert validate(q2).passed
-
-    def test_k3_fails_bipartite(self, k3):
-        report = validate(k3)
-        assert not report.passed
-        assert any(f.invariant == "bipartite" and "odd cycle" in f.witness
-                   for f in report.failures)
-
-    def test_c6_fails_median(self, c6):
-        report = validate(c6)
-        assert not report.passed
-        fail = next(f for f in report.failures if f.invariant == "unique-median")
-        # the witness triple really has no median
-        triple = eval(fail.witness.split(" has ")[0].replace("triple ", ""))
-        assert oracles.medians_by_paths(c6, *triple) == set()
-
-    def test_all_fixtures_pass(self, q2, p3, g33, box222, st2, st3, tree8, rm451):
-        for cx in (q2, p3, g33, box222, st2, st3, tree8, rm451):
-            assert cx.validated
 
 
 def component_of_zero(n, edges):
@@ -100,23 +78,65 @@ def grid_edge_subsets(draw):
 
 
 @st.composite
-def induced_hypercube_subgraphs(draw):
-    """The subgraph of the 4-cube induced by a random vertex set containing
-    vertex 0, cut down to the component of vertex 0."""
-    chosen = sorted(draw(st.sets(st.integers(1, 15), min_size=3, max_size=15)) | {0})
+def induced_hypercube_subgraphs(draw, dim=4):
+    """The subgraph of the dim-cube induced by a random vertex set containing
+    vertex 0, cut down to the component of vertex 0.  The set is a few
+    vertices or all but a few, so that large pieces are drawn too."""
+    top = (1 << dim) - 1
+    picked = draw(st.sets(st.integers(1, top), min_size=2, max_size=top - 1))
+    chosen = sorted(picked | {0}) if draw(st.booleans()) else sorted(set(range(top + 1)) - picked)
     index = {v: i for i, v in enumerate(chosen)}
     edges = [(index[a], index[b]) for a in chosen for b in chosen
              if a < b and (a ^ b).bit_count() == 1]
     return component_of_zero(len(chosen), edges)
 
 
+class TestValidate:
+    def test_q2_passes(self, q2):
+        assert validate(q2).passed
+
+    def test_k3_fails_bipartite(self, k3):
+        report = validate(k3)
+        assert not report.passed
+        assert any(f.invariant == "bipartite" and "odd cycle" in f.witness
+                   for f in report.failures)
+
+    @settings(max_examples=100, deadline=None)
+    @given(cx=induced_hypercube_subgraphs(5))
+    @example(cx=MedianComplex(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5)]))
+    def test_c6_fails_median(self, cx):
+        """C6, and every drawn partial cube that is not median, names a
+        triple that really has no median."""
+        report = validate(cx)
+        invariants = {f.invariant for f in report.failures}
+        if report.passed or invariants & {"wall-relation", "partial-cube"}:
+            return
+        fail = next(f for f in report.failures if f.invariant == "unique-median")
+        triple = eval(fail.witness.split(" has ")[0].replace("triple ", ""))
+        assert oracles.medians_by_paths(cx, *triple) == set()
+
+    def test_all_fixtures_pass(self, q2, p3, g33, box222, st2, st3, tree8, rm451):
+        for cx in (q2, p3, g33, box222, st2, st3, tree8, rm451):
+            assert cx.validated
+
+
 class TestValidateOracle:
     """validate() agrees with the table-based validation it replaced."""
+
+    @staticmethod
+    def agrees(cx):
+        """validate() passes iff the table oracle does, and once the graph is a
+        partial cube, the square check finds a gap iff the majority scan does."""
+        report = validate(cx)
+        assert report.passed == oracles.table_validate(cx).passed
+        invariants = {f.invariant for f in report.failures}
+        if not invariants & {"connected", "bipartite", "wall-relation", "partial-cube"}:
+            assert (_square_gap(cx) is None) == (oracles.majority_gap(cx.signs) is None)
 
     def test_fixtures(self, q2, p3, g33, box222, st2, st3, tree8, rm451, single_vertex,
                       k3, c6):
         for cx in (q2, p3, g33, box222, st2, st3, tree8, rm451, single_vertex, k3, c6):
-            assert validate(cx).passed == oracles.table_validate(cx).passed
+            self.agrees(cx)
 
     @pytest.mark.parametrize("n,edges,passed", [
         (3, [(0, 1), (1, 2), (0, 2)], False),                                  # K3
@@ -129,11 +149,20 @@ class TestValidateOracle:
         # apart and not adjacent
         (8, [(0, 5), (0, 6), (0, 7), (1, 4), (1, 5), (1, 6), (2, 4), (2, 6), (2, 7),
              (3, 5), (3, 7)], False),
+        # the 3-cube minus vertex 7: 3, 5 and 6 have majority 7
+        (7, [(a, b) for a in range(7) for b in range(a + 1, 7) if (a ^ b).bit_count() == 1],
+         False),
+        # C6 (0-3-6-8-10-11) with a pendant vertex at each cycle vertex,
+        # numbered between its two cycle neighbours: every failing square
+        # pairs the first and last neighbour of its vertex
+        (12, [(0, 3), (3, 6), (6, 8), (8, 10), (10, 11), (0, 11),
+              (0, 5), (1, 3), (4, 6), (7, 8), (9, 10), (2, 11)], False),
     ])
     def test_non_median(self, n, edges, passed):
         cx = MedianComplex(n, edges)
         assert oracles.table_validate(cx).passed is passed
         assert validate(cx).passed is passed
+        self.agrees(cx)
 
     def test_k23_names_the_wall_relation(self):
         k23 = MedianComplex(5, [(0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4)])
@@ -142,12 +171,19 @@ class TestValidateOracle:
     @settings(max_examples=80, deadline=None)
     @given(cx=grid_edge_subsets())
     def test_grid_edge_subsets(self, cx):
-        assert validate(cx).passed == oracles.table_validate(cx).passed
+        self.agrees(cx)
 
     @settings(max_examples=80, deadline=None)
     @given(cx=induced_hypercube_subgraphs())
     def test_induced_hypercube_subgraphs(self, cx):
-        assert validate(cx).passed == oracles.table_validate(cx).passed
+        self.agrees(cx)
+
+    @settings(max_examples=150, deadline=None)
+    @given(cx=induced_hypercube_subgraphs(5))
+    def test_induced_5cube_subgraphs(self, cx):
+        """The 5-cube holds a 3-cube minus a vertex inside larger pieces,
+        which the 4-cube family rarely reaches."""
+        self.agrees(cx)
 
 
 class TestMedian:

@@ -252,6 +252,38 @@ def test_malformed_complex_file_exit_2(text, field, tmp_path, capsys):
         complex_from_json(text)
 
 
+@pytest.mark.parametrize("labels,field", [
+    ({"99": [1], "-1": {"a": 1}}, '"labels" key "99"'),
+    ({"-1": [1]}, '"labels" key "-1"'),
+    ({"2": [1]}, '"labels" key "2"'),
+    ({"01": [1]}, '"labels" key "01"'),
+    ({"0": {"a": 1}}, '"labels"["0"]'),
+    ({"0": 1}, '"labels"["0"]'),
+    ({"0": [True]}, '"labels"["0"]'),
+    ({"0": [1.5]}, '"labels"["0"]'),
+])
+def test_label_schema_exit_2(labels, field, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"vertices": 2, "edges": [[0, 1]], "labels": labels}))
+    assert run(["export", str(path), "--dot", str(tmp_path / "out.dot")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {field}") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("build_args", [
+    ["staircase", "--params", "3"],
+    ["product", "--params", "grid(1,1)", "box(2)"],
+    ["random_median", "--params", "4", "6", "--seed", "2"],
+])
+def test_labelled_files_round_trip(build_args, tmp_path):
+    path = str(tmp_path / "cx.json")
+    assert run(["build", "--kind", *build_args, "-o", path]) == 0
+    text = open(path).read()
+    cx = complex_from_json(text)
+    assert cx.labels and all(type(lab) is tuple for lab in cx.labels.values())
+    assert complex_to_json(cx) == text
+
+
 def test_deep_spec_nesting_exit_2(tmp_path, capsys):
     from cubemedian.generators import MAX_SPEC_DEPTH
     deep = "product(" * 2000 + "grid(1,1),grid(1,1)" + ")" * 1999
