@@ -22,20 +22,18 @@ PALETTE = (
 )
 
 
-def _label_to_json(label):
-    return list(label) if isinstance(label, tuple) else label
-
-
 def complex_to_json(cx: MedianComplex) -> str:
+    """The file text of cx.  Raises StructuralError for labels the loader
+    would refuse, so that every saved file loads back."""
     obj = {"vertices": cx.vertex_count, "edges": [list(e) for e in cx.edges]}
     labels = {}
-    if cx.labels:
-        for v in sorted(cx.labels):
-            labels[str(v)] = _label_to_json(cx.labels[v])
+    for key, label in (cx.labels or {}).items():
+        labels[_label_vertex(str(key), label, cx.vertex_count, tuple)] = list(label)
+    block = {str(v): labels[v] for v in sorted(labels)}
     if cx.generator is not None:
-        labels["generator"] = cx.generator
-    if labels:
-        obj["labels"] = labels
+        block["generator"] = _checked_generator(cx.generator)
+    if block:
+        obj["labels"] = block
     return json.dumps(obj, indent=2) + "\n"
 
 
@@ -50,21 +48,23 @@ def _check_types(vertices, edges) -> None:
             raise StructuralError(f'"edges"[{i}] must be a pair of integers')
 
 
-def _labels_from_json(raw_labels: dict, n: int) -> dict[int, tuple[int, ...]]:
-    """Vertex labels from the label block: keys are vertex indices 0..n-1 in
-    decimal, values arrays of integers."""
-    labels = {}
-    for key, value in raw_labels.items():
-        if key == "generator":
-            continue
-        v = int(key) if key.isascii() and key.isdigit() else -1
-        if not 0 <= v < n or str(v) != key:
-            raise StructuralError(f'"labels" key {json.dumps(key)} is not a vertex index '
-                                  f'in 0..{n - 1}')
-        if type(value) is not list or any(type(x) is not int for x in value):
-            raise StructuralError(f'"labels"[{json.dumps(key)}] must be an array of integers')
-        labels[v] = tuple(value)
-    return labels
+def _label_vertex(key: str, value, n: int, seq: type) -> int:
+    """The vertex a label-block entry names.  The key must be a vertex index
+    0..n-1 in decimal and the value a seq (list in a file, tuple in a
+    complex) of integers; loading and saving share this rule."""
+    v = int(key) if key.isascii() and key.isdigit() else -1
+    if not 0 <= v < n or str(v) != key:
+        raise StructuralError(f'"labels" key {json.dumps(key)} is not a vertex index '
+                              f'in 0..{n - 1}')
+    if type(value) is not seq or any(type(x) is not int for x in value):
+        raise StructuralError(f'"labels"[{json.dumps(key)}] must be an array of integers')
+    return v
+
+
+def _checked_generator(value):
+    if value is not None and type(value) is not str:
+        raise StructuralError('"labels"["generator"] must be a string')
+    return value
 
 
 def complex_from_json(text: str, *, run_validate: bool = True) -> MedianComplex:
@@ -78,9 +78,10 @@ def complex_from_json(text: str, *, run_validate: bool = True) -> MedianComplex:
     if not isinstance(raw_labels, dict):
         raise StructuralError('"labels" must be a map')
     _check_types(obj["vertices"], obj["edges"])
-    labels = _labels_from_json(raw_labels, obj["vertices"])
-    cx = MedianComplex(obj["vertices"], [tuple(e) for e in obj["edges"]],
-                       labels=labels or None, generator=raw_labels.get("generator"))
+    labels = {_label_vertex(key, value, obj["vertices"], list): tuple(value)
+              for key, value in raw_labels.items() if key != "generator"}
+    cx = MedianComplex(obj["vertices"], [tuple(e) for e in obj["edges"]], labels=labels or None,
+                       generator=_checked_generator(raw_labels.get("generator")))
     if run_validate:
         report = validate(cx)
         if not report.passed:

@@ -77,18 +77,25 @@ def grid_edge_subsets(draw):
     return component_of_zero(len(index), [e for i, e in enumerate(edges) if i not in drop])
 
 
-@st.composite
-def induced_hypercube_subgraphs(draw, dim=4):
-    """The subgraph of the dim-cube induced by a random vertex set containing
-    vertex 0, cut down to the component of vertex 0.  The set is a few
-    vertices or all but a few, so that large pieces are drawn too."""
-    top = (1 << dim) - 1
-    picked = draw(st.sets(st.integers(1, top), min_size=2, max_size=top - 1))
-    chosen = sorted(picked | {0}) if draw(st.booleans()) else sorted(set(range(top + 1)) - picked)
+def induced_hypercube_subgraph(dim, chosen):
+    """The subgraph of the dim-cube induced by the vertex set chosen, which
+    holds vertex 0, cut down to the component of vertex 0."""
+    chosen = sorted(chosen)
     index = {v: i for i, v in enumerate(chosen)}
     edges = [(index[a], index[b]) for a in chosen for b in chosen
              if a < b and (a ^ b).bit_count() == 1]
     return component_of_zero(len(chosen), edges)
+
+
+@st.composite
+def induced_hypercube_subgraphs(draw, dim=4):
+    """induced_hypercube_subgraph on vertex 0 plus a drawn set, or on the
+    whole cube minus a drawn set, so that small pieces, large pieces and the
+    whole cube are all drawn."""
+    top = (1 << dim) - 1
+    picked = draw(st.sets(st.integers(1, top), max_size=top))
+    chosen = picked | {0} if draw(st.booleans()) else set(range(top + 1)) - picked
+    return induced_hypercube_subgraph(dim, chosen)
 
 
 class TestValidate:
@@ -101,19 +108,29 @@ class TestValidate:
         assert any(f.invariant == "bipartite" and "odd cycle" in f.witness
                    for f in report.failures)
 
+    def test_c6_fails_median(self, c6):
+        report = validate(c6)
+        assert not report.passed
+        fail = next(f for f in report.failures if f.invariant == "unique-median")
+        # the witness triple really has no median
+        triple = eval(fail.witness.split(" has ")[0].replace("triple ", ""))
+        assert oracles.medians_by_paths(c6, *triple) == set()
+
     @settings(max_examples=100, deadline=None)
     @given(cx=induced_hypercube_subgraphs(5))
-    @example(cx=MedianComplex(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5)]))
-    def test_c6_fails_median(self, cx):
-        """C6, and every drawn partial cube that is not median, names a
-        triple that really has no median."""
+    @example(cx=induced_hypercube_subgraph(3, range(7)))
+    @example(cx=induced_hypercube_subgraph(5, (0, 1, 3, 7, 6, 4, 16)))
+    def test_non_median_witness(self, cx):
+        """validate() fails exactly the drawn pieces of the 5-cube that the
+        table oracle fails, and on every such piece that is a partial cube it
+        reports a unique-median triple that really has no median."""
         report = validate(cx)
+        assert report.passed == oracles.table_validate(cx).passed
         invariants = {f.invariant for f in report.failures}
-        if report.passed or invariants & {"wall-relation", "partial-cube"}:
-            return
-        fail = next(f for f in report.failures if f.invariant == "unique-median")
-        triple = eval(fail.witness.split(" has ")[0].replace("triple ", ""))
-        assert oracles.medians_by_paths(cx, *triple) == set()
+        if not report.passed and not invariants & {"wall-relation", "partial-cube"}:
+            fail = next(f for f in report.failures if f.invariant == "unique-median")
+            triple = eval(fail.witness.split(" has ")[0].replace("triple ", ""))
+            assert oracles.medians_by_paths(cx, *triple) == set()
 
     def test_all_fixtures_pass(self, q2, p3, g33, box222, st2, st3, tree8, rm451):
         for cx in (q2, p3, g33, box222, st2, st3, tree8, rm451):
@@ -175,11 +192,13 @@ class TestValidateOracle:
 
     @settings(max_examples=80, deadline=None)
     @given(cx=induced_hypercube_subgraphs())
+    @example(cx=induced_hypercube_subgraph(4, range(16)))
     def test_induced_hypercube_subgraphs(self, cx):
         self.agrees(cx)
 
     @settings(max_examples=150, deadline=None)
     @given(cx=induced_hypercube_subgraphs(5))
+    @example(cx=induced_hypercube_subgraph(5, range(32)))
     def test_induced_5cube_subgraphs(self, cx):
         """The 5-cube holds a 3-cube minus a vertex inside larger pieces,
         which the 4-cube family rarely reaches."""

@@ -2,10 +2,12 @@
 
 import hashlib
 import json
+import re
 
 import pytest
 
 from cubemedian import (
+    MedianComplex,
     StructuralError,
     ValidationError,
     analyze,
@@ -261,6 +263,7 @@ def test_malformed_complex_file_exit_2(text, field, tmp_path, capsys):
     ({"0": 1}, '"labels"["0"]'),
     ({"0": [True]}, '"labels"["0"]'),
     ({"0": [1.5]}, '"labels"["0"]'),
+    ({"generator": {"x": [1]}}, '"labels"["generator"]'),
 ])
 def test_label_schema_exit_2(labels, field, tmp_path, capsys):
     path = tmp_path / "bad.json"
@@ -282,6 +285,21 @@ def test_labelled_files_round_trip(build_args, tmp_path):
     cx = complex_from_json(text)
     assert cx.labels and all(type(lab) is tuple for lab in cx.labels.values())
     assert complex_to_json(cx) == text
+
+
+@pytest.mark.parametrize("labels,generator,field", [
+    ({0: "a", 1: "b"}, None, '"labels"["0"]'),
+    ({0: [0], 1: [1]}, None, '"labels"["0"]'),
+    ({0: (0,), 1: (True,)}, None, '"labels"["1"]'),
+    ({0: (0,), 2: (1,)}, None, '"labels" key "2"'),
+    ({0: (0,), 1: (1,)}, {"x": [1]}, '"labels"["generator"]'),
+])
+def test_unloadable_labels_refused_at_save(labels, generator, field, tmp_path):
+    cx = MedianComplex(2, [(0, 1)], labels=labels, generator=generator)
+    path = tmp_path / "cx.json"
+    with pytest.raises(StructuralError, match=re.escape(field)):
+        save_complex(cx, path)
+    assert not path.exists()
 
 
 def test_deep_spec_nesting_exit_2(tmp_path, capsys):
