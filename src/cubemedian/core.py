@@ -181,13 +181,23 @@ class MedianComplex:
         return (self.signs[u] ^ self.signs[v]).bit_count()
 
     @cached_property
-    def crossing(self) -> tuple[frozenset[int], ...]:
-        """crossing[i] is the set of class ids whose wall crosses wall i: all
-        four intersections of their halfspaces are nonempty."""
+    def crossing_masks(self) -> tuple[int, ...]:
+        """Bit j of crossing_masks[i] is set iff wall j crosses wall i: all
+        four intersections of their halfspaces are nonempty.  No wall
+        crosses itself."""
         sides = [(h.side_minus_mask, h.side_plus_mask) for h in self.classes]
-        return tuple(frozenset(j for j, b in enumerate(sides)
-                               if j != i and all(x & y for x in a for y in b))
-                     for i, a in enumerate(sides))
+        masks = [0] * len(sides)
+        for i, a in enumerate(sides):
+            for j in range(i + 1, len(sides)):
+                if all(x & y for x in a for y in sides[j]):
+                    masks[i] |= 1 << j
+                    masks[j] |= 1 << i
+        return tuple(masks)
+
+    @cached_property
+    def crossing(self) -> tuple[frozenset[int], ...]:
+        """crossing[i] is the set of class ids whose wall crosses wall i."""
+        return tuple(frozenset(_bits(m)) for m in self.crossing_masks)
 
 
 @dataclass(frozen=True)
@@ -253,7 +263,7 @@ class ConvexSubcomplex:
         return iter(self.vertices)
 
     def __contains__(self, v: int) -> bool:
-        return (self.mask >> v) & 1 == 1
+        return v >= 0 and (self.mask >> v) & 1 == 1
 
 
 def subcomplex(parent: MedianComplex, vertices: Iterable[int], *,

@@ -21,6 +21,8 @@ from .core import ConvexSubcomplex, HyperplaneClass, _agreeing, _from_mask, hull
 def gate(y: ConvexSubcomplex, x: int) -> int:
     """The vertex of Y closest to x: x's signs on the classes crossing Y,
     Y's signs on the others."""
+    if not 0 <= x < y.parent.vertex_count:
+        raise ValueError("vertex index out of range")
     signs = y.parent.signs
     free = y.crossing_mask
     return y.parent.vertex_at((signs[x] & free) | (signs[y.vertices[0]] & ~free))
@@ -47,7 +49,7 @@ def crosses(h: HyperplaneClass, w: HyperplaneClass) -> bool:
         raise ValueError("walls belong to different complexes")
     if h.class_id == w.class_id:
         raise ValueError("a wall does not cross itself")
-    return w.class_id in h.parent.crossing[h.class_id]
+    return (h.parent.crossing_masks[h.class_id] >> w.class_id) & 1 == 1
 
 
 def is_parallel(s: ConvexSubcomplex, t: ConvexSubcomplex) -> bool:

@@ -1,10 +1,9 @@
 """Orthogonal complements of convex subcomplexes at a basepoint.
 
-orth(A, a) is the convex subcomplex through a whose crossing classes are
-exactly the classes that cross every class crossing A while missing every
-parallel copy of A.  It is computed constructively: intersect the
-projections onto Y of both combinatorial sides of every class crossing A,
-where Y is the intersection of the combinatorial sides at a.
+orth(A, a) is the set of vertices b such that every wall separating a from
+b crosses every wall crossing A.  Over sign vectors it is one filter, like
+`hull`: the vertices whose signs differ from a's only on the classes that
+cross every class crossing A.
 
 witness_compact inverts the construction: every hyperclosure member is the
 orthogonal complement of some compact (here: any) convex subcomplex, built
@@ -13,36 +12,33 @@ by recursion over the member's derivation.
 
 from __future__ import annotations
 
-from .core import ConvexSubcomplex, _from_mask, hull, subcomplex, whole_complex
+from .core import ConvexSubcomplex, _agreeing, _bits, hull, subcomplex
 from .errors import InvariantViolation
-from .gates import crossing_signature, parallel_copies, project, set_distance
+from .gates import parallel_copies, set_distance
 
 
 def orth(a: ConvexSubcomplex, basepoint: int) -> ConvexSubcomplex:
-    """Orthogonal complement of A at a point of A.
+    """Orthogonal complement of A at a point a of A.
 
-    A single vertex has the whole complex as its complement; the whole
-    complex has the single vertex.
+    Let K be the classes crossing every class that crosses A: the AND of
+    their crossing masks.  A vertex b belongs iff every class separating a
+    from b is in K, that is iff b's signs differ from a's only on bits of
+    K.  The result contains a and is convex, as an intersection of
+    halfspaces.
+
+    The two extreme cases need no branch.  Nothing crosses a single vertex,
+    so K is every class and the complement is the whole complex.  No class
+    crosses itself, so for the whole complex K is empty and the complement
+    is the single vertex a.
     """
     if basepoint not in a:
         raise ValueError(f"basepoint {basepoint} is not in the subcomplex")
     cx = a.parent
-    if len(a) == 1:
-        return whole_complex(cx)
-    sig = sorted(crossing_signature(a))
-    classes = cx.classes
-    y_mask = cx.full_mask
-    for cid in sig:
-        for comb in (classes[cid].comb_minus_mask, classes[cid].comb_plus_mask):
-            if (comb >> basepoint) & 1:
-                y_mask &= comb
-    y = _from_mask(cx, y_mask)
-    result = cx.full_mask
-    for cid in sig:
-        h = classes[cid]
-        for side_mask in (h.comb_minus_mask, h.comb_plus_mask):
-            result &= project(y, _from_mask(cx, side_mask)).mask
-    return _from_mask(cx, result)
+    perp = -1  # K, as a mask: every class until a class crossing A narrows it
+    for i in _bits(a.crossing_mask):
+        perp &= cx.crossing_masks[i]
+    fixed = ~perp
+    return _agreeing(cx, fixed, cx.signs[basepoint] & fixed, range(cx.vertex_count))
 
 
 def witness_compact(f: ConvexSubcomplex, closure=None) -> tuple[ConvexSubcomplex, int]:

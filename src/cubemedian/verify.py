@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .core import MedianComplex, hull, is_convex, whole_complex
+from .core import MedianComplex, _bits, hull, is_convex, whole_complex
 from .gates import (
     comb_side,
     crossing_signature,
@@ -165,32 +165,32 @@ def _sound_derivation(closure: Hyperclosure, member) -> bool:
             project(comb_side(cx.classes[der.class_id], der.sign), der.source) == member)
 
 
+def _orthogonal(cx, s, t) -> bool:
+    """True iff every class crossing S crosses every class crossing T; as no
+    class crosses itself, no class then crosses both."""
+    crossing, t_mask = cx.crossing_masks, t.crossing_mask
+    return all(t_mask & ~crossing[i] == 0 for i in _bits(s.crossing_mask))
+
+
 def _clean_container_checks(cx, rng, cases, rec: _Recorder, closure: Hyperclosure):
     members = closure.members
     pairs = [(f, v) for f in members for v in members
              if v != f and v.mask & ~f.mask == 0]
     if cx.vertex_count > 12 and len(pairs) > cases:
         pairs = [pairs[rng.randrange(len(pairs))] for _ in range(cases)]
-    crossing = cx.crossing
     for f, v in pairs:
         if rec.full:
             return
         x = v.vertices[0]
         u = clean_container(closure, f, v, x)
         inputs = {"F": f.vertices, "V": v.vertices, "x": x}
-        sig_u, sig_v = crossing_signature(u), crossing_signature(v)
         rec.check(u in closure.member_set, "clean-container-member", inputs)
-        rec.check(not sig_u & sig_v and
-                  all(b in crossing[a] for a in sig_u for b in sig_v),
-                  "clean-container-orthogonal", inputs)
+        rec.check(_orthogonal(cx, u, v), "clean-container-orthogonal", inputs)
         region = hull(cx, v.vertices + u.vertices)
         rec.check(region.mask & ~f.mask == 0 and _product_bijection_ok(region, v, u),
                   "clean-container-product", inputs)
         maximal = all(parallel_into(w, u) for w in members
-                      if w.mask & ~f.mask == 0
-                      and not crossing_signature(w) & sig_v
-                      and all(b in crossing[a]
-                              for a in crossing_signature(w) for b in sig_v))
+                      if w.mask & ~f.mask == 0 and _orthogonal(cx, w, v))
         rec.check(maximal, "clean-container-maximality", inputs)
 
 

@@ -1,6 +1,30 @@
 import pytest
+from hypothesis import strategies as st
 
-from cubemedian import MedianComplex, box, grid, random_median, staircase, tree
+from cubemedian import MedianComplex, box, grid, product, random_median, staircase, tree, wedge
+from cubemedian.generators import generate, parse_spec
+
+MEDIAN_FIXTURES = ("q2", "p3", "g33", "box222", "st2", "st3", "tree8", "rm451",
+                   "single_vertex")
+
+# Operands for drawn products and wedges: small enough that the pairwise
+# fixpoint oracle stays fast on their products.
+SMALL_SPECS = ("box(1)", "box(2)", "box(3)", "grid(1,1)", "staircase(2)",
+               "tree(5,seed={})", "random_median(3,3,seed={})")
+
+
+def draw_product_or_wedge(data):
+    """A product or a wedge of two complexes drawn from SMALL_SPECS."""
+    def small():
+        text = data.draw(st.sampled_from(SMALL_SPECS))
+        return generate(parse_spec(text.format(data.draw(st.integers(0, 99)))))
+
+    x1, x2 = small(), small()
+    if data.draw(st.booleans()):
+        return product(x1, x2)
+    v1 = data.draw(st.integers(0, x1.vertex_count - 1))
+    v2 = data.draw(st.integers(0, x2.vertex_count - 1))
+    return wedge(x1, v1, x2, v2)
 
 
 @pytest.fixture(scope="session")

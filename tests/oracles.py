@@ -9,8 +9,10 @@ replaced, kept as references it must reproduce because they are slow but
 obviously right: `fixpoint_hyperclosure`, the pairwise worklist fixpoint
 that preceded the graded search; `table_validate`, the validation by
 all-pairs distance and interval tables that preceded the sign-vector
-checks; and `majority_gap`, the triple scan for majority closure that
-preceded the square condition.
+checks; `majority_gap`, the triple scan for majority closure that
+preceded the square condition; and `projection_orth`, the orthogonal
+complement by projecting onto both combinatorial sides of every crossing
+class, which preceded the sign filter.
 """
 
 import functools
@@ -26,6 +28,7 @@ from cubemedian.core import (
     InvariantFailure,
     ValidationReport,
     _bits,
+    _from_mask,
     _odd_cycle_witness,
     whole_complex,
 )
@@ -169,6 +172,32 @@ def orth_by_definition(a_sub, basepoint):
     verts = [b for b in range(cx.vertex_count)
              if separating_classes(cx, basepoint, b) <= perp]
     return subcomplex(cx, verts)
+
+
+def projection_orth(a, basepoint):
+    """Orthogonal complement by projection: intersect the projections onto Y
+    of both combinatorial sides of every class crossing A, where Y is the
+    intersection of the combinatorial sides at the basepoint.  A single
+    vertex has the whole complex as its complement."""
+    if basepoint not in a:
+        raise ValueError(f"basepoint {basepoint} is not in the subcomplex")
+    cx = a.parent
+    if len(a) == 1:
+        return whole_complex(cx)
+    sig = sorted(crossing_signature(a))
+    classes = cx.classes
+    y_mask = cx.full_mask
+    for cid in sig:
+        for comb in (classes[cid].comb_minus_mask, classes[cid].comb_plus_mask):
+            if (comb >> basepoint) & 1:
+                y_mask &= comb
+    y = _from_mask(cx, y_mask)
+    result = cx.full_mask
+    for cid in sig:
+        h = classes[cid]
+        for side_mask in (h.comb_minus_mask, h.comb_plus_mask):
+            result &= project(y, _from_mask(cx, side_mask)).mask
+    return _from_mask(cx, result)
 
 
 def copies_by_scan(a_sub):

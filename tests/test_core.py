@@ -417,3 +417,7 @@ class TestSubcomplex:
     def test_equality_is_vertex_equality(self, q2):
         assert subcomplex(q2, [0, 1]) == subcomplex(q2, (1, 0))
         assert subcomplex(q2, [0, 1]) != subcomplex(q2, [0, 2])
+
+    def test_membership_outside_vertex_range(self, q2):
+        whole = subcomplex(q2, range(4))
+        assert [v in whole for v in (-4, -1, 0, 3, 4)] == [False, False, True, True, False]

@@ -47,6 +47,13 @@ class TestGate:
         bottom = subcomplex(st2, [idx[(0, 0)], idx[(1, 0)], idx[(2, 0)]])
         assert gate(bottom, idx[(1, 2)]) == idx[(1, 0)]
 
+    def test_vertex_out_of_range_rejected(self, g33):
+        # a negative index must not wrap around to the last vertex
+        y = subcomplex(g33, [0, 1])
+        for x in (-1, -9, g33.vertex_count):
+            with pytest.raises(ValueError, match="vertex index out of range"):
+                gate(y, x)
+
     def test_gate_is_unique_minimizer(self, st2, rm451):
         for cx in (st2, rm451):
             nxd = oracles.nx_distances(cx)
@@ -200,8 +207,9 @@ class TestProductRegion:
                         assert j in cx.crossing[i]
 
     def test_basepoint_must_be_inside(self, q2):
-        with pytest.raises(ValueError):
-            product_region(subcomplex(q2, [0, 1]), 3)
+        for x in (3, -2, 4):
+            with pytest.raises(ValueError, match=f"basepoint {x} is not in the subcomplex"):
+                product_region(subcomplex(q2, [0, 1]), x)
 
 
 class TestCarrier:

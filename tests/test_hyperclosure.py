@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import by_label
+from conftest import MEDIAN_FIXTURES, by_label, draw_product_or_wedge
 from oracles import fixpoint_hyperclosure
 from cubemedian import (
     ResourceLimitError,
@@ -20,24 +20,13 @@ from cubemedian import (
     oracle_hyperclosure,
     parallel_copies,
     parallel_into,
-    product,
     project,
     random_median,
     subcomplex,
     theta_classes,
-    wedge,
     whole_complex,
 )
-from cubemedian.generators import generate, parse_spec
 from cubemedian.rng import SplitMix64
-
-MEDIAN_FIXTURES = ("q2", "p3", "g33", "box222", "st2", "st3", "tree8", "rm451",
-                   "single_vertex")
-
-# Operands for drawn products and wedges: small enough that the pairwise
-# fixpoint oracle stays fast on their products.
-SMALL_SPECS = ("box(1)", "box(2)", "box(3)", "grid(1,1)", "staircase(2)",
-               "tree(5,seed={})", "random_median(3,3,seed={})")
 
 # The fixpoint oracle costs about |F|^2 projections, about a million on the
 # full 6-cube (64 vertices, 729 members), so drawn complexes stop below it.
@@ -136,17 +125,7 @@ class TestFixpointOracleAgreement:
     @settings(max_examples=25, deadline=None)
     @given(data=st.data())
     def test_products_and_wedges(self, data):
-        def small():
-            text = data.draw(st.sampled_from(SMALL_SPECS))
-            return generate(parse_spec(text.format(data.draw(st.integers(0, 99)))))
-
-        x1, x2 = small(), small()
-        if data.draw(st.booleans()):
-            cx = product(x1, x2)
-        else:
-            v1 = data.draw(st.integers(0, x1.vertex_count - 1))
-            v2 = data.draw(st.integers(0, x2.vertex_count - 1))
-            cx = wedge(x1, v1, x2, v2)
+        cx = draw_product_or_wedge(data)
         assume(cx.vertex_count <= ORACLE_VERTEX_CAP)
         assert_matches_fixpoint(cx)
 

@@ -236,6 +236,31 @@ def test_no_validate_non_median_exits_cleanly(name, command, tmp_path, capsys):
     assert "Traceback" not in err and err.count("\n") <= 1
 
 
+NON_MEDIAN_ERRORS = {
+    "c6": "no vertex has the required signs (the graph is not median)",
+    "k23": "wall relation is not transitive: witness edges (0,3), (1,4)",
+    "k3": ("wall classes undefined: edge (1,2) joins two vertices of one colour "
+           "(graph is not bipartite)"),
+    "disconnected": "wall classes undefined: graph is disconnected",
+}
+
+
+@pytest.mark.parametrize("command", ["analyze", "verify", "oracle", "export"])
+@pytest.mark.parametrize("name", sorted(NON_MEDIAN))
+def test_no_validate_non_median_outcome(name, command, tmp_path, capsys):
+    # C6 has sign vectors, so it exports, but its closure meets an empty
+    # projection; the others have no wall classes at all
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(NON_MEDIAN[name]))
+    extra = {"verify": ["--cases", "20"], "export": ["--dot", str(tmp_path / "out.dot")]}
+    code = run([command, str(path), "--no-validate", *extra.get(command, [])])
+    err = capsys.readouterr().err
+    if (name, command) == ("c6", "export"):
+        assert (code, err) == (0, "")
+    else:
+        assert (code, err) == (1, f"error: invariant violation: {NON_MEDIAN_ERRORS[name]}\n")
+
+
 @pytest.mark.parametrize("text,field", [
     ('{"vertices": "3", "edges": []}', '"vertices"'),
     ('{"vertices": 2.5, "edges": []}', '"vertices"'),

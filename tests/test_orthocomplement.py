@@ -1,19 +1,23 @@
 """Orthogonal complements: formula vs definition, identities, compact witnesses."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
-from conftest import by_label
+from conftest import MEDIAN_FIXTURES, by_label, draw_product_or_wedge
 from cubemedian import (
     crossing_signature,
     hull,
     hyperclosure,
     is_parallel,
     orth,
+    random_median,
     subcomplex,
     whole_complex,
     witness_compact,
 )
+from cubemedian.core import all_convex_subcomplexes
 from cubemedian.rng import SplitMix64
 
 
@@ -46,8 +50,48 @@ class TestOrthExamples:
         assert {st2.labels[v] for v in got.vertices} == {(2, 0), (2, 1)}
 
     def test_basepoint_outside_rejected(self, q2):
-        with pytest.raises(ValueError):
-            orth(subcomplex(q2, [0, 1]), 2)
+        for x in (2, -1, 4):
+            with pytest.raises(ValueError, match=f"basepoint {x} is not in the subcomplex"):
+                orth(subcomplex(q2, [0, 1]), x)
+
+
+def assert_matches_oracles(a, x):
+    got = orth(a, x)
+    assert got == oracles.projection_orth(a, x)
+    assert got == oracles.orth_by_definition(a, x)
+
+
+class TestProjectionOracleAgreement:
+    """The sign filter against the projection construction it replaced and
+    against the vertex-level definition."""
+
+    @pytest.mark.parametrize("name", MEDIAN_FIXTURES)
+    def test_every_convex_set_and_basepoint(self, name, request):
+        cx = request.getfixturevalue(name)
+        for a in all_convex_subcomplexes(cx):
+            for x in a.vertices:
+                assert_matches_oracles(a, x)
+
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_random_median(self, data):
+        dim = data.draw(st.integers(1, 5))
+        count = data.draw(st.integers(1, min(10, 1 << dim)))
+        cx = random_median(dim, count, seed=data.draw(st.integers(0, 2**64 - 1)))
+        self.check_drawn(cx, data)
+
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_products_and_wedges(self, data):
+        self.check_drawn(draw_product_or_wedge(data), data)
+
+    @staticmethod
+    def check_drawn(cx, data):
+        # one drawn basepoint per convex set: staircase(2) x staircase(2) alone
+        # has 7,225 (set, basepoint) pairs, about 2 s against both oracles
+        rng = SplitMix64(data.draw(st.integers(0, 2**64 - 1)))
+        for a in all_convex_subcomplexes(cx):
+            assert_matches_oracles(a, rng.choice(a.vertices))
 
 
 class TestFormulaVsDefinition:
