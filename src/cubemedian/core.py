@@ -9,6 +9,13 @@ vertex is on the plus side of class i.  The sign vectors embed the graph
 isometrically in a hypercube, and distance, interval, median, hull and
 convexity are bit expressions over them.
 
+One BFS from vertex 0 labels the classes and the sign vectors, and one
+pass over the pairs of neighbours of every vertex (the square condition)
+certifies that labelling, proves the graph median and finds the squares,
+which give the crossing walls.  No step loops over all vertices or all
+edges once per class, except the class-by-class rule that non-median
+input falls back to (see `MedianComplex.classes`).
+
 Convex subcomplexes are canonical sorted vertex tuples and are the currency
 of every higher operation.  A convex set is the set of all vertices that
 agree with it on the classes where its signs are constant; the other
@@ -20,7 +27,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .errors import InvariantViolation, StructuralError
 
@@ -41,25 +48,26 @@ def _mask_of(vertices: Iterable[int]) -> int:
 
 
 def _two_colour(cx: "MedianComplex") -> tuple[list[int], list[int], Optional[tuple[int, int]]]:
-    """BFS 2-colouring from vertex 0: colours (-1 if unreachable), BFS
-    parents, and the first edge found joining two vertices of one colour."""
+    """BFS 2-colouring from vertex 0: depths (-1 if unreachable; the colour
+    is the depth's parity), BFS parents, and the first edge found joining
+    two vertices of one colour."""
     n = cx.vertex_count
-    color = [-1] * n
+    depth = [-1] * n
     parent = [-1] * n
     odd = None
     if n:
-        color[0] = 0
+        depth[0] = 0
         queue = deque([0])
         while queue:
             x = queue.popleft()
             for y in cx.neighbors[x]:
-                if color[y] < 0:
-                    color[y] = color[x] ^ 1
+                if depth[y] < 0:
+                    depth[y] = depth[x] + 1
                     parent[y] = x
                     queue.append(y)
-                elif color[y] == color[x] and odd is None:
+                elif depth[y] == depth[x] and odd is None:
                     odd = (x, y)
-    return color, parent, odd
+    return depth, parent, odd
 
 
 class MedianComplex:
@@ -105,58 +113,65 @@ class MedianComplex:
     def classes(self) -> tuple["HyperplaneClass", ...]:
         """Wall classes, numbered by least edge.
 
-        The first edge uv (in sorted order) in no class yet starts the next
-        class: one BFS from u and v together splits the vertices into those
-        nearer u (the minus side) and those nearer v, and every edge cut by
-        the split is Djokovic-related to uv and joins the class.  An edge
+        One BFS from vertex 0 labels them (Beneteau, Chalopin, Chepoi and
+        Vaxes, arXiv:1907.10398).  The predecessors of a vertex v are its
+        neighbours one step nearer vertex 0.  If v has a single predecessor
+        u, the edge uv opens a new class.  Otherwise each edge uv joins the
+        class of xw, where w is another predecessor of v and x the common
+        predecessor of u and w: in a median graph x = median(u, w, 0) is
+        unique, and uv is opposite xw in the square u-v-w-x.  The signs
+        follow the BFS tree, s(v) = s(u) ^ bit(class(uv)).  The classes are
+        then renumbered by least edge and oriented so that the least
+        endpoint of the least dual edge is on the minus side.
+
+        The rule is sound only on median graphs, so the labelling is kept
+        only if it certifies itself: the ends of every edge differ in
+        exactly its own class bit, the signs are injective, and the square
+        condition of `validate` holds with its adjacency lookups.  Then the
+        graph is median (see `validate`) and the labelling is its Djokovic
+        partition.  If the rule finds no unique common predecessor, or the
+        certificate fails, which happens only on non-median input, the
+        classes are built class by class instead: the first edge uv in no
+        class yet starts the next class, one BFS from u and v together
+        splits the vertices into those nearer u (the minus side) and those
+        nearer v, and every edge cut by the split joins the class.  An edge
         cut by two splits means the relation is not transitive.
         """
-        color, _, odd = _two_colour(self)
-        if -1 in color:
+        return self._walls[0]
+
+    @cached_property
+    def signs(self) -> tuple[int, ...]:
+        """signs[v] has bit i set iff v lies on the plus side of class i."""
+        return self._walls[1]
+
+    @cached_property
+    def _walls(self) -> tuple[tuple["HyperplaneClass", ...], tuple[int, ...], Optional["_Squares"]]:
+        """The classes, the signs, and the square scan that certified them
+        (None when the classes were built class by class)."""
+        depth, _, odd = _two_colour(self)
+        if -1 in depth:
             raise InvariantViolation("wall classes undefined: graph is disconnected")
         if odd is not None:
             raise InvariantViolation(
                 f"wall classes undefined: edge ({odd[0]},{odd[1]}) joins two vertices "
                 "of one colour (graph is not bipartite)")
-        edge_class: dict[tuple[int, int], int] = {}
-        classes = []
-        for u, v in self.edges:
-            if (u, v) in edge_class:
-                continue
-            cid = len(classes)
-            minus = self._nearer(u, v)
-            dual = tuple(e for e in self.edges if ((minus >> e[0]) ^ (minus >> e[1])) & 1)
-            ends = 0
-            for a, b in dual:
-                if edge_class.setdefault((a, b), cid) != cid:
-                    raise InvariantViolation(
-                        f"wall relation is not transitive: witness edges ({u},{v}), ({a},{b})")
-                ends |= (1 << a) | (1 << b)
-            classes.append(HyperplaneClass(self, cid, dual, minus, self.full_mask & ~minus,
-                                           ends & minus, ends & ~minus))
-        return tuple(classes)
-
-    def _nearer(self, u: int, v: int) -> int:
-        """Mask of the vertices nearer u than v, by one BFS from u and v
-        together; a connected bipartite graph has no ties."""
-        near = {u: True, v: False}
-        queue = deque((u, v))
-        while queue:
-            x = queue.popleft()
-            for y in self.neighbors[x]:
-                if y not in near:
-                    near[y] = near[x]
-                    queue.append(y)
-        return _mask_of(w for w, is_near in near.items() if is_near)
+        labelled = _label_by_bfs(self, depth)
+        if labelled is not None:
+            classes, signs = labelled
+            by_sign = {s: v for v, s in enumerate(signs)}
+            if len(by_sign) == self.vertex_count:
+                squares = _scan_squares(self, classes, signs, by_sign)
+                if squares.gap is None and squares.non_adjacent is None:
+                    return classes, signs, squares
+        return (*_classes_by_split(self), None)
 
     @cached_property
-    def signs(self) -> tuple[int, ...]:
-        """signs[v] has bit i set iff v lies on the plus side of class i."""
-        signs = [0] * self.vertex_count
-        for h in self.classes:
-            for w in _bits(h.side_plus_mask):
-                signs[w] |= 1 << h.class_id
-        return tuple(signs)
+    def _squares(self) -> "_Squares":
+        """The square scan of `validate` over the classes and signs."""
+        squares = self._walls[2]
+        if squares is None:
+            squares = _scan_squares(self, self.classes, self.signs, self.by_sign)
+        return squares
 
     @cached_property
     def by_sign(self) -> dict[int, int]:
@@ -178,26 +193,167 @@ class MedianComplex:
 
     def distance(self, u: int, v: int) -> int:
         """The number of walls separating u and v."""
+        if not (0 <= u < self.vertex_count and 0 <= v < self.vertex_count):
+            raise ValueError("vertex index out of range")
         return (self.signs[u] ^ self.signs[v]).bit_count()
 
     @cached_property
     def crossing_masks(self) -> tuple[int, ...]:
-        """Bit j of crossing_masks[i] is set iff wall j crosses wall i: all
-        four intersections of their halfspaces are nonempty.  No wall
-        crosses itself."""
-        sides = [(h.side_minus_mask, h.side_plus_mask) for h in self.classes]
-        masks = [0] * len(sides)
-        for i, a in enumerate(sides):
-            for j in range(i + 1, len(sides)):
-                if all(x & y for x in a for y in sides[j]):
-                    masks[i] |= 1 << j
-                    masks[j] |= 1 << i
-        return tuple(masks)
+        """Bit j of crossing_masks[i] is set iff walls i and j cross: some
+        square has one edge dual to each.  In a median graph that holds iff
+        all four intersections of their halfspaces are nonempty (Sageev).
+        The square scan of `validate` finds the squares.  No wall crosses
+        itself."""
+        return self._squares.crossing
 
     @cached_property
     def crossing(self) -> tuple[frozenset[int], ...]:
         """crossing[i] is the set of class ids whose wall crosses wall i."""
         return tuple(frozenset(_bits(m)) for m in self.crossing_masks)
+
+
+def _label_by_bfs(cx: MedianComplex, depth: list[int]
+                  ) -> Optional[tuple[tuple["HyperplaneClass", ...], tuple[int, ...]]]:
+    """The one-BFS labelling of `MedianComplex.classes`, with its signs; None
+    where two predecessors of a vertex have no unique common predecessor, or
+    the ends of an edge differ in more than its own class bit."""
+    n, nbrs = cx.vertex_count, cx.neighbors
+    order = sorted(range(n), key=depth.__getitem__)
+    preds = [[u for u in nbrs[v] if depth[u] < depth[v]] for v in range(n)]
+    opened: dict[tuple[int, int], int] = {}  # (nearer, farther end) -> class, in order of opening
+    for v in order[1:]:
+        p = preds[v]
+        if len(p) == 1:
+            opened[(p[0], v)] = len(opened)
+            continue
+        for a, u in enumerate(p):
+            w = p[a - 1]
+            common = [x for x in preds[u] if x in preds[w]]
+            if len(common) != 1:
+                return None
+            opened[(u, v)] = opened[(common[0], w)]
+    # renumber by least edge
+    renumber: dict[int, int] = {}
+    dual: list[list[tuple[int, int]]] = []
+    cid_of: dict[tuple[int, int], int] = {}
+    for a, b in cx.edges:
+        key = (a, b) if depth[a] < depth[b] else (b, a)
+        cid = renumber.setdefault(opened[key], len(dual))
+        if cid == len(dual):
+            dual.append([])
+        dual[cid].append((a, b))
+        cid_of[key] = cid
+    # signs relative to vertex 0, then checked on every edge
+    rel = [0] * n
+    for v in order[1:]:
+        u = preds[v][0]
+        rel[v] = rel[u] ^ (1 << cid_of[(u, v)])
+    for (u, v), cid in cid_of.items():
+        if rel[u] ^ rel[v] != 1 << cid:
+            return None
+    # orient: the least endpoint of the least dual edge goes to the minus side
+    flip = 0
+    for cid, edges in enumerate(dual):
+        flip |= rel[edges[0][0]] & (1 << cid)
+    # halfspaces away from vertex 0, by one transposition of the relative signs
+    away = [0] * len(dual)
+    for v, s in enumerate(rel):
+        bit = 1 << v
+        for i in _bits(s):
+            away[i] |= bit
+    full = cx.full_mask
+    classes = []
+    for cid, edges in enumerate(dual):
+        plus = full & ~away[cid] if (flip >> cid) & 1 else away[cid]
+        minus = full & ~plus
+        ends = 0
+        for a, b in edges:
+            ends |= (1 << a) | (1 << b)
+        classes.append(HyperplaneClass(cx, cid, tuple(edges), minus, plus,
+                                       ends & minus, ends & plus))
+    return tuple(classes), tuple(s ^ flip for s in rel)
+
+
+def _classes_by_split(cx: MedianComplex) -> tuple[tuple["HyperplaneClass", ...], tuple[int, ...]]:
+    """The class-by-class rule of `MedianComplex.classes`, with the signs:
+    one two-source BFS and one edge scan per class."""
+    edge_class: dict[tuple[int, int], int] = {}
+    classes = []
+    for u, v in cx.edges:
+        if (u, v) in edge_class:
+            continue
+        cid = len(classes)
+        near = {u: True, v: False}
+        queue = deque((u, v))
+        while queue:
+            x = queue.popleft()
+            for y in cx.neighbors[x]:
+                if y not in near:
+                    near[y] = near[x]
+                    queue.append(y)
+        minus = _mask_of(w for w, is_near in near.items() if is_near)
+        dual = tuple(e for e in cx.edges if ((minus >> e[0]) ^ (minus >> e[1])) & 1)
+        ends = 0
+        for a, b in dual:
+            if edge_class.setdefault((a, b), cid) != cid:
+                raise InvariantViolation(
+                    f"wall relation is not transitive: witness edges ({u},{v}), ({a},{b})")
+            ends |= (1 << a) | (1 << b)
+        classes.append(HyperplaneClass(cx, cid, dual, minus, cx.full_mask & ~minus,
+                                       ends & minus, ends & ~minus))
+    signs = [0] * cx.vertex_count
+    for h in classes:
+        for w in _bits(h.side_plus_mask):
+            signs[w] |= 1 << h.class_id
+    return tuple(classes), tuple(signs)
+
+
+class _Squares(NamedTuple):
+    """What one pass over all pairs of neighbours found: see `_scan_squares`."""
+
+    crossing: tuple[int, ...]
+    gap: Optional[tuple[int, int, int]]
+    non_adjacent: Optional[tuple[int, int]]
+
+
+def _scan_squares(cx: MedianComplex, classes: tuple["HyperplaneClass", ...],
+                  signs: tuple[int, ...], by_sign: dict[int, int]) -> _Squares:
+    """The square condition of `validate`, in one pass: every vertex z in
+    order, then every two neighbours z^i, z^j of z in order.  The signs must
+    be injective and differ in one bit along every edge.
+
+    Where z^i^j is a vertex adjacent to both, the square sets bit j of
+    crossing[i] and bit i of crossing[j].  Where it is a vertex not adjacent
+    to one of them, that pair is one bit apart but not adjacent; the first
+    such pair, sorted, is `non_adjacent`.  Where it is no vertex but some w
+    lies beyond walls i and j from z (beyond wall i from z is the
+    halfspace holding z^i), the first triple (z^i, z^j, w), sorted, with w
+    least, is `gap`: its majority z^i^j is missing.
+    """
+    sides = [(h.side_minus_mask, h.side_plus_mask) for h in classes]
+    adjacent = [frozenset(a) for a in cx.neighbors]
+    crossing = [0] * len(classes)
+    gap = non_adjacent = None
+    for z, s in enumerate(signs):
+        flips = []
+        for y in cx.neighbors[z]:
+            bit = signs[y] ^ s
+            i = bit.bit_length() - 1
+            flips.append((y, i, bit, sides[i][(signs[y] >> i) & 1]))
+        for a, (y, i, bit_y, beyond_y) in enumerate(flips):
+            for x, j, bit_x, beyond_x in flips[a + 1:]:
+                w = by_sign.get(s ^ bit_y ^ bit_x)
+                if w is None:
+                    quadrant = beyond_y & beyond_x
+                    if quadrant and gap is None:
+                        gap = tuple(sorted((y, x, (quadrant & -quadrant).bit_length() - 1)))
+                elif w in adjacent[y] and w in adjacent[x]:
+                    crossing[i] |= bit_x
+                    crossing[j] |= bit_y
+                elif non_adjacent is None:
+                    far = x if w in adjacent[y] else y
+                    non_adjacent = (w, far) if w < far else (far, w)
+    return _Squares(tuple(crossing), gap, non_adjacent)
 
 
 @dataclass(frozen=True)
@@ -334,38 +490,10 @@ def _odd_cycle_witness(cx: MedianComplex, color: list[int], parent: list[int],
     return path_u + path_v[::-1][1:]
 
 
-def _non_edge_at_one_wall(cx: MedianComplex) -> Optional[tuple[int, int]]:
-    """The first vertex pair whose signs differ in one bit but that is not an edge."""
-    edges, by_sign, k = set(cx.edges), cx.by_sign, len(cx.classes)
-    for v, s in enumerate(cx.signs):
-        for i in range(k):
-            w = by_sign.get(s ^ (1 << i), -1)
-            if w > v and (v, w) not in edges:
-                return v, w
-    return None
-
-
 def _square_gap(cx: MedianComplex) -> Optional[tuple[int, int, int]]:
-    """The first triple (z^i, z^j, w), sorted, that breaks the square condition
-    of `validate`: z in vertex order, then its neighbour pairs in order, and
-    w the least vertex beyond walls i and j from z.  Beyond wall i from z is
-    the halfspace holding z^i.  The majority of the triple, z^i^j, is missing.
-    """
-    signs, by_sign = cx.signs, cx.by_sign
-    sides = [(h.side_minus_mask, h.side_plus_mask) for h in cx.classes]
-    for z, s in enumerate(signs):
-        flips = []
-        for y in cx.neighbors[z]:
-            i = (signs[y] ^ s).bit_length() - 1
-            flips.append((y, 1 << i, sides[i][(signs[y] >> i) & 1]))
-        for a, (y, bit_y, beyond_y) in enumerate(flips):
-            for x, bit_x, beyond_x in flips[a + 1:]:
-                if s ^ bit_y ^ bit_x not in by_sign:
-                    quadrant = beyond_y & beyond_x
-                    if quadrant:
-                        w = (quadrant & -quadrant).bit_length() - 1
-                        return tuple(sorted((y, x, w)))
-    return None
+    """The first triple (z^i, z^j, w), sorted, whose majority z^i^j is
+    missing, found by the square scan of `validate`; None if there is none."""
+    return cx._squares.gap
 
 
 def validate(cx: MedianComplex) -> ValidationReport:
@@ -373,34 +501,40 @@ def validate(cx: MedianComplex) -> ValidationReport:
 
     Checks, in order: connectivity and bipartiteness (one BFS); that the
     wall classes exist and separate all vertices, so that the sign vectors
-    are injective; that the edges are exactly the vertex pairs whose signs
-    differ in one bit; the square condition (SC) below; and that removing
-    any one wall class leaves exactly two components.  The later checks
-    need sign vectors, so they are skipped when the graph is disconnected
-    or odd or has no wall classes: a bipartite graph that is not a partial
-    cube (K2,3, say) is reported by its wall-relation failure alone.
+    are injective, with the ends of every edge differing in exactly its own
+    class bit (both rules of `MedianComplex.classes` ensure that); and the
+    square condition (SC) below.  SC needs sign vectors, so it is skipped
+    when the graph is disconnected or odd or has no wall classes: a
+    bipartite graph that is not a partial cube (K2,3, say) is reported by
+    its wall-relation failure alone.
 
     SC: for every vertex z and every two neighbours z^i and z^j of z (z
-    with bit i, resp. bit j, flipped), either z^i^j is a vertex or no
-    vertex w has w_i != z_i and w_j != z_j.  It costs one lookup and one
-    AND of two halfspace masks per pair of neighbours, sum of deg(z)^2 in
-    all.  A failure is reported as the triple (z^i, z^j, w), whose
-    majority z^i^j is missing.
+    with bit i, resp. bit j, flipped), either z^i^j is a vertex adjacent to
+    both z^i and z^j, or z^i^j is no vertex and no vertex w has w_i != z_i
+    and w_j != z_j.  It costs one lookup, and two neighbour-set lookups or
+    one AND of two halfspace masks, per pair of neighbours: sum of deg(z)^2
+    in all.  A vertex z^i^j not adjacent to z^i (say) is reported as a
+    pair one wall apart but not adjacent; a missing z^i^j as the triple
+    (z^i, z^j, w), whose majority it is.  The labelling of
+    `MedianComplex.classes` has passed this scan already when it was kept,
+    so on a median graph `validate` costs that labelling and one BFS.
 
     Why this is equivalent to the graph being median.  Let the sign vectors
-    be injective, the edges exactly the pairs one bit apart, the graph
-    connected and SC hold.  Every step of a path flips one bit.
-    (1) SC gives an isometry.  Take a shortest path that flips some bit i
-    twice, and the two flips of one bit that are nearest on it, so no bit
-    flips twice between them.  Let b be the vertex just before the second
-    flip of i, reached by flipping bit j, and a the vertex just before the
-    first.  Then a differs from b in bits i and j, so SC at b, with
-    neighbours b^i and b^j and witness a, puts b^j^i in V: the second flip
-    of i moves one step earlier.  Repeating this brings the two flips
-    together, so the path revisits a vertex, against minimality.  So
-    shortest paths flip each bit at most once, and d(u,v) is the Hamming
-    distance h(u,v); intervals are then the vertices that agree with both
-    ends where the ends agree.
+    be injective, every edge flip exactly one bit, the graph be connected
+    and SC hold.
+    (1) SC gives an isometry.  Take a shortest path that flips some bit
+    twice, and of all pairs of flips of one bit on it a nearest one, say of
+    bit i, so no bit flips twice between them.  Let b be the vertex just
+    before the second flip of i, reached by flipping bit j, and a the
+    vertex just before the first.  Then a differs from b in bits i and j,
+    so SC at b, with neighbours b^i and b^j and witness a, puts b^j^i in V,
+    adjacent to b^j and to b^i: the path through b^j^i in place of b has
+    the same length, and its second flip of i is one step earlier.
+    Repeating this brings the two flips together, so the path revisits a
+    vertex, against minimality.  So shortest paths flip each bit at most
+    once, d(u,v) is the Hamming distance h(u,v), vertices one bit apart
+    are adjacent, and intervals are the vertices that agree with both ends
+    where the ends agree.
     (2) SC gives majority closure.  For x, y, z, let p be the vertex of
     I(y,z) nearest x.  If p != maj(x,y,z), then p differs from x in some
     bit i where y and z differ.  On a p-x geodesic, let i be the first such
@@ -409,12 +543,16 @@ def validate(cx: MedianComplex) -> ValidationReport:
     from p in bit i) as witness, moves that flip one step earlier, and
     again, until p^i is in V.  But p^i is in I(y,z) and nearer x.  So
     maj(x,y,z) = p is in V, and as the three intervals of a triple meet
-    exactly in its majority, every triple has one median.
-    (3) A median graph satisfies SC: maj(z^i, z^j, w) = z^i^j.  Its
-    Djokovic relation is transitive, its halfspace labelling is an
-    isometric embedding (injective, and vertices one bit apart are
-    adjacent), and its halfspaces are convex, hence connected, so it passes
-    every other check too.
+    exactly in its majority, every triple has one median.  Two edges are
+    Djokovic-related iff they flip the same bit (d = h), so the classes
+    are the Djokovic classes.
+    (3) A median graph passes every check.  Its Djokovic relation is
+    transitive, and its halfspace labelling is an isometric embedding:
+    injective, every edge flips its own class bit, and vertices one bit
+    apart are adjacent.  SC holds because maj(z^i, z^j, w) = z^i^j, which is
+    one bit from z^i and from z^j.  Its halfspaces are convex, hence
+    connected, so removing one wall class always leaves two components;
+    that needs no check of its own.
     """
     failures: list[InvariantFailure] = []
     n = cx.vertex_count
@@ -422,49 +560,29 @@ def validate(cx: MedianComplex) -> ValidationReport:
         failures.append(InvariantFailure("connected", "empty complex"))
         return ValidationReport(False, failures)
 
-    color, parent, odd = _two_colour(cx)
-    if -1 in color:
+    depth, parent, odd = _two_colour(cx)
+    if -1 in depth:
         failures.append(InvariantFailure(
-            "connected", f"vertex {color.index(-1)} unreachable from vertex 0"))
+            "connected", f"vertex {depth.index(-1)} unreachable from vertex 0"))
     if odd is not None:
-        cycle = _odd_cycle_witness(cx, color, parent, *odd)
+        cycle = _odd_cycle_witness(cx, depth, parent, *odd)
         failures.append(InvariantFailure("bipartite", f"odd cycle {cycle}"))
     if failures:
         return ValidationReport(False, failures)
 
     try:
-        cx.by_sign  # builds the classes and sign vectors, or says why they do not exist
+        squares = cx._squares  # builds the classes, signs and square scan, or says why not
     except InvariantViolation as exc:
         failures.append(InvariantFailure("wall-relation", str(exc)))
         return ValidationReport(False, failures)
 
-    pair = _non_edge_at_one_wall(cx)
-    if pair is not None:
+    if squares.non_adjacent is not None:
         failures.append(InvariantFailure(
-            "partial-cube", "vertices {} and {} are one wall apart but not adjacent".format(*pair)))
-    triple = _square_gap(cx)
-    if triple is not None:
+            "partial-cube",
+            "vertices {} and {} are one wall apart but not adjacent".format(*squares.non_adjacent)))
+    if squares.gap is not None:
         failures.append(InvariantFailure(
-            "unique-median", "triple ({},{},{}) has medians []".format(*triple)))
-    for h in cx.classes:
-        removed = set(h.dual_edges)
-        seen = [False] * n
-        count = 0
-        for start in range(n):
-            if seen[start]:
-                continue
-            count += 1
-            seen[start] = True
-            stack = [start]
-            while stack:
-                a = stack.pop()
-                for b in cx.neighbors[a]:
-                    if not seen[b] and ((a, b) if a < b else (b, a)) not in removed:
-                        seen[b] = True
-                        stack.append(b)
-        if count != 2:
-            failures.append(InvariantFailure(
-                "wall-cut", f"removing class {h.class_id} leaves {count} components"))
+            "unique-median", "triple ({},{},{}) has medians []".format(*squares.gap)))
 
     report = ValidationReport(not failures, failures)
     cx.validated = report.passed
@@ -481,6 +599,8 @@ def median(cx: MedianComplex, x: int, y: int, z: int) -> int:
     >>> median(grid(1, 1), 0, 1, 2)
     0
     """
+    if not all(0 <= v < cx.vertex_count for v in (x, y, z)):
+        raise ValueError("vertex index out of range")
     a, b, c = cx.signs[x], cx.signs[y], cx.signs[z]
     m = cx.by_sign.get((a & b) | (a & c) | (b & c))
     if m is None:
@@ -522,7 +642,7 @@ def hull(cx: MedianComplex, vertices: Iterable[int]) -> ConvexSubcomplex:
     return _agreeing(cx, ~free, signs[0] & ~free, range(cx.vertex_count))
 
 
-def _max_clique(adj: list[int], n: int) -> int:
+def _max_clique(adj: Sequence[int], n: int) -> int:
     best = 0
 
     def expand(cand: int, size: int):
@@ -542,25 +662,9 @@ def _max_clique(adj: list[int], n: int) -> int:
 
 
 def dimension(cx: MedianComplex) -> int:
-    """Size of the largest cube, via the largest square-spanning edge set at a vertex."""
-    nbr_masks = [_mask_of(a) for a in cx.neighbors]
-    best = 0
-    for v in range(cx.vertex_count):
-        nbrs = cx.neighbors[v]
-        k = len(nbrs)
-        if k <= best:
-            continue
-        # adjacency among neighbors: u,w span a square at v iff they have a
-        # second common neighbor; in a median graph pairwise squares close
-        # into cubes
-        adj = [0] * k
-        for i in range(k):
-            for j in range(i + 1, k):
-                if nbr_masks[nbrs[i]] & nbr_masks[nbrs[j]] & ~(1 << v):
-                    adj[i] |= 1 << j
-                    adj[j] |= 1 << i
-        best = max(best, _max_clique(adj, k))
-    return best
+    """Size of the largest cube: the largest set of pairwise crossing walls,
+    since pairwise crossing hyperplanes span a cube (Sageev)."""
+    return _max_clique(cx.crossing_masks, len(cx.classes))
 
 
 def all_convex_subcomplexes(cx: MedianComplex) -> list[ConvexSubcomplex]:

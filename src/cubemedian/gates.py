@@ -44,7 +44,9 @@ def crossing_signature(s: ConvexSubcomplex) -> frozenset[int]:
 
 
 def crosses(h: HyperplaneClass, w: HyperplaneClass) -> bool:
-    """True iff all four halfspace intersections of the two walls are nonempty."""
+    """True iff the two walls cross: some square has one edge dual to each,
+    which in a median graph means all four halfspace intersections of the
+    two walls are nonempty."""
     if h.parent is not w.parent:
         raise ValueError("walls belong to different complexes")
     if h.class_id == w.class_id:

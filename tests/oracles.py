@@ -4,15 +4,19 @@ Everything here works by exhaustive enumeration (2^n subset scans, 4-cycle
 scans, networkx BFS) and is only meant for fixtures of at most ~14
 vertices.  These implementations deliberately avoid the library's sign
 vectors, gate maps and fixpoints wherever the corresponding operation is
-under test.  Two exceptions are algorithms the library used before and
+under test.  The exceptions are algorithms the library used before and
 replaced, kept as references it must reproduce because they are slow but
 obviously right: `fixpoint_hyperclosure`, the pairwise worklist fixpoint
 that preceded the graded search; `table_validate`, the validation by
 all-pairs distance and interval tables that preceded the sign-vector
 checks; `majority_gap`, the triple scan for majority closure that
-preceded the square condition; and `projection_orth`, the orthogonal
+preceded the square condition; `projection_orth`, the orthogonal
 complement by projecting onto both combinatorial sides of every crossing
-class, which preceded the sign filter.
+class, which preceded the sign filter; `quadrant_crossing_masks`, the
+crossing table by halfspace quadrants, which preceded the crossing table
+from squares; and `neighbour_square_dimension`, the dimension by the
+squares at each vertex, which preceded the largest clique of crossing
+walls.
 """
 
 import functools
@@ -29,6 +33,8 @@ from cubemedian.core import (
     ValidationReport,
     _bits,
     _from_mask,
+    _mask_of,
+    _max_clique,
     _odd_cycle_witness,
     whole_complex,
 )
@@ -388,6 +394,53 @@ def table_wall_classes(cx, dist):
                 raise InvariantViolation(
                     f"wall relation is not transitive: witness edges ({x},{y}), ({u},{v})")
     return [tuple(sorted(dual)) for dual in sorted(by_key.values(), key=lambda es: min(es))]
+
+
+def table_halfspaces(cx, dist, groups):
+    """(minus, plus) halfspace masks of each dual edge group: the minus side
+    is the set of vertices nearer the least endpoint of its least edge."""
+    sides = []
+    for dual in groups:
+        u, v = dual[0]
+        minus = sum(1 << w for w in range(cx.vertex_count) if dist[u][w] < dist[v][w])
+        sides.append((minus, cx.full_mask & ~minus))
+    return sides
+
+
+def quadrant_crossing_masks(cx):
+    """Bit j of crossing_masks[i] is set iff wall j crosses wall i: all
+    four intersections of their halfspaces are nonempty.  No wall
+    crosses itself."""
+    sides = [(h.side_minus_mask, h.side_plus_mask) for h in cx.classes]
+    masks = [0] * len(sides)
+    for i, a in enumerate(sides):
+        for j in range(i + 1, len(sides)):
+            if all(x & y for x in a for y in sides[j]):
+                masks[i] |= 1 << j
+                masks[j] |= 1 << i
+    return tuple(masks)
+
+
+def neighbour_square_dimension(cx):
+    """Size of the largest cube, via the largest square-spanning edge set at a vertex."""
+    nbr_masks = [_mask_of(a) for a in cx.neighbors]
+    best = 0
+    for v in range(cx.vertex_count):
+        nbrs = cx.neighbors[v]
+        k = len(nbrs)
+        if k <= best:
+            continue
+        # adjacency among neighbors: u,w span a square at v iff they have a
+        # second common neighbor; in a median graph pairwise squares close
+        # into cubes
+        adj = [0] * k
+        for i in range(k):
+            for j in range(i + 1, k):
+                if nbr_masks[nbrs[i]] & nbr_masks[nbrs[j]] & ~(1 << v):
+                    adj[i] |= 1 << j
+                    adj[j] |= 1 << i
+        best = max(best, _max_clique(adj, k))
+    return best
 
 
 def majority_gap(signs: tuple[int, ...]) -> Optional[tuple[int, int, int]]:

@@ -1,10 +1,13 @@
 """Base combinatorics: validation, medians, intervals, walls, convexity, hulls."""
 
+from unittest import mock
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
+from conftest import MEDIAN_FIXTURES, draw_product_or_wedge
 from cubemedian import (
     MedianComplex,
     StructuralError,
@@ -15,11 +18,15 @@ from cubemedian import (
     interval,
     is_convex,
     median,
+    random_median,
     subcomplex,
     theta_classes,
+    tree,
     validate,
 )
+from cubemedian import core
 from cubemedian.core import _square_gap
+from cubemedian.generators import generate, parse_spec
 from cubemedian.rng import SplitMix64
 
 
@@ -205,6 +212,122 @@ class TestValidateOracle:
         self.agrees(cx)
 
 
+def relabelled(cx, perm):
+    """A fresh copy of cx with vertex v renamed perm[v]; nothing cached."""
+    return MedianComplex(cx.vertex_count, [(perm[u], perm[v]) for u, v in cx.edges])
+
+
+def assert_walls_match_oracles(cx):
+    """Dual edge groups in order, halfspaces, combinatorial sides and signs
+    equal those read off BFS distance tables, and the groups equal the
+    square closure."""
+    dist = oracles.table_distances(cx)
+    groups = oracles.table_wall_classes(cx, dist)
+    assert [h.dual_edges for h in cx.classes] == groups
+    assert sorted(frozenset(h.dual_edges) for h in cx.classes) == oracles.theta_by_squares(cx)
+    sides = oracles.table_halfspaces(cx, dist, groups)
+    assert [(h.side_minus_mask, h.side_plus_mask) for h in cx.classes] == sides
+    for h in cx.classes:
+        ends = sum((1 << u) | (1 << v) for u, v in h.dual_edges)
+        assert (h.comb_minus_mask, h.comb_plus_mask) == (ends & h.side_minus_mask,
+                                                         ends & h.side_plus_mask)
+    assert cx.signs == tuple(sum(1 << i for i, (_, plus) in enumerate(sides) if (plus >> v) & 1)
+                             for v in range(cx.vertex_count))
+
+
+def draw_median(data):
+    """A drawn random_median, product or wedge complex, relabelled by a drawn
+    vertex permutation, since class numbering follows vertex ids."""
+    if data.draw(st.booleans()):
+        dim = data.draw(st.integers(1, 5))
+        count = data.draw(st.integers(1, min(10, 1 << dim)))
+        cx = random_median(dim, count, seed=data.draw(st.integers(0, 2**64 - 1)))
+    else:
+        cx = draw_product_or_wedge(data)
+    return relabelled(cx, data.draw(st.permutations(range(cx.vertex_count))))
+
+
+def no_fallback():
+    """Make the class-by-class rule of MedianComplex.classes raise."""
+    def fail(cx):
+        raise AssertionError("class-by-class rule used")
+    return mock.patch.object(core, "_classes_by_split", fail)
+
+
+class TestWallLabelling:
+    """The one-BFS labelling against the table oracles, and proof that median
+    input never reaches the class-by-class rule."""
+
+    @pytest.mark.parametrize("name", MEDIAN_FIXTURES)
+    def test_fixtures(self, name, request):
+        cx = request.getfixturevalue(name)
+        assert_walls_match_oracles(cx)
+        with no_fallback():
+            copy = relabelled(cx, range(cx.vertex_count))
+            assert validate(copy).passed
+            assert_walls_match_oracles(copy)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_drawn(self, data):
+        with no_fallback():
+            cx = draw_median(data)
+            assert validate(cx).passed
+        assert_walls_match_oracles(cx)
+
+    def test_consistent_wrong_labelling_rejected(self):
+        # a bipartite graph on which the one-BFS rule gives signs that flip
+        # one bit per edge and are injective, but are not its walls: the
+        # square scan rejects them, and the class-by-class rule reports
+        # the wall relation
+        cx = MedianComplex(12, [(0, 1), (0, 5), (0, 11), (1, 2), (1, 3), (2, 4), (2, 6),
+                                (2, 11), (3, 5), (3, 6), (4, 7), (5, 10), (6, 9), (6, 10),
+                                (7, 8), (7, 11), (8, 9), (8, 10), (10, 11)])
+        depth = core._two_colour(cx)[0]
+        _, signs = core._label_by_bfs(cx, depth)
+        assert len(set(signs)) == cx.vertex_count
+        assert [(f.invariant, f.witness) for f in validate(cx).failures] == [
+            ("wall-relation", "wall relation is not transitive: witness edges (2,4), (8,9)")]
+        assert not oracles.table_validate(cx).passed
+
+    def test_fallback_is_what_the_patch_removes(self, c6):
+        # the patched helper is really the path non-median input takes
+        with no_fallback(), pytest.raises(AssertionError):
+            validate(relabelled(c6, range(6)))
+
+    def test_tree_2000(self):
+        cx = tree(2000, seed=1)
+        with no_fallback():
+            copy = relabelled(cx, range(cx.vertex_count))
+            assert validate(copy).passed
+        assert len(copy.classes) == 1999 and dimension(copy) == 1
+
+
+class TestCrossingAndDimension:
+    """The crossing table from squares and the dimension as the largest set of
+    pairwise crossing walls, against the quadrant and neighbour scans they
+    replaced."""
+
+    @staticmethod
+    def agrees(cx):
+        assert cx.crossing_masks == oracles.quadrant_crossing_masks(cx)
+        assert dimension(cx) == oracles.neighbour_square_dimension(cx)
+
+    @pytest.mark.parametrize("name", MEDIAN_FIXTURES)
+    def test_fixtures(self, name, request):
+        self.agrees(request.getfixturevalue(name))
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_drawn(self, data):
+        self.agrees(draw_median(data))
+
+    @pytest.mark.parametrize("spec", ["staircase(10)", "glued_staircase_ray(5)", "box(3,3,3)",
+                                      "random_median(6,10,seed=3)", "box(1,1,1,1,1)"])
+    def test_bench_sized(self, spec):
+        self.agrees(generate(parse_spec(spec)))
+
+
 class TestMedian:
     def test_q2_examples(self, q2):
         assert median(q2, 0, 1, 2) == 0
@@ -224,6 +347,12 @@ class TestMedian:
             values = {median(st2, *p) for p in permutations((x, y, z))}
             assert len(values) == 1
 
+    @pytest.mark.parametrize("bad", [-1, 9, 10])
+    def test_vertex_out_of_range(self, g33, bad):
+        for args in ((bad, 0, 1), (0, bad, 1), (0, 1, bad)):
+            with pytest.raises(ValueError, match="vertex index out of range"):
+                median(g33, *args)
+
     def test_against_path_oracle(self, st2, rm451):
         from itertools import combinations
         for cx in (st2, rm451):
@@ -241,6 +370,12 @@ class TestInterval:
     def test_reflexive(self, st2):
         for x in range(st2.vertex_count):
             assert interval(st2, x, x) == {x}
+
+    @pytest.mark.parametrize("bad", [-1, 9, 10])
+    def test_distance_out_of_range(self, g33, bad):
+        for u, v in ((bad, 0), (0, bad)):
+            with pytest.raises(ValueError, match="vertex index out of range"):
+                g33.distance(u, v)
 
     def test_distances_match_networkx(self, st3, box222):
         for cx in (st3, box222):
