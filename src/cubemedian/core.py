@@ -16,10 +16,13 @@ which give the crossing walls.  No step loops over all vertices or all
 edges once per class, except the class-by-class rule that non-median
 input falls back to (see `MedianComplex.classes`).
 
-Convex subcomplexes are canonical sorted vertex tuples and are the currency
-of every higher operation.  A convex set is the set of all vertices that
-agree with it on the classes where its signs are constant; the other
-classes are the ones crossing it.
+A convex set is the set of all vertices that agree with it on the classes
+where its signs are constant; the other classes are the ones crossing it.
+So a convex subcomplex is keyed by two ints, its crossing mask and its
+base (its signs on the classes not crossing it), and that key is the
+currency of every higher operation: hull, projection, complement,
+parallel copies and containment are bit expressions over keys.  The
+sorted vertex tuple is filtered from the signs only when it is read.
 """
 
 from __future__ import annotations
@@ -385,32 +388,38 @@ class HyperplaneClass:
 
 @dataclass(frozen=True)
 class ConvexSubcomplex:
-    """A convex subcomplex in canonical form: a strictly sorted vertex tuple.
+    """A convex subcomplex, keyed by the wall classes that cross it and its
+    signs on the others.
 
-    Equality is equality of vertex tuples within the same parent complex.
+    A convex set is the set of all vertices whose signs equal `base` on the
+    classes outside `crossing_mask`, so the pair fixes it.  Every
+    constructor gives the exact crossing mask, which makes the key
+    canonical: equality and hash are on the two ints, so subcomplexes of
+    different complexes must not be compared.  The vertex tuple, ascending,
+    is filtered from the signs on first read.
     """
 
-    parent: MedianComplex = field(repr=False)
-    vertices: tuple[int, ...]
+    parent: MedianComplex = field(repr=False, compare=False)
+    crossing_mask: int
+    base: int
+
+    def __le__(self, other: "ConvexSubcomplex") -> bool:
+        """Containment: every class crossing self crosses other, and self
+        has other's signs on the classes that do not cross other."""
+        free = other.crossing_mask
+        return self.crossing_mask & ~free == 0 and self.base & ~free == other.base
+
+    @cached_property
+    def vertices(self) -> tuple[int, ...]:
+        fixed, base = ~self.crossing_mask, self.base
+        verts = tuple(v for v, s in enumerate(self.parent.signs) if s & fixed == base)
+        if not verts:
+            raise InvariantViolation("no vertex has the required signs (the graph is not median)")
+        return verts
 
     @cached_property
     def mask(self) -> int:
         return _mask_of(self.vertices)
-
-    @cached_property
-    def crossing_mask(self) -> int:
-        """Bit i is set iff both signs of class i occur in the subcomplex."""
-        signs = self.parent.signs
-        s0 = signs[self.vertices[0]]
-        m = 0
-        for v in self.vertices:
-            m |= signs[v] ^ s0
-        return m
-
-    @cached_property
-    def signature(self) -> frozenset[int]:
-        """Ids of the classes crossing the subcomplex."""
-        return frozenset(_bits(self.crossing_mask))
 
     def __len__(self) -> int:
         return len(self.vertices)
@@ -419,41 +428,24 @@ class ConvexSubcomplex:
         return iter(self.vertices)
 
     def __contains__(self, v: int) -> bool:
-        return v >= 0 and (self.mask >> v) & 1 == 1
+        cx = self.parent
+        return 0 <= v < cx.vertex_count and cx.signs[v] & ~self.crossing_mask == self.base
 
 
-def subcomplex(parent: MedianComplex, vertices: Iterable[int], *,
-               check: bool = False) -> ConvexSubcomplex:
-    """Canonicalize a vertex set; with check=True, require convexity."""
+def subcomplex(parent: MedianComplex, vertices: Iterable[int]) -> ConvexSubcomplex:
+    """The convex subcomplex on the given vertices; raises ValueError unless
+    they form a nonempty convex set."""
     verts = tuple(sorted(set(vertices)))
     if not verts:
         raise ValueError("subcomplex must be nonempty")
-    if verts[-1] >= parent.vertex_count or verts[0] < 0:
-        raise ValueError("vertex index out of range")
-    if check and not is_convex(parent, verts):
+    s = hull(parent, verts)
+    if s.vertices != verts:
         raise ValueError(f"vertex set {verts} is not convex")
-    return ConvexSubcomplex(parent, verts)
-
-
-def _from_mask(parent: MedianComplex, mask: int) -> ConvexSubcomplex:
-    if not mask:
-        raise InvariantViolation("empty vertex set where a convex subcomplex is required "
-                                 "(the graph is not median)")
-    return ConvexSubcomplex(parent, tuple(_bits(mask)))
-
-
-def _agreeing(parent: MedianComplex, fixed: int, base: int,
-              among: Iterable[int]) -> ConvexSubcomplex:
-    """The vertices of `among` whose signs equal `base` on the bits of `fixed`."""
-    signs = parent.signs
-    verts = tuple(v for v in among if signs[v] & fixed == base)
-    if not verts:
-        raise InvariantViolation("no vertex has the required signs (the graph is not median)")
-    return ConvexSubcomplex(parent, verts)
+    return s
 
 
 def whole_complex(cx: MedianComplex) -> ConvexSubcomplex:
-    return ConvexSubcomplex(cx, tuple(range(cx.vertex_count)))
+    return ConvexSubcomplex(cx, (1 << len(cx.classes)) - 1, 0)
 
 
 # -- validation -----------------------------------------------------------
@@ -635,11 +627,12 @@ def hull(cx: MedianComplex, vertices: Iterable[int]) -> ConvexSubcomplex:
         raise ValueError("hull requires a nonempty vertex set")
     if not all(0 <= v < cx.vertex_count for v in verts):
         raise ValueError("vertex index out of range")
-    signs = [cx.signs[v] for v in verts]
+    signs = cx.signs
+    s0 = signs[verts[0]]
     free = 0
-    for s in signs:
-        free |= s ^ signs[0]
-    return _agreeing(cx, ~free, signs[0] & ~free, range(cx.vertex_count))
+    for v in verts:
+        free |= signs[v] ^ s0
+    return ConvexSubcomplex(cx, free, s0 & ~free)
 
 
 def _max_clique(adj: Sequence[int], n: int) -> int:
@@ -686,6 +679,5 @@ def all_convex_subcomplexes(cx: MedianComplex) -> list[ConvexSubcomplex]:
                 if key not in seen:
                     seen.add(key)
                     queue.append(key)
-    n = cx.vertex_count
-    subs = {_agreeing(cx, ~free, base, range(n)) for free, base in seen}
+    subs = [ConvexSubcomplex(cx, free, base) for free, base in seen]
     return sorted(subs, key=lambda s: (len(s.vertices), s.vertices))

@@ -1,21 +1,21 @@
 """Gate maps and their derived structure.
 
 The gate of a vertex in a convex subcomplex is its unique nearest point;
-gating one convex subcomplex into another gives the projection.  Crossing
-signatures (the wall classes on which a subcomplex has both signs,
-represented as a frozenset of class ids) control everything here: two
-subcomplexes are parallel iff their signatures agree, and a projection is
-crossed exactly by the classes crossing both factors.  Gates and
-projections keep a vertex's signs on the classes crossing the target and
-take the target's signs on the others, so each is one bit expression over
-sign vectors.
+gating one convex subcomplex into another gives the projection.  A convex
+subcomplex is keyed by its crossing mask (the wall classes on which it has
+both signs) and its base (its signs on the other classes), and the crossing
+mask controls everything here: two subcomplexes are parallel iff their
+crossing masks agree, and a projection is crossed exactly by the classes
+crossing both factors.  Gates and projections keep a vertex's signs on the
+classes crossing the target and take the target's signs on the others, so
+each is one bit expression over keys and sign vectors.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import ConvexSubcomplex, HyperplaneClass, _agreeing, _from_mask, hull, subcomplex
+from .core import ConvexSubcomplex, HyperplaneClass, _bits, hull
 
 
 def gate(y: ConvexSubcomplex, x: int) -> int:
@@ -23,9 +23,7 @@ def gate(y: ConvexSubcomplex, x: int) -> int:
     Y's signs on the others."""
     if not 0 <= x < y.parent.vertex_count:
         raise ValueError("vertex index out of range")
-    signs = y.parent.signs
-    free = y.crossing_mask
-    return y.parent.vertex_at((signs[x] & free) | (signs[y.vertices[0]] & ~free))
+    return y.parent.vertex_at((y.parent.signs[x] & y.crossing_mask) | y.base)
 
 
 def project(y: ConvexSubcomplex, z: ConvexSubcomplex) -> ConvexSubcomplex:
@@ -33,14 +31,14 @@ def project(y: ConvexSubcomplex, z: ConvexSubcomplex) -> ConvexSubcomplex:
     crossing Y but not Z.  It is crossed exactly by the classes crossing both."""
     if y.parent is not z.parent:
         raise ValueError("projection requires subcomplexes of the same complex")
-    fixed = y.crossing_mask & ~z.crossing_mask
-    return _agreeing(y.parent, fixed, y.parent.signs[z.vertices[0]] & fixed, y.vertices)
+    fy, fz = y.crossing_mask, z.crossing_mask
+    return ConvexSubcomplex(y.parent, fy & fz, y.base | (z.base & fy & ~fz))
 
 
 def crossing_signature(s: ConvexSubcomplex) -> frozenset[int]:
     """Ids of the wall classes crossing S (for convex S: those with a dual
-    edge inside S), cached on S."""
-    return s.signature
+    edge inside S)."""
+    return frozenset(_bits(s.crossing_mask))
 
 
 def crosses(h: HyperplaneClass, w: HyperplaneClass) -> bool:
@@ -55,47 +53,47 @@ def crosses(h: HyperplaneClass, w: HyperplaneClass) -> bool:
 
 
 def is_parallel(s: ConvexSubcomplex, t: ConvexSubcomplex) -> bool:
-    return crossing_signature(s) == crossing_signature(t)
+    return s.crossing_mask == t.crossing_mask
 
 
 def parallel_into(s: ConvexSubcomplex, t: ConvexSubcomplex) -> bool:
-    return crossing_signature(s) <= crossing_signature(t)
+    return s.crossing_mask & ~t.crossing_mask == 0
 
 
 def carrier(h: HyperplaneClass) -> ConvexSubcomplex:
-    """Endpoints of the dual edges: the union of the two combinatorial sides."""
-    return _from_mask(h.parent, h.comb_minus_mask | h.comb_plus_mask)
+    """Endpoints of the dual edges: the union of the two combinatorial sides,
+    crossed by h and by the classes crossing h."""
+    return hull(h.parent, _bits(h.comb_minus_mask | h.comb_plus_mask))
 
 
 def comb_side(h: HyperplaneClass, sign: int) -> ConvexSubcomplex:
-    """Combinatorial hyperplane on one side of the wall (sign is -1 or +1)."""
+    """Combinatorial hyperplane on one side of the wall (sign is -1 or +1),
+    as the hull of its vertices: on non-median input that hull can be larger
+    and its projections empty, which reading their vertices reports."""
     if sign not in (-1, 1):
         raise ValueError("sign must be -1 or +1")
     mask = h.comb_minus_mask if sign < 0 else h.comb_plus_mask
-    return _from_mask(h.parent, mask)
+    return hull(h.parent, _bits(mask))
 
 
 def set_distance(s: ConvexSubcomplex, t: ConvexSubcomplex) -> int:
     """The number of walls separating S and T: constant on both, with
     different signs."""
-    signs = s.parent.signs
-    apart = signs[s.vertices[0]] ^ signs[t.vertices[0]]
-    return (apart & ~(s.crossing_mask | t.crossing_mask)).bit_count()
+    return ((s.base ^ t.base) & ~(s.crossing_mask | t.crossing_mask)).bit_count()
 
 
 def separators(f: ConvexSubcomplex, f2: ConvexSubcomplex) -> frozenset[int]:
-    """Classes crossing hull(F ∪ F2) but neither F nor F2 (F, F2 parallel)."""
-    region = hull(f.parent, f.vertices + f2.vertices)
-    return crossing_signature(region) - crossing_signature(f) - crossing_signature(f2)
+    """Classes crossing hull(F ∪ F2) but neither F nor F2 (F, F2 parallel):
+    those on which F and F2 are constant, with different signs."""
+    return frozenset(_bits((f.base ^ f2.base) & ~(f.crossing_mask | f2.crossing_mask)))
 
 
 def parallel_bridge(f: ConvexSubcomplex, f2: ConvexSubcomplex) -> ConvexSubcomplex:
     """Hull of a shortest geodesic between F and F2 (least starting vertex)."""
     signs = f.parent.signs
     fixed = ~f2.crossing_mask
-    t0 = signs[f2.vertices[0]]
     # d(v, F2) counts the classes missing F2 on which v differs from F2
-    x = min(f.vertices, key=lambda v: (((signs[v] ^ t0) & fixed).bit_count(), v))
+    x = min(f.vertices, key=lambda v: (((signs[v] & fixed) ^ f2.base).bit_count(), v))
     return hull(f.parent, (x, gate(f2, x)))
 
 
@@ -127,11 +125,12 @@ def product_region(a: ConvexSubcomplex, basepoint: int) -> ProductRegion:
 
 
 def parallel_copies(a: ConvexSubcomplex) -> list[ConvexSubcomplex]:
-    """The full parallelism class of A: the base slices of its product region."""
-    pr = product_region(a, a.vertices[0])
-    slices: dict[int, list[int]] = {b: [] for b in pr.complement.vertices}
-    for v in pr.region.vertices:
-        slices[pr.coordinates[v][1]].append(v)
-    copies = [subcomplex(a.parent, verts) for verts in slices.values()]
-    copies.sort(key=lambda s: s.vertices)
-    return copies
+    """The full parallelism class of A, in vertex order: the base slices of
+    its product region, one through each b in orth(A, a), crossed by A's
+    classes and with b's signs on the others."""
+    from .orthocomplement import orth
+
+    cx, free = a.parent, a.crossing_mask
+    bases = {cx.signs[b] & ~free for b in orth(a, a.vertices[0])}
+    first_seen = dict.fromkeys(s & ~free for s in cx.signs)
+    return [ConvexSubcomplex(cx, free, base) for base in first_seen if base in bases]

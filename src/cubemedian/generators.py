@@ -189,40 +189,38 @@ def _build_tree(n: int, seed: int):
     return n, sorted(edges), None
 
 
-def _majority(a: tuple[int, ...], b: tuple[int, ...], c: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple((x & y) | (x & z) | (y & z) for x, y, z in zip(a, b, c))
-
-
 def _build_random_median(dim: int, count: int, seed: int):
+    """Random words of dim bits (bit i is coordinate i) closed under majority,
+    numbered in coordinate-tuple order.  Points a, w are adjacent iff none
+    lies between them: a ^ w is inclusion-minimal among the a ^ x."""
     rng = SplitMix64(seed)
-    points: set[tuple[int, ...]] = set()
+    points: set[int] = set()
     while len(points) < count:
-        word = rng.randrange(1 << dim)
-        points.add(tuple((word >> i) & 1 for i in range(dim)))
-    # close under coordinatewise majority; each round only needs triples
-    # touching a point added in the previous round
+        points.add(rng.randrange(1 << dim))
+    # close under majority; each round only needs triples touching a point
+    # added in the previous round
     frontier = set(points)
     while frontier:
+        pts = list(points)
         new = set()
-        pts = sorted(points)
-        for a in sorted(frontier):
-            for b, c in itertools.combinations(pts, 2):
-                m = _majority(a, b, c)
-                if m not in points:
-                    new.add(m)
+        for a in frontier:
+            for b in pts:
+                both, either = a & b, a | b
+                new.update({both | (c & either) for c in pts})
+        new -= points
         points |= new
         frontier = new
-    verts = sorted(points)
-    index = {p: i for i, p in enumerate(verts)}
-
-    def between(u, w, v):
-        return all(wi == ui for ui, vi, wi in zip(u, v, w) if ui == vi)
-
+    verts = sorted(points, key=lambda w: [(w >> i) & 1 for i in range(dim)])
+    index = {w: i for i, w in enumerate(verts)}
     edges = []
-    for a, b in itertools.combinations(verts, 2):
-        if not any(between(a, w, b) for w in verts if w != a and w != b):
-            edges.append((index[a], index[b]))
-    return len(verts), sorted(edges), {i: p for p, i in index.items()}
+    for a in verts:
+        minimal: list[int] = []
+        for d in sorted((a ^ w for w in verts if w != a), key=int.bit_count):
+            if all(m & ~d for m in minimal):
+                minimal.append(d)
+        edges.extend((index[a], index[a ^ d]) for d in minimal if index[a] < index[a ^ d])
+    labels = {i: tuple((w >> j) & 1 for j in range(dim)) for i, w in enumerate(verts)}
+    return len(verts), sorted(edges), labels
 
 
 def product(x1: MedianComplex, x2: MedianComplex) -> MedianComplex:
@@ -302,8 +300,8 @@ def generate(spec: GeneratorSpec) -> MedianComplex:
     elif kind == "random_median":
         _require(ints and len(params) == 2, "random_median(dim, count) needs two ints")
         dim, count = params
-        # the majority closure can approach 2^dim points, and both it and
-        # the edge scan work on triples of points, so the dimension is kept small
+        # the majority closure can approach 2^dim points and scans every new
+        # point against all pairs of points, so the dimension is kept small
         _require(1 <= dim <= 8, "random_median dimension must be in 1..8")
         _require(1 <= count <= (1 << dim), "random_median count must be in 1..2^dim")
         n, edges, labels = _build_random_median(dim, count, seed or 0)

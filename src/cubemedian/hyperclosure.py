@@ -4,8 +4,8 @@ projections and parallelism.
 
 It is computed once, by breadth-first search over nested projections of
 the hyperplane sides (Hagen–Susse, arXiv:1609.01313: every member is a
-nested projection of combinatorial hyperplanes), deduplicating by
-canonical vertex tuple.  Grades record the least number of nested
+nested projection of combinatorial hyperplanes), deduplicating by key
+(crossing mask, base).  Grades record the least number of nested
 hyperplane-side projections producing each member (grade 0: the whole
 complex; grade 1: combinatorial hyperplanes), and every member carries one
 derivation in that normal form.  An independent brute-force oracle
@@ -20,15 +20,9 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional
 
-from .core import (
-    ConvexSubcomplex,
-    MedianComplex,
-    _from_mask,
-    all_convex_subcomplexes,
-    whole_complex,
-)
+from .core import ConvexSubcomplex, MedianComplex, all_convex_subcomplexes, whole_complex
 from .errors import InvariantViolation, ResourceLimitError
-from .gates import comb_side, crossing_signature, project
+from .gates import comb_side, project
 from .orthocomplement import orth
 
 DEFAULT_MAX_MEMBERS = 100_000
@@ -154,9 +148,9 @@ def hyperclosure(cx: MedianComplex, *, max_members: int = DEFAULT_MAX_MEMBERS,
         frontier = new
 
     ordered = sorted(grade, key=lambda s: (len(s.vertices), s.vertices))
-    by_sig: dict[frozenset[int], list[ConvexSubcomplex]] = {}
+    by_sig: dict[int, list[ConvexSubcomplex]] = {}
     for m in ordered:
-        by_sig.setdefault(crossing_signature(m), []).append(m)
+        by_sig.setdefault(m.crossing_mask, []).append(m)
     classes = tuple(tuple(group) for group in
                     sorted(by_sig.values(), key=lambda g: (len(g[0].vertices), g[0].vertices)))
     return Hyperclosure(complex=cx, members=tuple(ordered), grade=grade,
@@ -202,16 +196,21 @@ def multiplicity(h: Hyperclosure) -> MultiplicityProfile:
 
 def longest_chain(h: Hyperclosure) -> tuple[int, list[ConvexSubcomplex]]:
     """Longest strictly nested chain of members (all share the least member's
-    vertices), with a witness chain."""
+    vertices), with a witness chain: the least index wins among equally
+    long predecessors.  Containment is `ConvexSubcomplex.__le__`, inlined
+    on plain lists because it runs once per pair of members."""
     members = h.members  # already sorted by size
+    sizes = [len(m) for m in members]
+    free = [m.crossing_mask for m in members]
+    base = [m.base for m in members]
     best_len = [1] * len(members)
     prev = [-1] * len(members)
-    for i, m in enumerate(members):
-        mi = m.mask
+    for i, size in enumerate(sizes):
+        fixed, bi = ~free[i], base[i]
         for j in range(i):
-            if len(members[j]) >= len(m):
+            if sizes[j] >= size:
                 break
-            if members[j].mask & ~mi == 0 and best_len[j] + 1 > best_len[i]:
+            if free[j] & fixed == 0 and base[j] & fixed == bi and best_len[j] + 1 > best_len[i]:
                 best_len[i] = best_len[j] + 1
                 prev[i] = j
         # members[j] with len == len(m) cannot nest strictly; scan stops there
@@ -232,14 +231,21 @@ def clean_container(h: Hyperclosure, f: ConvexSubcomplex, v: ConvexSubcomplex,
     V must be a member properly contained in the member F, with x in V.
     The result is a member; V × result embeds in F, and any member of F
     whose signature is disjoint from and crossing V's is parallel into it.
+
+    Both sets hold x, and two convex sets P, Q through x meet in a convex
+    set crossed exactly by the classes crossing both: if class i crosses
+    P and Q, the gate g of x in i's halfspace not holding x lies on a
+    geodesic from x to every vertex of that halfspace, so in P and in Q,
+    and i separates x from g.  So the key is (that AND, x's signs off it).
     """
     if f not in h.member_set or v not in h.member_set:
         raise ValueError("clean_container arguments must be hyperclosure members")
-    if v == f or v.mask & ~f.mask:
+    if v == f or not v <= f:
         raise ValueError("V must be properly contained in F")
     if x not in v:
         raise ValueError(f"basepoint {x} is not in V")
-    return _from_mask(h.complex, orth(v, x).mask & f.mask)
+    free = orth(v, x).crossing_mask & f.crossing_mask
+    return ConvexSubcomplex(h.complex, free, h.complex.signs[x] & ~free)
 
 
 def grades_report(h: Hyperclosure) -> dict[int, int]:

@@ -1,9 +1,10 @@
 """Orthogonal complements of convex subcomplexes at a basepoint.
 
 orth(A, a) is the set of vertices b such that every wall separating a from
-b crosses every wall crossing A.  Over sign vectors it is one filter, like
-`hull`: the vertices whose signs differ from a's only on the classes that
-cross every class crossing A.
+b crosses every wall crossing A.  Over sign vectors these are the vertices
+whose signs differ from a's only on K, the classes that cross every class
+crossing A, so the complement is the convex subcomplex keyed by crossing
+mask K and a's signs off K.
 
 witness_compact inverts the construction: every hyperclosure member is the
 orthogonal complement of some compact (here: any) convex subcomplex, built
@@ -12,7 +13,7 @@ by recursion over the member's derivation.
 
 from __future__ import annotations
 
-from .core import ConvexSubcomplex, _agreeing, _bits, hull, subcomplex
+from .core import ConvexSubcomplex, _bits, hull, subcomplex
 from .errors import InvariantViolation
 from .gates import parallel_copies, set_distance
 
@@ -26,6 +27,16 @@ def orth(a: ConvexSubcomplex, basepoint: int) -> ConvexSubcomplex:
     K.  The result contains a and is convex, as an intersection of
     halfspaces.
 
+    K is exactly the crossing mask of the result, so (K, a's signs off K)
+    is its key.  Only classes in K can cross it.  Conversely, take j in K,
+    let H be j's halfspace not holding a, and b the gate of a in H.  The
+    walls separating a from b are those separating a from H: j, and walls
+    w with H inside w's far side.  Such a w does not cross j, and j crosses
+    every class crossing A, so w does not cross A; A then lies on a's side
+    of w.  So each class i crossing A has both signs in A, on the near side
+    of w, and in H (as j crosses i), on the far side: w crosses i, so w is
+    in K.  Hence b is in the result, and j separates it from a.
+
     The two extreme cases need no branch.  Nothing crosses a single vertex,
     so K is every class and the complement is the whole complex.  No class
     crosses itself, so for the whole complex K is empty and the complement
@@ -34,11 +45,10 @@ def orth(a: ConvexSubcomplex, basepoint: int) -> ConvexSubcomplex:
     if basepoint not in a:
         raise ValueError(f"basepoint {basepoint} is not in the subcomplex")
     cx = a.parent
-    perp = -1  # K, as a mask: every class until a class crossing A narrows it
+    perp = (1 << len(cx.classes)) - 1  # K: every class until a class crossing A narrows it
     for i in _bits(a.crossing_mask):
         perp &= cx.crossing_masks[i]
-    fixed = ~perp
-    return _agreeing(cx, fixed, cx.signs[basepoint] & fixed, range(cx.vertex_count))
+    return ConvexSubcomplex(cx, perp, cx.signs[basepoint] & ~perp)
 
 
 def witness_compact(f: ConvexSubcomplex, closure=None) -> tuple[ConvexSubcomplex, int]:

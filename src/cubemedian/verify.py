@@ -69,8 +69,7 @@ def _gates_suite(cx, rng, cases, rec: _Recorder):
         z = _random_convex(cx, rng)
         img = project(y, z)
         inputs = {"Y": y.vertices, "Z": z.vertices}
-        rec.check(crossing_signature(img) ==
-                  crossing_signature(y) & crossing_signature(z),
+        rec.check(img.crossing_mask == y.crossing_mask & z.crossing_mask,
                   "gate-crossing-law", inputs)
         rec.check(is_convex(cx, img.vertices), "projection-convex", inputs)
         rec.check(is_parallel(img, project(z, y)), "symmetric-parallelism", inputs)
@@ -113,7 +112,7 @@ def _orth_suite(cx, rng, cases, rec: _Recorder, closure: Hyperclosure):
         inner = hull(cx, rng.sample(b_sub.vertices,
                                     1 + rng.randrange(len(b_sub))))
         x = rng.choice(inner.vertices)
-        rec.check(orth(b_sub, x).mask & ~orth(inner, x).mask == 0,
+        rec.check(orth(b_sub, x) <= orth(inner, x),
                   "contravariance", {"A": inner.vertices, "B": b_sub.vertices, "a": x})
 
     for member in closure.members:
@@ -174,8 +173,7 @@ def _orthogonal(cx, s, t) -> bool:
 
 def _clean_container_checks(cx, rng, cases, rec: _Recorder, closure: Hyperclosure):
     members = closure.members
-    pairs = [(f, v) for f in members for v in members
-             if v != f and v.mask & ~f.mask == 0]
+    pairs = [(f, v) for f in members for v in members if v != f and v <= f]
     if cx.vertex_count > 12 and len(pairs) > cases:
         pairs = [pairs[rng.randrange(len(pairs))] for _ in range(cases)]
     for f, v in pairs:
@@ -187,18 +185,23 @@ def _clean_container_checks(cx, rng, cases, rec: _Recorder, closure: Hyperclosur
         rec.check(u in closure.member_set, "clean-container-member", inputs)
         rec.check(_orthogonal(cx, u, v), "clean-container-orthogonal", inputs)
         region = hull(cx, v.vertices + u.vertices)
-        rec.check(region.mask & ~f.mask == 0 and _product_bijection_ok(region, v, u),
+        rec.check(region <= f and _product_bijection_ok(region, v, u),
                   "clean-container-product", inputs)
         maximal = all(parallel_into(w, u) for w in members
-                      if w.mask & ~f.mask == 0 and _orthogonal(cx, w, v))
+                      if w <= f and _orthogonal(cx, w, v))
         rec.check(maximal, "clean-container-maximality", inputs)
 
 
 def verify_complex(cx: MedianComplex, suite: str = "all", cases: int = 1000,
                    seed: int = 0, max_violations: int = 25) -> list[Violation]:
-    """Run the requested invariant suite(s); an empty result means no violation."""
+    """Run the requested invariant suite(s); an empty result means no violation.
+    A seed outside 0..2^64-1 would alias another under splitmix64."""
     if suite != "all" and suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}")
+    if cases < 0:
+        raise ValueError(f"cases must be nonnegative, not {cases}")
+    if not 0 <= seed < (1 << 64):
+        raise ValueError(f"seed must be in 0..2^64-1, not {seed}")
     wanted = SUITES if suite == "all" else (suite,)
     violations: list[Violation] = []
     closure = hyperclosure(cx) if {"orth", "closure"} & set(wanted) else None

@@ -16,7 +16,12 @@ class, which preceded the sign filter; `quadrant_crossing_masks`, the
 crossing table by halfspace quadrants, which preceded the crossing table
 from squares; and `neighbour_square_dimension`, the dimension by the
 squares at each vertex, which preceded the largest clique of crossing
-walls.
+walls; `filter_project`, the projection as a filter over the target's
+vertices, which preceded the projection by key arithmetic;
+`mask_longest_chain`, the chain by vertex-mask containment, which
+preceded containment by keys; and `tuple_random_median`, the random median
+generator on coordinate tuples with its triple scans, which preceded the
+generator on sign words.
 """
 
 import functools
@@ -32,7 +37,6 @@ from cubemedian.core import (
     InvariantFailure,
     ValidationReport,
     _bits,
-    _from_mask,
     _mask_of,
     _max_clique,
     _odd_cycle_witness,
@@ -40,6 +44,7 @@ from cubemedian.core import (
 )
 from cubemedian.errors import InvariantViolation, ResourceLimitError
 from cubemedian.gates import crossing_signature, parallel_copies, project
+from cubemedian.rng import SplitMix64
 from cubemedian.hyperclosure import (
     DEFAULT_MAX_GRADE,
     DEFAULT_MAX_MEMBERS,
@@ -47,6 +52,10 @@ from cubemedian.hyperclosure import (
     Hyperclosure,
     _hyperplane_sides,
 )
+
+
+def _from_mask(cx, mask):
+    return subcomplex(cx, _bits(mask))
 
 
 def nx_graph(cx):
@@ -542,3 +551,75 @@ def table_validate(cx):
                 "wall-cut", f"removing class {class_id} leaves {count} components"))
 
     return ValidationReport(not failures, failures)
+
+
+def filter_project(y, z):
+    """Gate image of Z in Y: the vertices of Y with Z's signs on the classes
+    crossing Y but not Z."""
+    if y.parent is not z.parent:
+        raise ValueError("projection requires subcomplexes of the same complex")
+    signs = y.parent.signs
+    fixed = y.crossing_mask & ~z.crossing_mask
+    base = signs[z.vertices[0]] & fixed
+    return subcomplex(y.parent, [v for v in y.vertices if signs[v] & fixed == base])
+
+
+def mask_longest_chain(h):
+    """Longest strictly nested chain of members, by vertex-mask containment,
+    with a witness chain (least index among equally long predecessors)."""
+    members = h.members  # already sorted by size
+    best_len = [1] * len(members)
+    prev = [-1] * len(members)
+    for i, m in enumerate(members):
+        mi = m.mask
+        for j in range(i):
+            if len(members[j]) >= len(m):
+                break
+            if members[j].mask & ~mi == 0 and best_len[j] + 1 > best_len[i]:
+                best_len[i] = best_len[j] + 1
+                prev[i] = j
+    top = max(range(len(members)), key=lambda i: (best_len[i], -i))
+    chain = []
+    i = top
+    while i >= 0:
+        chain.append(members[i])
+        i = prev[i]
+    chain.reverse()
+    return best_len[top], chain
+
+
+def _tuple_majority(a, b, c):
+    return tuple((x & y) | (x & z) | (y & z) for x, y, z in zip(a, b, c))
+
+
+def tuple_random_median(dim, count, seed):
+    """The random median builder on coordinate tuples: majority closure by
+    scanning every new point against all pairs, edges by a betweenness scan
+    over all triples.  Returns (vertex count, edges, labels)."""
+    rng = SplitMix64(seed)
+    points = set()
+    while len(points) < count:
+        word = rng.randrange(1 << dim)
+        points.add(tuple((word >> i) & 1 for i in range(dim)))
+    frontier = set(points)
+    while frontier:
+        new = set()
+        pts = sorted(points)
+        for a in sorted(frontier):
+            for b, c in combinations(pts, 2):
+                m = _tuple_majority(a, b, c)
+                if m not in points:
+                    new.add(m)
+        points |= new
+        frontier = new
+    verts = sorted(points)
+    index = {p: i for i, p in enumerate(verts)}
+
+    def between(u, w, v):
+        return all(wi == ui for ui, vi, wi in zip(u, v, w) if ui == vi)
+
+    edges = []
+    for a, b in combinations(verts, 2):
+        if not any(between(a, w, b) for w in verts if w != a and w != b):
+            edges.append((index[a], index[b]))
+    return len(verts), sorted(edges), {i: p for p, i in index.items()}

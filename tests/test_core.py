@@ -547,7 +547,7 @@ class TestSubcomplex:
 
     def test_check_flag(self, q2):
         with pytest.raises(ValueError):
-            subcomplex(q2, [1, 2], check=True)
+            subcomplex(q2, [1, 2])
 
     def test_equality_is_vertex_equality(self, q2):
         assert subcomplex(q2, [0, 1]) == subcomplex(q2, (1, 0))

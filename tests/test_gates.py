@@ -3,10 +3,13 @@
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
-from conftest import by_label
+from conftest import MEDIAN_FIXTURES, by_label, draw_product_or_wedge
 from cubemedian import (
+    all_convex_subcomplexes,
     carrier,
     crosses,
     crossing_signature,
@@ -19,6 +22,7 @@ from cubemedian import (
     parallel_into,
     product_region,
     project,
+    random_median,
     separators,
     subcomplex,
     theta_classes,
@@ -79,6 +83,42 @@ class TestProject:
     def test_cross_parent_rejected(self, q2, p3):
         with pytest.raises(ValueError):
             project(whole_complex(q2), whole_complex(p3))
+
+
+class TestProjectFilterAgreement:
+    """Projection by key arithmetic against the filter over Y's vertices it
+    replaced."""
+
+    @pytest.mark.parametrize("name", MEDIAN_FIXTURES)
+    def test_all_pairs_of_convex_sets(self, name, request):
+        subs = all_convex_subcomplexes(request.getfixturevalue(name))
+        for y in subs:
+            for z in subs:
+                assert project(y, z) == oracles.filter_project(y, z)
+
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_random_median(self, data):
+        dim = data.draw(st.integers(1, 5))
+        count = data.draw(st.integers(1, min(10, 1 << dim)))
+        cx = random_median(dim, count, seed=data.draw(st.integers(0, 2**64 - 1)))
+        self.check_drawn(cx, data)
+
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_products_and_wedges(self, data):
+        self.check_drawn(draw_product_or_wedge(data), data)
+
+    @staticmethod
+    def check_drawn(cx, data):
+        # three drawn targets per convex set: a product of two staircase(2)
+        # has about 900 convex sets, too many for all pairs
+        rng = SplitMix64(data.draw(st.integers(0, 2**64 - 1)))
+        subs = all_convex_subcomplexes(cx)
+        for y in subs:
+            for _ in range(3):
+                z = rng.choice(subs)
+                assert project(y, z) == oracles.filter_project(y, z)
 
 
 class TestCrossingSignature:
@@ -164,7 +204,8 @@ class TestParallelCopies:
         for cx in (q2, p3, st2, tree8, rm451):
             for verts in oracles.exhaustive_convex_subsets(cx):
                 a = subcomplex(cx, verts)
-                got = sorted(c.vertices for c in parallel_copies(a))
+                # in vertex-tuple order, which verify's sampling relies on
+                got = [c.vertices for c in parallel_copies(a)]
                 assert got == oracles.copies_by_scan(a)
 
 

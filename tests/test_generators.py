@@ -1,8 +1,11 @@
 """Fixture generators: shapes, determinism, spec strings, composition."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import by_label
+from oracles import tuple_random_median
 from cubemedian import (
     GeneratorSpec,
     box,
@@ -19,6 +22,7 @@ from cubemedian import (
     validate,
     wedge,
 )
+from cubemedian.generators import _build_random_median
 
 
 def count_squares(cx):
@@ -138,6 +142,18 @@ class TestRandomMedian:
     def test_count_bounds(self):
         with pytest.raises(ValueError):
             random_median(3, 9)
+
+
+class TestRandomMedianOracle:
+    """The builder on sign words against the tuple builder it replaced."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_same_vertices_edges_and_labels(self, data):
+        dim = data.draw(st.integers(1, 6))
+        count = data.draw(st.integers(1, 1 << dim))
+        seed = data.draw(st.integers(0, 2**64 - 1))
+        assert _build_random_median(dim, count, seed) == tuple_random_median(dim, count, seed)
 
 
 class TestGluedRay:

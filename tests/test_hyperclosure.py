@@ -6,9 +6,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import MEDIAN_FIXTURES, by_label, draw_product_or_wedge
-from oracles import fixpoint_hyperclosure
+from oracles import fixpoint_hyperclosure, mask_longest_chain
 from cubemedian import (
     ResourceLimitError,
+    all_convex_subcomplexes,
+    carrier,
     clean_container,
     comb_side,
     crossing_signature,
@@ -18,6 +20,7 @@ from cubemedian import (
     longest_chain,
     multiplicity,
     oracle_hyperclosure,
+    orth,
     parallel_copies,
     parallel_into,
     project,
@@ -307,6 +310,87 @@ class TestCleanContainer:
                             continue
                         if all(b in crossing[a] for a in sig_w for b in sig_v):
                             assert parallel_into(w, u)
+
+
+def drawn_complexes(test):
+    """Run test(cx, rng) on the median fixtures' drawn counterparts:
+    hypothesis-drawn random_median complexes, products and wedges."""
+    def random_median_case(self, data):
+        dim = data.draw(st.integers(1, 6))
+        count = data.draw(st.integers(1, min(10, 1 << dim)))
+        cx = random_median(dim, count, seed=data.draw(st.integers(0, 2**64 - 1)))
+        test(self, cx, SplitMix64(data.draw(st.integers(0, 2**64 - 1))))
+
+    def product_or_wedge_case(self, data):
+        cx = draw_product_or_wedge(data)
+        test(self, cx, SplitMix64(data.draw(st.integers(0, 2**64 - 1))))
+
+    wrap = settings(max_examples=25, deadline=None)
+    return (wrap(given(data=st.data())(random_median_case)),
+            wrap(given(data=st.data())(product_or_wedge_case)))
+
+
+class TestChainOracleAgreement:
+    """Containment by keys against the vertex-mask chain it replaced: the
+    same length and the same witness, so the least-index tie-break holds."""
+
+    def check(self, cx, rng=None):
+        h = hyperclosure(cx)
+        length, chain = longest_chain(h)
+        expected_length, expected_chain = mask_longest_chain(h)
+        assert length == expected_length
+        assert [m.vertices for m in chain] == [m.vertices for m in expected_chain]
+
+    @pytest.mark.parametrize("name", MEDIAN_FIXTURES)
+    def test_fixtures(self, name, request):
+        self.check(request.getfixturevalue(name))
+
+    test_random_median, test_products_and_wedges = drawn_complexes(check)
+
+
+def assert_canonical(s):
+    """The key of S is the one its vertices recompute: the classes on which
+    they differ, and their signs on the others."""
+    signs = s.parent.signs
+    s0 = signs[s.vertices[0]]
+    free = 0
+    for v in s.vertices:
+        free |= signs[v] ^ s0
+    assert (s.crossing_mask, s.base) == (free, s0 & ~free)
+
+
+class TestCanonicalKeys:
+    """Every constructor returns the canonical key of its vertex set, so
+    equality and hashing by key agree with equality of vertex sets."""
+
+    def check(self, cx, rng):
+        subs = all_convex_subcomplexes(cx)
+        n = cx.vertex_count
+        made = [whole_complex(cx), *subs]
+        for h in theta_classes(cx):
+            made += [comb_side(h, -1), comb_side(h, +1), carrier(h)]
+        for _ in range(20):
+            made.append(hull(cx, rng.sample(range(n), 1 + rng.randrange(min(n, 4)))))
+        for a in subs:
+            made.append(subcomplex(cx, a.vertices))
+            made.append(project(a, rng.choice(subs)))
+            made.append(orth(a, rng.choice(a.vertices)))
+            made += parallel_copies(a)
+        closure = hyperclosure(cx)
+        members = closure.members
+        for f in members:
+            inside = [v for v in members if v != f and v.mask & ~f.mask == 0]
+            if inside:
+                v = rng.choice(inside)
+                made.append(clean_container(closure, f, v, rng.choice(v.vertices)))
+        for s in made:
+            assert_canonical(s)
+
+    @pytest.mark.parametrize("name", MEDIAN_FIXTURES)
+    def test_fixtures(self, name, request):
+        self.check(request.getfixturevalue(name), SplitMix64(7))
+
+    test_random_median, test_products_and_wedges = drawn_complexes(check)
 
 
 class TestDeterminism:

@@ -2,10 +2,15 @@
 
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import cubemedian
 from cubemedian import (
     MedianComplex,
     StructuralError,
@@ -213,6 +218,34 @@ class TestCli:
         out = capsys.readouterr().out
         assert st4_file in out and "gate-crossing-law" in out
         assert "--seed 9" in out and "(0, 1)" in out
+
+    @pytest.mark.parametrize("flag,value,message", [
+        ("--cases", "-5", "cases must be nonnegative, not -5"),
+        ("--seed", "-1", "seed must be in 0..2^64-1, not -1"),
+        ("--seed", str(1 << 64), f"seed must be in 0..2^64-1, not {1 << 64}"),
+    ])
+    def test_verify_rejects_bad_cases_and_seed(self, st4_file, capsys, flag, value, message):
+        assert run(["verify", st4_file, flag, value]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+    def test_verify_accepts_extreme_cases_and_seed(self, st4_file, capsys):
+        assert run(["verify", st4_file, "--cases", "0", "--seed", str((1 << 64) - 1)]) == 0
+        assert capsys.readouterr().out.startswith("verify ok: suite=all cases=0")
+
+
+def test_runs_without_site_packages(tmp_path):
+    # the library promises the standard library only: `python -S` leaves
+    # site-packages, where hypothesis and networkx live, off sys.path
+    path = tmp_path / "st2.json"
+    save_complex(staircase(2), path)
+    src = str(Path(cubemedian.__file__).parents[1])
+    code = (f"import sys; sys.path.insert(0, {src!r}); import cubemedian.cli; "
+            f"sys.exit(cubemedian.cli.run(['analyze', {str(path)!r}]))")
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    proc = subprocess.run([sys.executable, "-S", "-c", code], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["hyperclosure_size"] == len(hyperclosure(staircase(2)))
 
 
 NON_MEDIAN = {
