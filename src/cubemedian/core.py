@@ -394,18 +394,17 @@ class ConvexSubcomplex:
     A convex set is the set of all vertices whose signs equal `base` on the
     classes outside `crossing_mask`, so the pair fixes it.  Every
     constructor gives the exact crossing mask, which makes the key
-    canonical: equality and hash are on the two ints, so subcomplexes of
-    different complexes must not be compared.  The vertex tuple, ascending,
-    is filtered from the signs on first read.
+    canonical: equality is on the two ints within the same parent, and the
+    hash on the two ints alone.  The vertex tuple, ascending, is filtered
+    from the signs on first read.
     """
 
-    parent: MedianComplex = field(repr=False, compare=False)
+    parent: MedianComplex = field(repr=False, hash=False)
     crossing_mask: int
     base: int
 
     def __le__(self, other: "ConvexSubcomplex") -> bool:
-        """Containment: every class crossing self crosses other, and self
-        has other's signs on the classes that do not cross other."""
+        """Containment: other's crossing mask covers self's, and off it the bases agree."""
         free = other.crossing_mask
         return self.crossing_mask & ~free == 0 and self.base & ~free == other.base
 

@@ -196,9 +196,8 @@ def multiplicity(h: Hyperclosure) -> MultiplicityProfile:
 
 def longest_chain(h: Hyperclosure) -> tuple[int, list[ConvexSubcomplex]]:
     """Longest strictly nested chain of members (all share the least member's
-    vertices), with a witness chain: the least index wins among equally
-    long predecessors.  Containment is `ConvexSubcomplex.__le__`, inlined
-    on plain lists because it runs once per pair of members."""
+    vertices), with a witness chain: the least index wins among equally long
+    predecessors.  Containment is `ConvexSubcomplex.__le__` inlined on lists."""
     members = h.members  # already sorted by size
     sizes = [len(m) for m in members]
     free = [m.crossing_mask for m in members]

@@ -55,6 +55,11 @@ def _random_convex(cx: MedianComplex, rng: SplitMix64):
     return hull(cx, rng.sample(range(cx.vertex_count), k))
 
 
+def _recomputed(s):
+    """The key S's vertices recompute; the checks below hold keys to it."""
+    return hull(s.parent, s.vertices)
+
+
 def _product_bijection_ok(region, left, right) -> bool:
     coords = [(gate(left, v), gate(right, v)) for v in region.vertices]
     return (len(set(coords)) == len(region) and
@@ -68,16 +73,17 @@ def _gates_suite(cx, rng, cases, rec: _Recorder):
         y = _random_convex(cx, rng)
         z = _random_convex(cx, rng)
         img = project(y, z)
+        key = _recomputed(img)
         inputs = {"Y": y.vertices, "Z": z.vertices}
-        rec.check(img.crossing_mask == y.crossing_mask & z.crossing_mask,
+        rec.check(key == img and key.crossing_mask == y.crossing_mask & z.crossing_mask,
                   "gate-crossing-law", inputs)
         rec.check(is_convex(cx, img.vertices), "projection-convex", inputs)
-        rec.check(is_parallel(img, project(z, y)), "symmetric-parallelism", inputs)
+        rec.check(is_parallel(key, _recomputed(project(z, y))), "symmetric-parallelism", inputs)
 
         c, d, e = (_random_convex(cx, rng) for _ in range(3))
-        p1 = project(project(c, d), e)
-        p2 = project(c, project(d, e))
-        p3 = project(c, project(e, d))
+        p1, p2, p3 = (_recomputed(p) for p in (project(project(c, d), e),
+                                               project(c, project(d, e)),
+                                               project(c, project(e, d))))
         rec.check(is_parallel(p1, p2) and is_parallel(p2, p3), "projection-currying",
                   {"C": c.vertices, "D": d.vertices, "E": e.vertices})
 
@@ -85,7 +91,8 @@ def _gates_suite(cx, rng, cases, rec: _Recorder):
         copies = parallel_copies(f)
         finputs = {"F": f.vertices}
         rec.check(f in copies, "copies-contain-self", finputs)
-        rec.check(all(is_parallel(f, c2) for c2 in copies), "copies-parallel", finputs)
+        rec.check(all(c2 == _recomputed(c2) and is_parallel(f, c2) for c2 in copies),
+                  "copies-parallel", finputs)
         f2 = rng.choice(copies)
         region = hull(cx, f.vertices + f2.vertices)
         seps = separators(f, f2)
@@ -104,7 +111,7 @@ def _orth_suite(cx, rng, cases, rec: _Recorder, closure: Hyperclosure):
             return
         a_sub = _random_convex(cx, rng)
         a = rng.choice(a_sub.vertices)
-        o1 = orth(a_sub, a)
+        o1 = _recomputed(orth(a_sub, a))
         o3 = orth(orth(o1, a), a)
         rec.check(o3 == o1, "triple-complement", {"A": a_sub.vertices, "a": a})
 
@@ -112,7 +119,7 @@ def _orth_suite(cx, rng, cases, rec: _Recorder, closure: Hyperclosure):
         inner = hull(cx, rng.sample(b_sub.vertices,
                                     1 + rng.randrange(len(b_sub))))
         x = rng.choice(inner.vertices)
-        rec.check(orth(b_sub, x) <= orth(inner, x),
+        rec.check(_recomputed(orth(b_sub, x)) <= _recomputed(orth(inner, x)),
                   "contravariance", {"A": inner.vertices, "B": b_sub.vertices, "a": x})
 
     for member in closure.members:
@@ -146,8 +153,8 @@ def _closure_suite(cx, rng, cases, rec: _Recorder, closure: Hyperclosure):
             return
         rec.check(all(c in member_set for c in parallel_copies(member)),
                   "parallelism-closure", {"F": member.vertices})
-        rec.check(_sound_derivation(closure, member), "grading-soundness",
-                  {"F": member.vertices, "grade": closure.grade[member]})
+        rec.check(member == _recomputed(member) and _sound_derivation(closure, member),
+                  "grading-soundness", {"F": member.vertices, "grade": closure.grade[member]})
 
     _clean_container_checks(cx, rng, cases, rec, closure)
 
@@ -182,7 +189,8 @@ def _clean_container_checks(cx, rng, cases, rec: _Recorder, closure: Hyperclosur
         x = v.vertices[0]
         u = clean_container(closure, f, v, x)
         inputs = {"F": f.vertices, "V": v.vertices, "x": x}
-        rec.check(u in closure.member_set, "clean-container-member", inputs)
+        rec.check(u == _recomputed(u) and u in closure.member_set,
+                  "clean-container-member", inputs)
         rec.check(_orthogonal(cx, u, v), "clean-container-orthogonal", inputs)
         region = hull(cx, v.vertices + u.vertices)
         rec.check(region <= f and _product_bijection_ok(region, v, u),

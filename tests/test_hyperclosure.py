@@ -271,6 +271,18 @@ class TestCleanContainer:
         with pytest.raises(ValueError):
             clean_container(h, square, left_edge, 0)
 
+    def test_other_complex_rejected(self, q2, p3):
+        # the same keys on two complexes: equal hashes, unequal sets
+        v, foreign_v = subcomplex(q2, [0, 1]), subcomplex(p3, [0, 1])
+        assert hash(foreign_v) == hash(v) and foreign_v != v
+        assert whole_complex(p3) != whole_complex(q2)
+        h = hyperclosure(q2)
+        assert clean_container(h, whole_complex(q2), v, 0) in h.member_set
+        with pytest.raises(ValueError):
+            clean_container(h, whole_complex(p3), v, 0)
+        with pytest.raises(ValueError):
+            clean_container(h, whole_complex(q2), foreign_v, 0)
+
     def test_basepoint_outside_rejected(self, q2):
         h = hyperclosure(q2)
         with pytest.raises(ValueError):
@@ -391,6 +403,20 @@ class TestCanonicalKeys:
         self.check(request.getfixturevalue(name), SplitMix64(7))
 
     test_random_median, test_products_and_wedges = drawn_complexes(check)
+
+    def test_verify_reports_a_key_its_vertices_do_not_recompute(self, p3, monkeypatch):
+        """A projection keyed by the right crossing mask, fy & fz, through
+        Y's first vertex: on the path that filter can miss a class of the
+        mask, and verify must see it from the vertices."""
+        from cubemedian import ConvexSubcomplex, verify
+
+        def wrong_key(y, z):
+            free = y.crossing_mask & z.crossing_mask
+            return ConvexSubcomplex(y.parent, free, y.parent.signs[y.vertices[0]] & ~free)
+
+        monkeypatch.setattr(verify, "project", wrong_key)
+        found = {v.invariant for v in verify.verify_complex(p3, suite="gates", cases=200)}
+        assert "gate-crossing-law" in found
 
 
 class TestDeterminism:
