@@ -8,7 +8,6 @@ when the oracle ran.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from typing import Optional
 
 from ._version import __version__
@@ -25,17 +24,20 @@ from .hyperclosure import (
 )
 
 
-@dataclass
 class AnalysisReport:
-    complex_stats: dict
-    hyperclosure_size: int
-    grade_histogram: dict[int, int]
-    multiplicity: dict
-    longest_chain: dict
-    oracle_checked: bool
-    oracle_agrees: Optional[bool]
-    tool_version: str
-    spec_echo: dict
+    def __init__(self, complex_stats: dict, hyperclosure_size: int,
+                 grade_histogram: dict[int, int], multiplicity: dict, longest_chain: dict,
+                 oracle_checked: bool, oracle_agrees: Optional[bool], tool_version: str,
+                 spec_echo: dict):
+        self.complex_stats = complex_stats
+        self.hyperclosure_size = hyperclosure_size
+        self.grade_histogram = grade_histogram
+        self.multiplicity = multiplicity
+        self.longest_chain = longest_chain
+        self.oracle_checked = oracle_checked
+        self.oracle_agrees = oracle_agrees
+        self.tool_version = tool_version
+        self.spec_echo = spec_echo
 
 
 def analyze(cx: MedianComplex, *, max_members: int = DEFAULT_MAX_MEMBERS,

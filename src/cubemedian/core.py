@@ -21,18 +21,51 @@ where its signs are constant; the other classes are the ones crossing it.
 So a convex subcomplex is keyed by two ints, its crossing mask and its
 base (its signs on the classes not crossing it), and that key is the
 currency of every higher operation: hull, projection, complement,
-parallel copies and containment are bit expressions over keys.  The
-sorted vertex tuple is filtered from the signs only when it is read.
+parallel copies and containment are bit expressions over keys.  A key
+cannot be rebound; its sorted vertex tuple is filtered from the signs on
+first read and kept.
+
+Records are NamedTuples or plain classes, not dataclasses: importing
+dataclasses pulls in inspect, ast, dis and tokenize, start-up that every
+CLI process would pay.  `_lazy` stands in for functools.cached_property.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .errors import InvariantViolation, StructuralError
+
+
+class _lazy:
+    """An attribute computed on first read, like functools.cached_property
+    but without its lock: the value goes into the instance dict, which later
+    reads find before this non-data descriptor.  That write bypasses
+    __setattr__, so `_Frozen` classes can use it."""
+
+    def __init__(self, func):
+        self.func = func
+        self.name = func.__name__
+        self.__doc__ = func.__doc__
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.func(obj)
+        return value
+
+
+class _Frozen:
+    """Refuses attribute assignment; constructors write the instance dict."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 def _bits(mask: int):
@@ -112,7 +145,7 @@ class MedianComplex:
 
     # -- wall classes and sign vectors -------------------------------------
 
-    @cached_property
+    @_lazy
     def classes(self) -> tuple["HyperplaneClass", ...]:
         """Wall classes, numbered by least edge.
 
@@ -142,12 +175,12 @@ class MedianComplex:
         """
         return self._walls[0]
 
-    @cached_property
+    @_lazy
     def signs(self) -> tuple[int, ...]:
         """signs[v] has bit i set iff v lies on the plus side of class i."""
         return self._walls[1]
 
-    @cached_property
+    @_lazy
     def _walls(self) -> tuple[tuple["HyperplaneClass", ...], tuple[int, ...], Optional["_Squares"]]:
         """The classes, the signs, and the square scan that certified them
         (None when the classes were built class by class)."""
@@ -168,7 +201,7 @@ class MedianComplex:
                     return classes, signs, squares
         return (*_classes_by_split(self), None)
 
-    @cached_property
+    @_lazy
     def _squares(self) -> "_Squares":
         """The square scan of `validate` over the classes and signs."""
         squares = self._walls[2]
@@ -176,7 +209,7 @@ class MedianComplex:
             squares = _scan_squares(self, self.classes, self.signs, self.by_sign)
         return squares
 
-    @cached_property
+    @_lazy
     def by_sign(self) -> dict[int, int]:
         """The inverse of `signs`; raises unless the walls separate all vertices."""
         out: dict[int, int] = {}
@@ -200,7 +233,7 @@ class MedianComplex:
             raise ValueError("vertex index out of range")
         return (self.signs[u] ^ self.signs[v]).bit_count()
 
-    @cached_property
+    @_lazy
     def crossing_masks(self) -> tuple[int, ...]:
         """Bit j of crossing_masks[i] is set iff walls i and j cross: some
         square has one edge dual to each.  In a median graph that holds iff
@@ -209,7 +242,7 @@ class MedianComplex:
         itself."""
         return self._squares.crossing
 
-    @cached_property
+    @_lazy
     def crossing(self) -> tuple[frozenset[int], ...]:
         """crossing[i] is the set of class ids whose wall crosses wall i."""
         return tuple(frozenset(_bits(m)) for m in self.crossing_masks)
@@ -359,23 +392,25 @@ def _scan_squares(cx: MedianComplex, classes: tuple["HyperplaneClass", ...],
     return _Squares(tuple(crossing), gap, non_adjacent)
 
 
-@dataclass(frozen=True)
-class HyperplaneClass:
+class HyperplaneClass(_Frozen):
     """A wall: an edge class with its two halfspaces, as vertex bitmasks.
 
     The minus side is the halfspace containing the least endpoint of the
     least dual edge, which makes class numbering and side order
     reproducible.  comb_minus/comb_plus (the combinatorial hyperplanes) are
-    the endpoints of the dual edges inside each halfspace.
+    the endpoints of the dual edges inside each halfspace.  Each complex
+    builds its walls once, so walls compare by identity.
     """
 
-    parent: MedianComplex = field(repr=False)
-    class_id: int
-    dual_edges: tuple[tuple[int, int], ...]
-    side_minus_mask: int = field(repr=False)
-    side_plus_mask: int = field(repr=False)
-    comb_minus_mask: int = field(repr=False)
-    comb_plus_mask: int = field(repr=False)
+    def __init__(self, parent: MedianComplex, class_id: int,
+                 dual_edges: tuple[tuple[int, int], ...], side_minus_mask: int,
+                 side_plus_mask: int, comb_minus_mask: int, comb_plus_mask: int):
+        self.__dict__.update(parent=parent, class_id=class_id, dual_edges=dual_edges,
+                             side_minus_mask=side_minus_mask, side_plus_mask=side_plus_mask,
+                             comb_minus_mask=comb_minus_mask, comb_plus_mask=comb_plus_mask)
+
+    def __repr__(self) -> str:
+        return f"HyperplaneClass(class_id={self.class_id!r}, dual_edges={self.dual_edges!r})"
 
     @property
     def comb_minus(self) -> frozenset[int]:
@@ -386,8 +421,7 @@ class HyperplaneClass:
         return frozenset(_bits(self.comb_plus_mask))
 
 
-@dataclass(frozen=True)
-class ConvexSubcomplex:
+class ConvexSubcomplex(_Frozen):
     """A convex subcomplex, keyed by the wall classes that cross it and its
     signs on the others.
 
@@ -395,20 +429,35 @@ class ConvexSubcomplex:
     classes outside `crossing_mask`, so the pair fixes it.  Every
     constructor gives the exact crossing mask, which makes the key
     canonical: equality is on the two ints within the same parent, and the
-    hash on the two ints alone.  The vertex tuple, ascending, is filtered
-    from the signs on first read.
+    hash on the two ints alone.  The key cannot be rebound; the vertex
+    tuple, ascending, and its bitmask are filtered from the signs on first
+    read.
     """
 
-    parent: MedianComplex = field(repr=False, hash=False)
-    crossing_mask: int
-    base: int
+    def __init__(self, parent: MedianComplex, crossing_mask: int, base: int):
+        d = self.__dict__
+        d["parent"] = parent
+        d["crossing_mask"] = crossing_mask
+        d["base"] = base
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.crossing_mask == other.crossing_mask and self.base == other.base
+                and self.parent is other.parent)
+
+    def __hash__(self) -> int:
+        return hash((self.crossing_mask, self.base))
+
+    def __repr__(self) -> str:
+        return f"ConvexSubcomplex(crossing_mask={self.crossing_mask!r}, base={self.base!r})"
 
     def __le__(self, other: "ConvexSubcomplex") -> bool:
         """Containment: other's crossing mask covers self's, and off it the bases agree."""
         free = other.crossing_mask
         return self.crossing_mask & ~free == 0 and self.base & ~free == other.base
 
-    @cached_property
+    @_lazy
     def vertices(self) -> tuple[int, ...]:
         fixed, base = ~self.crossing_mask, self.base
         verts = tuple(v for v, s in enumerate(self.parent.signs) if s & fixed == base)
@@ -416,7 +465,7 @@ class ConvexSubcomplex:
             raise InvariantViolation("no vertex has the required signs (the graph is not median)")
         return verts
 
-    @cached_property
+    @_lazy
     def mask(self) -> int:
         return _mask_of(self.vertices)
 
@@ -450,16 +499,15 @@ def whole_complex(cx: MedianComplex) -> ConvexSubcomplex:
 # -- validation -----------------------------------------------------------
 
 
-@dataclass
-class InvariantFailure:
+class InvariantFailure(NamedTuple):
     invariant: str
     witness: str
 
 
-@dataclass
 class ValidationReport:
-    passed: bool
-    failures: list[InvariantFailure]
+    def __init__(self, passed: bool, failures: list[InvariantFailure]):
+        self.passed = passed
+        self.failures = failures
 
     def summary(self) -> str:
         if self.passed:

@@ -13,9 +13,7 @@ each is one bit expression over keys and sign vectors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .core import ConvexSubcomplex, HyperplaneClass, _bits, hull
+from .core import ConvexSubcomplex, HyperplaneClass, _bits, _Frozen, hull
 
 
 def gate(y: ConvexSubcomplex, x: int) -> int:
@@ -97,18 +95,17 @@ def parallel_bridge(f: ConvexSubcomplex, f2: ConvexSubcomplex) -> ConvexSubcompl
     return hull(f.parent, (x, gate(f2, x)))
 
 
-@dataclass(frozen=True, eq=False)
-class ProductRegion:
+class ProductRegion(_Frozen):
     """Hull of a subcomplex and its orthogonal complement at a basepoint.
 
     coordinates maps each region vertex to its (base, complement) gate pair
     and is a bijection onto base × complement.
     """
 
-    base: ConvexSubcomplex
-    complement: ConvexSubcomplex
-    region: ConvexSubcomplex
-    coordinates: dict[int, tuple[int, int]]
+    def __init__(self, base: ConvexSubcomplex, complement: ConvexSubcomplex,
+                 region: ConvexSubcomplex, coordinates: dict[int, tuple[int, int]]):
+        self.__dict__.update(base=base, complement=complement, region=region,
+                             coordinates=coordinates)
 
 
 def product_region(a: ConvexSubcomplex, basepoint: int) -> ProductRegion:

@@ -10,8 +10,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from .core import MedianComplex, validate
 from .errors import InvariantViolation, ValidationError
@@ -25,8 +24,7 @@ MAX_SPEC_DEPTH = 64
 Param = Union[int, "GeneratorSpec"]
 
 
-@dataclass(frozen=True)
-class GeneratorSpec:
+class GeneratorSpec(NamedTuple):
     """kind plus kind-specific parameters; product and wedge nest sub-specs."""
 
     kind: str

@@ -16,11 +16,9 @@ subcomplexes at their basepoints.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
-from functools import cached_property
-from typing import Optional
+from typing import NamedTuple, Optional
 
-from .core import ConvexSubcomplex, MedianComplex, all_convex_subcomplexes, whole_complex
+from .core import ConvexSubcomplex, MedianComplex, _lazy, all_convex_subcomplexes, whole_complex
 from .errors import InvariantViolation, ResourceLimitError
 from .gates import comb_side, project
 from .orthocomplement import orth
@@ -30,8 +28,7 @@ DEFAULT_MAX_GRADE = 32
 DEFAULT_ORACLE_BOUND = 14
 
 
-@dataclass(frozen=True)
-class Derivation:
+class Derivation(NamedTuple):
     """How a member arises: the whole complex, a hyperplane side, or a
     projection of a lower-grade member onto a hyperplane side."""
 
@@ -41,17 +38,21 @@ class Derivation:
     source: Optional[ConvexSubcomplex] = None
 
 
-@dataclass(eq=False)
 class Hyperclosure:
-    complex: MedianComplex = field(repr=False)
-    members: tuple[ConvexSubcomplex, ...]
-    grade: dict[ConvexSubcomplex, int] = field(repr=False)
-    derivation: dict[ConvexSubcomplex, Derivation] = field(repr=False)
-    parallel_classes: tuple[tuple[ConvexSubcomplex, ...], ...] = field(repr=False)
-    max_members: int
-    max_grade: int
+    def __init__(self, complex: MedianComplex, members: tuple[ConvexSubcomplex, ...],
+                 grade: dict[ConvexSubcomplex, int],
+                 derivation: dict[ConvexSubcomplex, Derivation],
+                 parallel_classes: tuple[tuple[ConvexSubcomplex, ...], ...],
+                 max_members: int, max_grade: int):
+        self.complex = complex
+        self.members = members
+        self.grade = grade
+        self.derivation = derivation
+        self.parallel_classes = parallel_classes
+        self.max_members = max_members
+        self.max_grade = max_grade
 
-    @cached_property
+    @_lazy
     def member_set(self) -> frozenset[ConvexSubcomplex]:
         return frozenset(self.members)
 
@@ -174,14 +175,13 @@ def oracle_hyperclosure(cx: MedianComplex, *,
     return frozenset(out)
 
 
-@dataclass(frozen=True)
-class MultiplicityProfile:
+class MultiplicityProfile(NamedTuple):
     """How many members pass through each vertex; max_multiplicity is the
     factor-system bound witness."""
 
     per_vertex: tuple[int, ...]
     max_multiplicity: int
-    histogram: dict[int, int] = field(hash=False)
+    histogram: dict[int, int]
 
 
 def multiplicity(h: Hyperclosure) -> MultiplicityProfile:

@@ -6,9 +6,9 @@ quadruple is a complete reproduction of any reported violation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import Optional
 
-from .core import MedianComplex, _bits, hull, is_convex, whole_complex
+from .core import ConvexSubcomplex, MedianComplex, _bits, hull, is_convex, whole_complex
 from .gates import (
     comb_side,
     crossing_signature,
@@ -27,12 +27,17 @@ from .rng import SplitMix64
 SUITES = ("gates", "orth", "closure")
 
 
-@dataclass
 class Violation:
-    suite: str
-    invariant: str
-    inputs: dict = field(default_factory=dict)
-    message: str = ""
+    def __init__(self, suite: str, invariant: str, inputs: Optional[dict] = None,
+                 message: str = ""):
+        self.suite = suite
+        self.invariant = invariant
+        self.inputs = {} if inputs is None else inputs
+        self.message = message
+
+    def __repr__(self) -> str:
+        return (f"Violation(suite={self.suite!r}, invariant={self.invariant!r}, "
+                f"inputs={self.inputs!r}, message={self.message!r})")
 
 
 class _Recorder:
@@ -42,7 +47,7 @@ class _Recorder:
         self.cap = cap
 
     def check(self, ok: bool, invariant: str, inputs: dict, message: str = "") -> None:
-        if not ok:
+        if not ok and not self.full:
             self.out.append(Violation(self.suite, invariant, inputs, message))
 
     @property
@@ -178,9 +183,28 @@ def _orthogonal(cx, s, t) -> bool:
     return all(t_mask & ~crossing[i] == 0 for i in _bits(s.crossing_mask))
 
 
+def _contained_pairs(members) -> list[tuple[ConvexSubcomplex, ConvexSubcomplex]]:
+    """The pairs (F, V) of members with V properly inside F, by F and then by
+    V in member order.  V = (T, b) lies in F = (S, a) iff T & ~S == 0 and
+    b & ~S == a, so F scans only the parallel classes whose crossing mask
+    lies in its own."""
+    by_mask: dict[int, list[tuple[int, ConvexSubcomplex]]] = {}
+    for i, m in enumerate(members):
+        by_mask.setdefault(m.crossing_mask, []).append((i, m))
+    pairs = []
+    for f in members:
+        free, base = f.crossing_mask, f.base
+        inside = sorted((i, v) for mask, group in by_mask.items() if mask & ~free == 0
+                        for i, v in group if v.base & ~free == base and v != f)
+        pairs += [(f, v) for _, v in inside]
+    return pairs
+
+
 def _clean_container_checks(cx, rng, cases, rec: _Recorder, closure: Hyperclosure):
-    members = closure.members
-    pairs = [(f, v) for f in members for v in members if v != f and v <= f]
+    pairs = _contained_pairs(closure.members)
+    inside: dict[ConvexSubcomplex, list[ConvexSubcomplex]] = {}
+    for f, v in pairs:
+        inside.setdefault(f, [f]).append(v)
     if cx.vertex_count > 12 and len(pairs) > cases:
         pairs = [pairs[rng.randrange(len(pairs))] for _ in range(cases)]
     for f, v in pairs:
@@ -195,8 +219,7 @@ def _clean_container_checks(cx, rng, cases, rec: _Recorder, closure: Hyperclosur
         region = hull(cx, v.vertices + u.vertices)
         rec.check(region <= f and _product_bijection_ok(region, v, u),
                   "clean-container-product", inputs)
-        maximal = all(parallel_into(w, u) for w in members
-                      if w <= f and _orthogonal(cx, w, v))
+        maximal = all(parallel_into(w, u) for w in inside[f] if _orthogonal(cx, w, v))
         rec.check(maximal, "clean-container-maximality", inputs)
 
 

@@ -19,9 +19,10 @@ squares at each vertex, which preceded the largest clique of crossing
 walls; `filter_project`, the projection as a filter over the target's
 vertices, which preceded the projection by key arithmetic;
 `mask_longest_chain`, the chain by vertex-mask containment, which
-preceded containment by keys; and `tuple_random_median`, the random median
+preceded containment by keys; `tuple_random_median`, the random median
 generator on coordinate tuples with its triple scans, which preceded the
-generator on sign words.
+generator on sign words; and `contained_member_pairs`, the all-pairs
+containment scan that preceded the grouping by crossing mask in `verify`.
 """
 
 import functools
@@ -586,6 +587,12 @@ def mask_longest_chain(h):
         i = prev[i]
     chain.reverse()
     return best_len[top], chain
+
+
+def contained_member_pairs(members):
+    """The pairs (F, V) of members with V properly inside F, by all |F|^2
+    containment tests, F-major in member order."""
+    return [(f, v) for f in members for v in members if v != f and v <= f]
 
 
 def _tuple_majority(a, b, c):

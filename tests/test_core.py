@@ -15,6 +15,7 @@ from cubemedian import (
     all_convex_subcomplexes,
     dimension,
     hull,
+    hyperclosure,
     interval,
     is_convex,
     median,
@@ -556,3 +557,28 @@ class TestSubcomplex:
     def test_membership_outside_vertex_range(self, q2):
         whole = subcomplex(q2, range(4))
         assert [v in whole for v in (-4, -1, 0, 3, 4)] == [False, False, True, True, False]
+
+    def test_key_is_immutable_and_hashed_by_its_ints(self, q2):
+        s = subcomplex(q2, [0, 1])
+        key = (s.crossing_mask, s.base)
+        assert s.vertices == (0, 1) and s.mask == 0b11
+        for name in ("crossing_mask", "base", "parent"):
+            with pytest.raises(AttributeError):
+                setattr(s, name, 0)
+        assert (s.crossing_mask, s.base) == key and s.parent is q2
+        assert hash(s) == hash(key)
+
+    def test_record_reprs(self, st2):
+        """The reprs these records had as dataclasses."""
+        closure = hyperclosure(st2)
+        member = closure.members[3]
+        assert repr(member) == "ConvexSubcomplex(crossing_mask=0, base=3)"
+        assert repr(closure.derivation[member]) == (
+            "Derivation(kind='projection', class_id=0, sign=1, "
+            "source=ConvexSubcomplex(crossing_mask=1, base=2))")
+        assert repr(parse_spec("product(grid(1,1),tree(5,seed=2))")) == (
+            "GeneratorSpec(kind='product', parameters=(GeneratorSpec(kind='grid', "
+            "parameters=(1, 1), seed=None), GeneratorSpec(kind='tree', parameters=(5,), "
+            "seed=2)), seed=None)")
+        assert repr(validate(MedianComplex(0, [])).failures) == (
+            "[InvariantFailure(invariant='connected', witness='empty complex')]")

@@ -6,8 +6,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import MEDIAN_FIXTURES, by_label, draw_product_or_wedge
-from oracles import fixpoint_hyperclosure, mask_longest_chain
+from oracles import contained_member_pairs, fixpoint_hyperclosure, mask_longest_chain
 from cubemedian import (
+    ConvexSubcomplex,
     ResourceLimitError,
     all_convex_subcomplexes,
     carrier,
@@ -25,8 +26,10 @@ from cubemedian import (
     parallel_into,
     project,
     random_median,
+    staircase,
     subcomplex,
     theta_classes,
+    verify,
     whole_complex,
 )
 from cubemedian.rng import SplitMix64
@@ -408,15 +411,47 @@ class TestCanonicalKeys:
         """A projection keyed by the right crossing mask, fy & fz, through
         Y's first vertex: on the path that filter can miss a class of the
         mask, and verify must see it from the vertices."""
-        from cubemedian import ConvexSubcomplex, verify
-
-        def wrong_key(y, z):
-            free = y.crossing_mask & z.crossing_mask
-            return ConvexSubcomplex(y.parent, free, y.parent.signs[y.vertices[0]] & ~free)
-
-        monkeypatch.setattr(verify, "project", wrong_key)
+        monkeypatch.setattr(verify, "project", first_vertex_key)
         found = {v.invariant for v in verify.verify_complex(p3, suite="gates", cases=200)}
         assert "gate-crossing-law" in found
+
+    @pytest.mark.parametrize("cap", [1, 2, 5, 7, 11])
+    def test_verify_stops_at_the_violation_cap(self, cap, monkeypatch):
+        """One case can fail several checks; recording stops at the cap, and
+        what is kept is the first violations of the uncapped run."""
+        monkeypatch.setattr(verify, "project", first_vertex_key)
+        st4 = staircase(4)
+
+        def run(max_violations):
+            return [(v.suite, v.invariant, v.inputs) for v in verify.verify_complex(
+                st4, suite="all", cases=200, seed=1, max_violations=max_violations)]
+
+        uncapped = run(10_000)
+        assert len(uncapped) > 11
+        assert run(cap) == uncapped[:cap]
+
+
+def first_vertex_key(y, z):
+    """A wrong `project`: the right crossing mask, fy & fz, with the base
+    taken from Y's first vertex."""
+    free = y.crossing_mask & z.crossing_mask
+    return ConvexSubcomplex(y.parent, free, y.parent.signs[y.vertices[0]] & ~free)
+
+
+class TestContainedPairs:
+    """The pairs the clean-container checks sample from, grouped by crossing
+    mask, against the all-pairs containment scan they replaced: the same
+    list in the same order, so every seed draws the same cases."""
+
+    def check(self, cx, rng=None):
+        members = hyperclosure(cx).members
+        assert verify._contained_pairs(members) == contained_member_pairs(members)
+
+    @pytest.mark.parametrize("name", MEDIAN_FIXTURES)
+    def test_fixtures(self, name, request):
+        self.check(request.getfixturevalue(name))
+
+    test_random_median, test_products_and_wedges = drawn_complexes(check)
 
 
 class TestDeterminism:

@@ -235,12 +235,15 @@ class TestCli:
 
 def test_runs_without_site_packages(tmp_path):
     # the library promises the standard library only: `python -S` leaves
-    # site-packages, where hypothesis and networkx live, off sys.path
+    # site-packages, where hypothesis and networkx live, off sys.path; and
+    # start-up stays lean: no dataclasses, whose import pulls in inspect
     path = tmp_path / "st2.json"
     save_complex(staircase(2), path)
     src = str(Path(cubemedian.__file__).parents[1])
     code = (f"import sys; sys.path.insert(0, {src!r}); import cubemedian.cli; "
-            f"sys.exit(cubemedian.cli.run(['analyze', {str(path)!r}]))")
+            f"rc = cubemedian.cli.run(['analyze', {str(path)!r}]); "
+            "heavy = sorted({'dataclasses', 'inspect'} & sys.modules.keys()); "
+            "assert not heavy, f'imported {heavy}'; sys.exit(rc)")
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     proc = subprocess.run([sys.executable, "-S", "-c", code], env=env,
                           capture_output=True, text=True)
