@@ -454,6 +454,7 @@ class ConvexSubcomplex(_Frozen):
 
     def __le__(self, other: "ConvexSubcomplex") -> bool:
         """Containment: other's crossing mask covers self's, and off it the bases agree."""
+        _same_parent(self, other)
         free = other.crossing_mask
         return self.crossing_mask & ~free == 0 and self.base & ~free == other.base
 
@@ -478,6 +479,13 @@ class ConvexSubcomplex(_Frozen):
     def __contains__(self, v: int) -> bool:
         cx = self.parent
         return 0 <= v < cx.vertex_count and cx.signs[v] & ~self.crossing_mask == self.base
+
+
+def _same_parent(s: ConvexSubcomplex, t: ConvexSubcomplex) -> None:
+    """Keys compare only within one complex: equal ints of two complexes
+    name unrelated vertex sets."""
+    if s.parent is not t.parent:
+        raise ValueError("subcomplexes belong to different complexes")
 
 
 def subcomplex(parent: MedianComplex, vertices: Iterable[int]) -> ConvexSubcomplex:

@@ -13,7 +13,8 @@ each is one bit expression over keys and sign vectors.
 
 from __future__ import annotations
 
-from .core import ConvexSubcomplex, HyperplaneClass, _bits, _Frozen, hull
+from .core import ConvexSubcomplex, HyperplaneClass, _bits, _Frozen, _same_parent, hull
+from .orthocomplement import orth
 
 
 def gate(y: ConvexSubcomplex, x: int) -> int:
@@ -27,8 +28,7 @@ def gate(y: ConvexSubcomplex, x: int) -> int:
 def project(y: ConvexSubcomplex, z: ConvexSubcomplex) -> ConvexSubcomplex:
     """Gate image of Z in Y: the vertices of Y with Z's signs on the classes
     crossing Y but not Z.  It is crossed exactly by the classes crossing both."""
-    if y.parent is not z.parent:
-        raise ValueError("projection requires subcomplexes of the same complex")
+    _same_parent(y, z)
     fy, fz = y.crossing_mask, z.crossing_mask
     return ConvexSubcomplex(y.parent, fy & fz, y.base | (z.base & fy & ~fz))
 
@@ -51,10 +51,12 @@ def crosses(h: HyperplaneClass, w: HyperplaneClass) -> bool:
 
 
 def is_parallel(s: ConvexSubcomplex, t: ConvexSubcomplex) -> bool:
+    _same_parent(s, t)
     return s.crossing_mask == t.crossing_mask
 
 
 def parallel_into(s: ConvexSubcomplex, t: ConvexSubcomplex) -> bool:
+    _same_parent(s, t)
     return s.crossing_mask & ~t.crossing_mask == 0
 
 
@@ -77,17 +79,20 @@ def comb_side(h: HyperplaneClass, sign: int) -> ConvexSubcomplex:
 def set_distance(s: ConvexSubcomplex, t: ConvexSubcomplex) -> int:
     """The number of walls separating S and T: constant on both, with
     different signs."""
+    _same_parent(s, t)
     return ((s.base ^ t.base) & ~(s.crossing_mask | t.crossing_mask)).bit_count()
 
 
 def separators(f: ConvexSubcomplex, f2: ConvexSubcomplex) -> frozenset[int]:
     """Classes crossing hull(F ∪ F2) but neither F nor F2 (F, F2 parallel):
     those on which F and F2 are constant, with different signs."""
+    _same_parent(f, f2)
     return frozenset(_bits((f.base ^ f2.base) & ~(f.crossing_mask | f2.crossing_mask)))
 
 
 def parallel_bridge(f: ConvexSubcomplex, f2: ConvexSubcomplex) -> ConvexSubcomplex:
     """Hull of a shortest geodesic between F and F2 (least starting vertex)."""
+    _same_parent(f, f2)
     signs = f.parent.signs
     fixed = ~f2.crossing_mask
     # d(v, F2) counts the classes missing F2 on which v differs from F2
@@ -110,8 +115,6 @@ class ProductRegion(_Frozen):
 
 def product_region(a: ConvexSubcomplex, basepoint: int) -> ProductRegion:
     """Product region of A at a point of A: hull(A ∪ orth(A, a)) ≅ A × orth(A, a)."""
-    from .orthocomplement import orth
-
     if basepoint not in a:
         raise ValueError(f"basepoint {basepoint} is not in the subcomplex")
     cx = a.parent
@@ -125,8 +128,6 @@ def parallel_copies(a: ConvexSubcomplex) -> list[ConvexSubcomplex]:
     """The full parallelism class of A, in vertex order: the base slices of
     its product region, one through each b in orth(A, a), crossed by A's
     classes and with b's signs on the others."""
-    from .orthocomplement import orth
-
     cx, free = a.parent, a.crossing_mask
     bases = {cx.signs[b] & ~free for b in orth(a, a.vertices[0])}
     first_seen = dict.fromkeys(s & ~free for s in cx.signs)

@@ -194,25 +194,46 @@ def multiplicity(h: Hyperclosure) -> MultiplicityProfile:
                                max_multiplicity=max(counts), histogram=hist)
 
 
+def _containments(h: Hyperclosure):
+    """Yield (j, i) for every pair of members with members[j] strictly inside
+    members[i], j ascending.
+
+    V = (T, a) lies in F = (S, b) iff T & ~S == 0 and a & ~S == b.  If so,
+    each vertex of V has signs a off T, so a & ~S off S, which puts it in
+    F.  Conversely, a class of T outside S has both signs in V and one in
+    F; and once T lies in S, V's vertices show a & ~S off S, which must be
+    F's base b.  Equal masks give equal keys, so strict containment needs
+    S to contain T strictly, and each such member mask S leaves one
+    candidate, (S, a & ~S): one dict lookup.
+    """
+    members = h.members
+    index = {(m.crossing_mask, m.base): i for i, m in enumerate(members)}
+    masks = dict.fromkeys(m.crossing_mask for m in members)
+    above: dict[int, list[int]] = {}
+    for j, v in enumerate(members):
+        t, a = v.crossing_mask, v.base
+        if t not in above:
+            above[t] = [s for s in masks if s != t and t & ~s == 0]
+        for s in above[t]:
+            i = index.get((s, a & ~s))
+            if i is not None:
+                yield j, i
+
+
 def longest_chain(h: Hyperclosure) -> tuple[int, list[ConvexSubcomplex]]:
     """Longest strictly nested chain of members (all share the least member's
     vertices), with a witness chain: the least index wins among equally long
-    predecessors.  Containment is `ConvexSubcomplex.__le__` inlined on lists."""
-    members = h.members  # already sorted by size
-    sizes = [len(m) for m in members]
-    free = [m.crossing_mask for m in members]
-    base = [m.base for m in members]
+    predecessors.  One pass over `_containments`: a member strictly inside
+    another is smaller, so it comes first in size order and its length is
+    final when its pairs arrive; each target sees its sources in ascending
+    order and takes one only when it is strictly longer."""
+    members = h.members
     best_len = [1] * len(members)
     prev = [-1] * len(members)
-    for i, size in enumerate(sizes):
-        fixed, bi = ~free[i], base[i]
-        for j in range(i):
-            if sizes[j] >= size:
-                break
-            if free[j] & fixed == 0 and base[j] & fixed == bi and best_len[j] + 1 > best_len[i]:
-                best_len[i] = best_len[j] + 1
-                prev[i] = j
-        # members[j] with len == len(m) cannot nest strictly; scan stops there
+    for j, i in _containments(h):
+        if best_len[j] >= best_len[i]:
+            best_len[i] = best_len[j] + 1
+            prev[i] = j
     top = max(range(len(members)), key=lambda i: (best_len[i], -i))
     chain = []
     i = top

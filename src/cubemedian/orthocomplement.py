@@ -6,16 +6,17 @@ whose signs differ from a's only on K, the classes that cross every class
 crossing A, so the complement is the convex subcomplex keyed by crossing
 mask K and a's signs off K.
 
-witness_compact inverts the construction: every hyperclosure member is the
-orthogonal complement of some compact (here: any) convex subcomplex, built
-by recursion over the member's derivation.
+K depends on A only through its crossing mask: it is the polar of that
+mask under the symmetric crossing relation, so taking it three times is
+taking it once.  witness_compact uses this to invert the construction:
+every hyperclosure member F is the orthogonal complement of a compact
+(here: any) convex subcomplex, and the double complement orth(orth(F, x), x)
+gives F back exactly when F is one.
 """
 
 from __future__ import annotations
 
-from .core import ConvexSubcomplex, _bits, hull, subcomplex
-from .errors import InvariantViolation
-from .gates import parallel_copies, set_distance
+from .core import ConvexSubcomplex, _bits
 
 
 def orth(a: ConvexSubcomplex, basepoint: int) -> ConvexSubcomplex:
@@ -51,52 +52,23 @@ def orth(a: ConvexSubcomplex, basepoint: int) -> ConvexSubcomplex:
     return ConvexSubcomplex(cx, perp, cx.signs[basepoint] & ~perp)
 
 
-def witness_compact(f: ConvexSubcomplex, closure=None) -> tuple[ConvexSubcomplex, int]:
-    """A convex subcomplex C and x ∈ C ∩ F with orth(C, x) = F.
+def witness_compact(f: ConvexSubcomplex) -> tuple[ConvexSubcomplex, int]:
+    """A convex subcomplex C and x ∈ C ∩ F with orth(C, x) = F: C = orth(F, x)
+    for x the least vertex of F.  Raises ValueError unless F is a
+    hyperclosure member.
 
-    F must be a hyperclosure member.  The witness follows the member's
-    derivation: the whole complex is the complement of any vertex, a
-    combinatorial hyperplane is the complement of a dual edge, and a
-    projection onto a side H is witnessed by hull(e ∪ C'), where C' is the
-    recursive witness slid within its parallelism class and e is a dual
-    edge of H, the pair chosen at minimal distance (ties: least edge, then
-    least copy).
+    Write σ⊥ for the classes crossing every class of σ, so orth(A, a) is
+    keyed by σ⊥ and a's signs off it, for σ the crossing mask of A.  As
+    crossing is symmetric, every τ lies in τ⊥⊥, and ⊥ reverses inclusion,
+    so σ⊥⊥⊥ = σ⊥.  A member F is a complement orth(A, a) (the
+    characterization the oracle checks); as x ∈ F it equals orth(A', x)
+    for the copy A' of A parallel through x, keyed by σ⊥ and x's signs off
+    it.  So orth(orth(F, x), x), keyed by σ⊥⊥⊥ = σ⊥ and x's signs off it,
+    is F.  Conversely, if it is F, F is the complement of orth(F, x), so a
+    member.
     """
-    cx = f.parent
-    if closure is None:
-        from .hyperclosure import hyperclosure
-
-        closure = hyperclosure(cx)
-    if f not in closure.member_set:
+    x = f.vertices[0]
+    c = orth(f, x)
+    if orth(c, x) != f:
         raise ValueError(f"{f.vertices} is not a hyperclosure member")
-    return _witness(f, closure)
-
-
-def _pick_basepoint(c: ConvexSubcomplex, f: ConvexSubcomplex) -> tuple[ConvexSubcomplex, int]:
-    for x in c.vertices:
-        if orth(c, x) == f:
-            return c, x
-    raise InvariantViolation(
-        f"no basepoint of {c.vertices} has orthogonal complement {f.vertices}")
-
-
-def _witness(f: ConvexSubcomplex, closure) -> tuple[ConvexSubcomplex, int]:
-    cx = f.parent
-    der = closure.derivation[f]
-    if der.kind == "whole":
-        return subcomplex(cx, [0]), 0
-    if der.kind == "side":
-        edge = cx.classes[der.class_id].dual_edges[0]
-        return _pick_basepoint(subcomplex(cx, edge), f)
-    c_prime, _ = _witness(der.source, closure)
-    dual = cx.classes[der.class_id].dual_edges
-    best = None
-    for copy in parallel_copies(c_prime):
-        for e in dual:
-            d = set_distance(subcomplex(cx, e), copy)
-            key = (d, e, copy.vertices)
-            if best is None or key < best:
-                best = key
-    _, e, copy_vertices = best
-    c = hull(cx, e + copy_vertices)
-    return _pick_basepoint(c, f)
+    return c, x

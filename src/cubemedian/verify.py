@@ -20,7 +20,7 @@ from .gates import (
     project,
     separators,
 )
-from .hyperclosure import Hyperclosure, clean_container, hyperclosure
+from .hyperclosure import Hyperclosure, _containments, clean_container, hyperclosure
 from .orthocomplement import orth
 from .rng import SplitMix64
 
@@ -183,28 +183,12 @@ def _orthogonal(cx, s, t) -> bool:
     return all(t_mask & ~crossing[i] == 0 for i in _bits(s.crossing_mask))
 
 
-def _contained_pairs(members) -> list[tuple[ConvexSubcomplex, ConvexSubcomplex]]:
-    """The pairs (F, V) of members with V properly inside F, by F and then by
-    V in member order.  V = (T, b) lies in F = (S, a) iff T & ~S == 0 and
-    b & ~S == a, so F scans only the parallel classes whose crossing mask
-    lies in its own."""
-    by_mask: dict[int, list[tuple[int, ConvexSubcomplex]]] = {}
-    for i, m in enumerate(members):
-        by_mask.setdefault(m.crossing_mask, []).append((i, m))
-    pairs = []
-    for f in members:
-        free, base = f.crossing_mask, f.base
-        inside = sorted((i, v) for mask, group in by_mask.items() if mask & ~free == 0
-                        for i, v in group if v.base & ~free == base and v != f)
-        pairs += [(f, v) for _, v in inside]
-    return pairs
-
-
 def _clean_container_checks(cx, rng, cases, rec: _Recorder, closure: Hyperclosure):
-    pairs = _contained_pairs(closure.members)
-    inside: dict[ConvexSubcomplex, list[ConvexSubcomplex]] = {}
-    for f, v in pairs:
-        inside.setdefault(f, [f]).append(v)
+    members = closure.members
+    inside: dict[ConvexSubcomplex, list[ConvexSubcomplex]] = {}  # F, then the members in F
+    for j, i in _containments(closure):
+        inside.setdefault(members[i], [members[i]]).append(members[j])
+    pairs = [(f, v) for f in members if f in inside for v in inside[f][1:]]
     if cx.vertex_count > 12 and len(pairs) > cases:
         pairs = [pairs[rng.randrange(len(pairs))] for _ in range(cases)]
     for f, v in pairs:
@@ -226,11 +210,14 @@ def _clean_container_checks(cx, rng, cases, rec: _Recorder, closure: Hyperclosur
 def verify_complex(cx: MedianComplex, suite: str = "all", cases: int = 1000,
                    seed: int = 0, max_violations: int = 25) -> list[Violation]:
     """Run the requested invariant suite(s); an empty result means no violation.
-    A seed outside 0..2^64-1 would alias another under splitmix64."""
+    A seed outside 0..2^64-1 would alias another under splitmix64, and a cap
+    below 1 would return before any check ran."""
     if suite != "all" and suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}")
     if cases < 0:
         raise ValueError(f"cases must be nonnegative, not {cases}")
+    if max_violations < 1:
+        raise ValueError(f"max_violations must be positive, not {max_violations}")
     if not 0 <= seed < (1 << 64):
         raise ValueError(f"seed must be in 0..2^64-1, not {seed}")
     wanted = SUITES if suite == "all" else (suite,)

@@ -21,8 +21,10 @@ vertices, which preceded the projection by key arithmetic;
 `mask_longest_chain`, the chain by vertex-mask containment, which
 preceded containment by keys; `tuple_random_median`, the random median
 generator on coordinate tuples with its triple scans, which preceded the
-generator on sign words; and `contained_member_pairs`, the all-pairs
-containment scan that preceded the grouping by crossing mask in `verify`.
+generator on sign words; `contained_member_pairs`, the all-pairs
+containment scan that preceded the containment lookups by key; and
+`derivation_witness`, the compact witness built along a member's
+derivation, which preceded the double complement in `witness_compact`.
 """
 
 import functools
@@ -33,7 +35,7 @@ from typing import Optional
 
 import networkx as nx
 
-from cubemedian import orth, subcomplex
+from cubemedian import hull, orth, subcomplex
 from cubemedian.core import (
     InvariantFailure,
     ValidationReport,
@@ -44,7 +46,7 @@ from cubemedian.core import (
     whole_complex,
 )
 from cubemedian.errors import InvariantViolation, ResourceLimitError
-from cubemedian.gates import crossing_signature, parallel_copies, project
+from cubemedian.gates import crossing_signature, parallel_copies, project, set_distance
 from cubemedian.rng import SplitMix64
 from cubemedian.hyperclosure import (
     DEFAULT_MAX_GRADE,
@@ -593,6 +595,43 @@ def contained_member_pairs(members):
     """The pairs (F, V) of members with V properly inside F, by all |F|^2
     containment tests, F-major in member order."""
     return [(f, v) for f in members for v in members if v != f and v <= f]
+
+
+def _pick_basepoint(c, f):
+    for x in c.vertices:
+        if orth(c, x) == f:
+            return c, x
+    raise InvariantViolation(
+        f"no basepoint of {c.vertices} has orthogonal complement {f.vertices}")
+
+
+def derivation_witness(f, closure):
+    """A convex C and x with orth(C, x) = F, following the member's
+    derivation: the whole complex is the complement of any vertex, a
+    combinatorial hyperplane is the complement of a dual edge, and a
+    projection onto a side H is witnessed by hull(e ∪ C'), where C' is the
+    recursive witness slid within its parallelism class and e is a dual
+    edge of H, the pair chosen at minimal distance (ties: least edge, then
+    least copy)."""
+    cx = f.parent
+    der = closure.derivation[f]
+    if der.kind == "whole":
+        return subcomplex(cx, [0]), 0
+    if der.kind == "side":
+        edge = cx.classes[der.class_id].dual_edges[0]
+        return _pick_basepoint(subcomplex(cx, edge), f)
+    c_prime, _ = derivation_witness(der.source, closure)
+    dual = cx.classes[der.class_id].dual_edges
+    best = None
+    for copy in parallel_copies(c_prime):
+        for e in dual:
+            d = set_distance(subcomplex(cx, e), copy)
+            key = (d, e, copy.vertices)
+            if best is None or key < best:
+                best = key
+    _, e, copy_vertices = best
+    c = hull(cx, e + copy_vertices)
+    return _pick_basepoint(c, f)
 
 
 def _tuple_majority(a, b, c):

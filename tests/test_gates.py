@@ -10,10 +10,12 @@ import oracles
 from conftest import MEDIAN_FIXTURES, by_label, draw_product_or_wedge
 from cubemedian import (
     all_convex_subcomplexes,
+    box,
     carrier,
     crosses,
     crossing_signature,
     gate,
+    grid,
     hull,
     is_convex,
     is_parallel,
@@ -24,6 +26,7 @@ from cubemedian import (
     project,
     random_median,
     separators,
+    set_distance,
     subcomplex,
     theta_classes,
     whole_complex,
@@ -189,6 +192,25 @@ class TestParallelism:
     def test_parallel_into(self, q2):
         assert parallel_into(subcomplex(q2, [0]), subcomplex(q2, [0, 1]))
         assert not parallel_into(subcomplex(q2, [0, 1]), subcomplex(q2, [0]))
+
+    @pytest.mark.parametrize("op", [
+        lambda a, b: a <= b,
+        lambda a, b: b <= a,
+        is_parallel,
+        parallel_into,
+        set_distance,
+        separators,
+        parallel_bridge,
+        project,
+    ])
+    def test_cross_parent_rejected(self, op):
+        # equal keys in two complexes name unrelated sets: the 1x1 grid and
+        # the 1x1 box both key vertex 0 as (0, 0)
+        a = subcomplex(grid(1, 1), [0])
+        b = subcomplex(box(1, 1), [0])
+        assert (a.crossing_mask, a.base) == (b.crossing_mask, b.base) and a != b
+        with pytest.raises(ValueError, match="subcomplexes belong to different complexes"):
+            op(a, b)
 
 
 class TestParallelCopies:

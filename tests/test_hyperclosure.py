@@ -32,6 +32,7 @@ from cubemedian import (
     verify,
     whole_complex,
 )
+from cubemedian.hyperclosure import _containments
 from cubemedian.rng import SplitMix64
 
 # The fixpoint oracle costs about |F|^2 projections, about a million on the
@@ -430,6 +431,12 @@ class TestCanonicalKeys:
         assert len(uncapped) > 11
         assert run(cap) == uncapped[:cap]
 
+    @pytest.mark.parametrize("cap", [0, -1])
+    def test_verify_refuses_a_cap_below_one(self, cap, p3):
+        # a cap of 0 would return [] before any check: "0 violations" hiding "0 checks"
+        with pytest.raises(ValueError, match=f"max_violations must be positive, not {cap}"):
+            verify.verify_complex(p3, max_violations=cap)
+
 
 def first_vertex_key(y, z):
     """A wrong `project`: the right crossing mask, fy & fz, with the base
@@ -439,13 +446,21 @@ def first_vertex_key(y, z):
 
 
 class TestContainedPairs:
-    """The pairs the clean-container checks sample from, grouped by crossing
-    mask, against the all-pairs containment scan they replaced: the same
-    list in the same order, so every seed draws the same cases."""
+    """The containments the chain and the clean-container checks read, one
+    key lookup per member and larger parallel class, against the all-pairs
+    containment scan: the same pairs, sources ascending, so the F-major list
+    verify samples from is the scan's list in the same order and every seed
+    draws the same cases."""
 
     def check(self, cx, rng=None):
-        members = hyperclosure(cx).members
-        assert verify._contained_pairs(members) == contained_member_pairs(members)
+        h = hyperclosure(cx)
+        members = h.members
+        stream = list(_containments(h))
+        sources = [j for j, _ in stream]
+        assert sources == sorted(sources)
+        f_major = sorted((i, j) for j, i in stream)
+        assert ([(members[i], members[j]) for i, j in f_major] ==
+                contained_member_pairs(members))
 
     @pytest.mark.parametrize("name", MEDIAN_FIXTURES)
     def test_fixtures(self, name, request):

@@ -111,7 +111,7 @@ class TestCli:
         rpt = str(tmp_path / "report.json")
         assert run(["build", "--kind", "staircase", "--params", "4", "-o", out]) == 0
         assert run(["analyze", out, "-o", rpt]) == 0
-        report = report_from_json(open(rpt).read())
+        report = report_from_json(Path(rpt).read_text())
         assert report.multiplicity["max"] >= 4
         assert report.spec_echo["generator"] == "staircase(4)"
 
@@ -121,7 +121,7 @@ class TestCli:
         assert run(["build", "--kind", "grid", "--params", "3", "3", "-o", out]) == 0
         assert run(["analyze", out, "--with-oracle", "--oracle-bound", "16",
                     "-o", rpt]) == 0
-        report = report_from_json(open(rpt).read())
+        report = report_from_json(Path(rpt).read_text())
         assert report.oracle_agrees is True
         assert report.multiplicity["max"] == 4
 
@@ -129,7 +129,7 @@ class TestCli:
         r1, r2 = str(tmp_path / "r1.json"), str(tmp_path / "r2.json")
         assert run(["analyze", st4_file, "-o", r1]) == 0
         assert run(["analyze", st4_file, "-o", r2]) == 0
-        assert open(r1, "rb").read() == open(r2, "rb").read()
+        assert Path(r1).read_bytes() == Path(r2).read_bytes()
 
     def test_analyze_deterministic_across_processes(self, st4_file, tmp_path):
         # hash randomization must not leak into reports
@@ -144,7 +144,7 @@ class TestCli:
                 [sys.executable, "-m", "cubemedian.cli", "analyze", st4_file,
                  "-o", rpt], env=env, capture_output=True)
             assert proc.returncode == 0, proc.stderr
-            outs.append(open(rpt, "rb").read())
+            outs.append(Path(rpt).read_bytes())
         assert outs[0] == outs[1]
 
     def test_verify_ok(self, tmp_path, capsys):
@@ -160,7 +160,7 @@ class TestCli:
     def test_export_dot(self, st4_file, tmp_path):
         dot = str(tmp_path / "out.dot")
         assert run(["export", st4_file, "--dot", dot]) == 0
-        assert open(dot).read().startswith("graph")
+        assert Path(dot).read_text().startswith("graph")
 
     def test_usage_error_exit_2(self, capsys):
         assert run(["frobnicate"]) == 2
@@ -204,7 +204,7 @@ class TestCli:
     def test_no_validate_marks_report(self, st4_file, tmp_path):
         rpt = str(tmp_path / "r.json")
         assert run(["analyze", st4_file, "--no-validate", "-o", rpt]) == 0
-        assert report_from_json(open(rpt).read()).spec_echo["validated"] is False
+        assert report_from_json(Path(rpt).read_text()).spec_echo["validated"] is False
 
     def test_verify_violation_prints_reproduction(self, st4_file, capsys, monkeypatch):
         from cubemedian import Violation
@@ -342,7 +342,7 @@ def test_label_schema_exit_2(labels, field, tmp_path, capsys):
 def test_labelled_files_round_trip(build_args, tmp_path):
     path = str(tmp_path / "cx.json")
     assert run(["build", "--kind", *build_args, "-o", path]) == 0
-    text = open(path).read()
+    text = Path(path).read_text()
     cx = complex_from_json(text)
     assert cx.labels and all(type(lab) is tuple for lab in cx.labels.values())
     assert complex_to_json(cx) == text

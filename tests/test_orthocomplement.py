@@ -187,16 +187,14 @@ class TestWitnessCompact:
     def test_st2_bottom_right_edge(self, st2):
         idx = by_label(st2)
         f = subcomplex(st2, [idx[(1, 0)], idx[(2, 0)]])
-        closure = hyperclosure(st2)
-        c, x = witness_compact(f, closure)
+        c, x = witness_compact(f)
         assert orth(c, x) == f
         assert (c, x) in oracles.witnesses_by_search(f)
 
     def test_every_member_witnessed(self, q2, p3, st2, st3, rm451, tree8):
         for cx in (q2, p3, st2, st3, rm451, tree8):
-            closure = hyperclosure(cx)
-            for member in closure.members:
-                c, x = witness_compact(member, closure)
+            for member in hyperclosure(cx).members:
+                c, x = witness_compact(member)
                 assert x in c and x in member
                 assert orth(c, x) == member
 
@@ -204,7 +202,42 @@ class TestWitnessCompact:
         # the left square is convex but not in the hyperclosure
         square = subcomplex(st2, [0, 1, 2, 3])
         with pytest.raises(ValueError):
-            witness_compact(square, hyperclosure(st2))
+            witness_compact(square)
+
+
+class TestWitnessOracleAgreement:
+    """The double complement against the derivation walk it replaced: on
+    every convex set, witness_compact succeeds iff the set is a member, and
+    on members both witnesses give the member back."""
+
+    @staticmethod
+    def check(cx):
+        closure = hyperclosure(cx)
+        for s in all_convex_subcomplexes(cx):
+            if s not in closure.member_set:
+                with pytest.raises(ValueError, match="is not a hyperclosure member"):
+                    witness_compact(s)
+                continue
+            c, x = witness_compact(s)
+            assert x in c and x in s and orth(c, x) == s
+            c, x = oracles.derivation_witness(s, closure)
+            assert x in c and orth(c, x) == s
+
+    @pytest.mark.parametrize("name", MEDIAN_FIXTURES)
+    def test_fixtures(self, name, request):
+        self.check(request.getfixturevalue(name))
+
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_random_median(self, data):
+        dim = data.draw(st.integers(1, 5))
+        count = data.draw(st.integers(1, min(10, 1 << dim)))
+        self.check(random_median(dim, count, seed=data.draw(st.integers(0, 2**64 - 1))))
+
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_products_and_wedges(self, data):
+        self.check(draw_product_or_wedge(data))
 
 
 class TestCharacterization:
