@@ -22,8 +22,8 @@ So a convex subcomplex is keyed by two ints, its crossing mask and its
 base (its signs on the classes not crossing it), and that key is the
 currency of every higher operation: hull, projection, complement,
 parallel copies and containment are bit expressions over keys.  A key
-cannot be rebound; its sorted vertex tuple is filtered from the signs on
-first read and kept.
+cannot be rebound; its sorted vertex tuple is filtered from the signs
+once per complex and key, and kept in a table of the complex.
 
 Records are NamedTuples or plain classes, not dataclasses: importing
 dataclasses pulls in inspect, ast, dis and tokenize, start-up that every
@@ -112,7 +112,8 @@ class MedianComplex:
     The constructor only checks that the adjacency is well-formed (indices
     in range, no loops, no duplicate edges); the median invariants are
     checked by `validate`.  Instances are immutable after construction; the
-    wall classes and the sign vectors are computed on first use and cached.
+    wall classes and the sign vectors are computed on first use and cached,
+    and so is the vertex set of each convex subcomplex key.
     """
 
     def __init__(self, vertex_count: int, edges: Iterable[tuple[int, int]],
@@ -142,6 +143,8 @@ class MedianComplex:
         self.generator = generator
         self.validated = False
         self.full_mask = (1 << vertex_count) - 1
+        # (crossing_mask, base) -> vertex tuple, filled by ConvexSubcomplex.vertices
+        self._vertex_sets: dict[tuple[int, int], tuple[int, ...]] = {}
 
     # -- wall classes and sign vectors -------------------------------------
 
@@ -430,8 +433,9 @@ class ConvexSubcomplex(_Frozen):
     constructor gives the exact crossing mask, which makes the key
     canonical: equality is on the two ints within the same parent, and the
     hash on the two ints alone.  The key cannot be rebound; the vertex
-    tuple, ascending, and its bitmask are filtered from the signs on first
-    read.
+    tuple, ascending, is filtered from the signs on the first read of the
+    key in its complex (the parent keeps a table of them), and its bitmask
+    is built on first read.
     """
 
     def __init__(self, parent: MedianComplex, crossing_mask: int, base: int):
@@ -460,10 +464,18 @@ class ConvexSubcomplex(_Frozen):
 
     @_lazy
     def vertices(self) -> tuple[int, ...]:
-        fixed, base = ~self.crossing_mask, self.base
-        verts = tuple(v for v, s in enumerate(self.parent.signs) if s & fixed == base)
-        if not verts:
-            raise InvariantViolation("no vertex has the required signs (the graph is not median)")
+        """Equal keys built separately share the tuple; an empty filter is
+        not stored, so it raises on every read."""
+        key = (self.crossing_mask, self.base)
+        table = self.parent._vertex_sets
+        verts = table.get(key)
+        if verts is None:
+            fixed, base = ~self.crossing_mask, self.base
+            verts = tuple(v for v, s in enumerate(self.parent.signs) if s & fixed == base)
+            if not verts:
+                raise InvariantViolation(
+                    "no vertex has the required signs (the graph is not median)")
+            table[key] = verts
         return verts
 
     @_lazy

@@ -22,9 +22,12 @@ class SplitMix64:
         return z ^ (z >> 31)
 
     def randrange(self, n: int) -> int:
-        """Uniform integer in [0, n), by rejection."""
+        """Uniform integer in [0, n), by rejection; one draw covers n <= 2^64."""
         if n <= 0:
             raise ValueError("randrange() bound must be positive")
+        if n > 1 << 64:
+            # limit below would be 0 and reject every draw
+            raise ValueError(f"randrange() bound must be at most 2^64, not {n}")
         limit = (1 << 64) - ((1 << 64) % n)
         while True:
             r = self.next64()

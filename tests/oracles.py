@@ -24,7 +24,11 @@ generator on coordinate tuples with its triple scans, which preceded the
 generator on sign words; `contained_member_pairs`, the all-pairs
 containment scan that preceded the containment lookups by key; and
 `derivation_witness`, the compact witness built along a member's
-derivation, which preceded the double complement in `witness_compact`.
+derivation, which preceded the double complement in `witness_compact`;
+`sign_filter_vertices`, the vertex filter each key ran for itself, which
+preceded the filter once per complex and key; and `per_copy_copies_check`,
+verify's copies-parallel check by one hull per copy, which preceded the
+one pass over the signs.
 """
 
 import functools
@@ -46,7 +50,13 @@ from cubemedian.core import (
     whole_complex,
 )
 from cubemedian.errors import InvariantViolation, ResourceLimitError
-from cubemedian.gates import crossing_signature, parallel_copies, project, set_distance
+from cubemedian.gates import (
+    crossing_signature,
+    is_parallel,
+    parallel_copies,
+    project,
+    set_distance,
+)
 from cubemedian.rng import SplitMix64
 from cubemedian.hyperclosure import (
     DEFAULT_MAX_GRADE,
@@ -554,6 +564,22 @@ def table_validate(cx):
                 "wall-cut", f"removing class {class_id} leaves {count} components"))
 
     return ValidationReport(not failures, failures)
+
+
+def sign_filter_vertices(s):
+    """The vertices of the key S, ascending: those whose signs equal S's base
+    off S's crossing mask.  Raises if there is none."""
+    fixed = ~s.crossing_mask
+    verts = tuple(v for v, sign in enumerate(s.parent.signs) if sign & fixed == s.base)
+    if not verts:
+        raise InvariantViolation("no vertex has the required signs (the graph is not median)")
+    return verts
+
+
+def per_copy_copies_check(f, copies):
+    """True iff every copy is the key its own vertices recompute and is
+    parallel to F; a copy that holds no vertex raises."""
+    return all(c2 == hull(c2.parent, c2.vertices) and is_parallel(f, c2) for c2 in copies)
 
 
 def filter_project(y, z):

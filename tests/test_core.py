@@ -13,7 +13,9 @@ from cubemedian import (
     StructuralError,
     InvariantViolation,
     all_convex_subcomplexes,
+    box,
     dimension,
+    grid,
     hull,
     hyperclosure,
     interval,
@@ -24,6 +26,7 @@ from cubemedian import (
     theta_classes,
     tree,
     validate,
+    whole_complex,
 )
 from cubemedian import core
 from cubemedian.core import _square_gap
@@ -582,3 +585,50 @@ class TestSubcomplex:
             "seed=2)), seed=None)")
         assert repr(validate(MedianComplex(0, [])).failures) == (
             "[InvariantFailure(invariant='connected', witness='empty complex')]")
+
+
+class TestVertexTable:
+    """`vertices` is filtered once per complex and key into the complex's
+    table: the per-key sign filter's tuples, shared by equal keys."""
+
+    @staticmethod
+    def check(cx):
+        for s in all_convex_subcomplexes(cx):
+            assert s.vertices == oracles.sign_filter_vertices(s)
+            assert core.ConvexSubcomplex(cx, s.crossing_mask, s.base).vertices is s.vertices
+
+    @pytest.mark.parametrize("name", MEDIAN_FIXTURES)
+    def test_fixtures(self, name, request):
+        self.check(request.getfixturevalue(name))
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_drawn(self, data):
+        self.check(draw_median(data))
+
+    def test_equal_keys_in_two_complexes(self):
+        # the q2/p3 pair of test_other_complex_rejected, built fresh so that
+        # each table starts empty: equal ints name unrelated vertex sets
+        q2, p3 = grid(1, 1), box(2)
+        pairs = [(subcomplex(q2, [0, 1]), subcomplex(p3, [0, 1])),
+                 (whole_complex(q2), whole_complex(p3))]
+        for s, t in pairs:
+            assert (s.crossing_mask, s.base) == (t.crossing_mask, t.base)
+        for s, t in pairs + [(t, s) for s, t in pairs]:
+            for u in (s, t):
+                fresh = core.ConvexSubcomplex(u.parent, u.crossing_mask, u.base)
+                assert fresh.vertices == oracles.sign_filter_vertices(u)
+        assert whole_complex(q2).vertices == (0, 1, 2, 3)
+        assert whole_complex(p3).vertices == (0, 1, 2)
+
+    def test_empty_filter_raises_on_every_read(self, c6):
+        # unvalidated C6 has sign vectors but misses two of the eight sign
+        # words: their keys hold no vertex, and nothing is stored for them
+        missing = [w for w in range(1 << len(c6.classes)) if w not in c6.by_sign]
+        assert len(missing) == 2
+        for base in missing:
+            s = core.ConvexSubcomplex(c6, 0, base)
+            for key in (s, s, core.ConvexSubcomplex(c6, 0, base)):
+                with pytest.raises(InvariantViolation, match="not median"):
+                    key.vertices
+            assert (0, base) not in c6._vertex_sets

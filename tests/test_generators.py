@@ -23,6 +23,7 @@ from cubemedian import (
     wedge,
 )
 from cubemedian.generators import _build_random_median
+from cubemedian.rng import SplitMix64
 
 
 def count_squares(cx):
@@ -207,3 +208,19 @@ class TestSpecStrings:
             a = generate(parse_spec(text))
             b = generate(parse_spec(text))
             assert complex_to_json(a) == complex_to_json(b)
+
+
+class TestSplitMix64:
+    def test_draws_are_pinned(self):
+        rng = SplitMix64(1)
+        assert [rng.randrange(n) for n in (1, 7, 1000, 2**63 + 1, 2**64, 3)] == [
+            0, 0, 590, 8196980753821780235, 8195237237126968761, 2]
+
+    def test_full_range_is_one_raw_draw(self):
+        assert SplitMix64(5).randrange(2**64) == SplitMix64(5).next64()
+
+    @pytest.mark.parametrize("n", [2**64 + 1, 2**65])
+    def test_bound_above_2_64_rejected(self, n):
+        # rejection sampling would accept no draw, and never return
+        with pytest.raises(ValueError, match=rf"at most 2\^64, not {n}$"):
+            SplitMix64(1).randrange(n)

@@ -6,7 +6,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import MEDIAN_FIXTURES, by_label, draw_product_or_wedge
-from oracles import contained_member_pairs, fixpoint_hyperclosure, mask_longest_chain
+from oracles import (
+    contained_member_pairs,
+    fixpoint_hyperclosure,
+    mask_longest_chain,
+    per_copy_copies_check,
+)
 from cubemedian import (
     ConvexSubcomplex,
     ResourceLimitError,
@@ -29,6 +34,7 @@ from cubemedian import (
     staircase,
     subcomplex,
     theta_classes,
+    tree,
     verify,
     whole_complex,
 )
@@ -443,6 +449,75 @@ def first_vertex_key(y, z):
     taken from Y's first vertex."""
     free = y.crossing_mask & z.crossing_mask
     return ConvexSubcomplex(y.parent, free, y.parent.signs[y.vertices[0]] & ~free)
+
+
+def false_copy(kind, f):
+    """A key `parallel_copies(F)` must not return, or None if F has none of
+    that kind."""
+    cx, free = f.parent, f.crossing_mask
+    if kind == "base-without-vertex":
+        bases = {s & ~free for s in cx.signs}
+        empty = [b for b in range(1 << len(cx.classes)) if b & free == 0 and b not in bases]
+        return ConvexSubcomplex(cx, free, empty[0]) if empty else None
+    if kind == "base-inside-crossing-mask":
+        return ConvexSubcomplex(cx, free, f.base | (free & -free)) if free else None
+    return ConvexSubcomplex(cx, free ^ 1, f.base & ~1)  # wrong crossing mask
+
+
+class TestCopiesParallelCheck:
+    """verify's copies-parallel check, one pass over the signs for all copies
+    of F, against the hull of each copy's vertices that it replaced."""
+
+    def check(self, cx, rng):
+        subs = all_convex_subcomplexes(cx)
+        for f in subs if len(subs) <= 40 else rng.sample(subs, 40):
+            copies = parallel_copies(f)
+            assert verify._true_copies(f, copies) == [True] * len(copies)
+            assert per_copy_copies_check(f, copies)
+            # every F-parallel key that holds a vertex, true copy or not,
+            # and the keys one crossing-mask bit off F's
+            free = f.crossing_mask
+            claimed = list({ConvexSubcomplex(cx, free, s & ~free) for s in cx.signs})
+            claimed += [ConvexSubcomplex(cx, free ^ (1 << i), f.base & ~(1 << i))
+                        for i in range(len(cx.classes))]
+            assert (verify._true_copies(f, claimed) ==
+                    [per_copy_copies_check(f, [c2]) for c2 in claimed])
+
+    @pytest.mark.parametrize("name", MEDIAN_FIXTURES)
+    def test_fixtures(self, name, request):
+        self.check(request.getfixturevalue(name), SplitMix64(11))
+
+    test_random_median, test_products_and_wedges = drawn_complexes(check)
+
+    @pytest.mark.parametrize("kind", ["base-without-vertex", "base-inside-crossing-mask",
+                                      "wrong-crossing-mask"])
+    def test_false_copies_are_reported(self, kind, monkeypatch):
+        """A false copy is a copies-parallel violation, and no product is
+        checked with it; the per-copy check raised on one holding no vertex."""
+        honest = verify.parallel_copies
+
+        def tampered(f):
+            false = false_copy(kind, f)
+            return honest(f) + ([false] if false is not None else [])
+
+        monkeypatch.setattr(verify, "parallel_copies", tampered)
+        found = {v.invariant for v in verify.verify_complex(staircase(4), suite="gates",
+                                                            cases=50, seed=1)}
+        assert found == {"copies-parallel"}
+
+    def test_hull_calls_per_case_are_bounded(self, monkeypatch):
+        """A gates case hulls six random sets, recomputes five keys and spans
+        one region: 12 hulls, however many copies F has.  Recomputing each
+        copy took one more per copy, n of them for a singleton of a tree."""
+        real, calls = verify.hull, []
+
+        def counting(cx, vertices):
+            calls.append(cx)
+            return real(cx, vertices)
+
+        monkeypatch.setattr(verify, "hull", counting)
+        assert verify.verify_complex(tree(200, seed=1), suite="gates", cases=20) == []
+        assert len(calls) <= 12 * 20
 
 
 class TestContainedPairs:
