@@ -22,8 +22,8 @@ So a convex subcomplex is keyed by two ints, its crossing mask and its
 base (its signs on the classes not crossing it), and that key is the
 currency of every higher operation: hull, projection, complement,
 parallel copies and containment are bit expressions over keys.  A key
-cannot be rebound; its sorted vertex tuple is filtered from the signs
-once per complex and key, and kept in a table of the complex.
+cannot be rebound; its sorted vertex tuple is kept in a table of the
+complex, filled by one filter per key or one pass per parallel class.
 
 Records are NamedTuples or plain classes, not dataclasses: importing
 dataclasses pulls in inspect, ast, dis and tokenize, start-up that every
@@ -33,7 +33,7 @@ CLI process would pay.  `_lazy` stands in for functools.cached_property.
 from __future__ import annotations
 
 from collections import deque
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .errors import InvariantViolation, StructuralError
 
@@ -143,7 +143,7 @@ class MedianComplex:
         self.generator = generator
         self.validated = False
         self.full_mask = (1 << vertex_count) - 1
-        # (crossing_mask, base) -> vertex tuple, filled by ConvexSubcomplex.vertices
+        # (crossing_mask, base) -> vertex tuple, filled by `vertices` and `parallel_class`
         self._vertex_sets: dict[tuple[int, int], tuple[int, ...]] = {}
 
     # -- wall classes and sign vectors -------------------------------------
@@ -229,6 +229,22 @@ class MedianComplex:
         if v is None:
             raise InvariantViolation(f"no vertex has sign vector {sign:#b}")
         return v
+
+    def parallel_class(self, mask: int) -> Iterator["ConvexSubcomplex"]:
+        """Every convex subcomplex crossed by exactly `mask`, by least vertex:
+        the fibres {v : s_v & ~mask == b} whose spread, the OR of their XORs
+        with their first sign, is `mask`.  Only their tuples enter the table."""
+        signs = self.signs
+        fibres: dict[int, list[int]] = {}
+        for v, s in enumerate(signs):
+            fibres.setdefault(s & ~mask, []).append(v)
+        for base, verts in fibres.items():
+            first, spread = signs[verts[0]], 0
+            for v in verts:
+                spread |= signs[v] ^ first
+            if spread == mask:
+                self._vertex_sets.setdefault((mask, base), tuple(verts))
+                yield ConvexSubcomplex(self, mask, base)
 
     def distance(self, u: int, v: int) -> int:
         """The number of walls separating u and v."""

@@ -125,10 +125,5 @@ def product_region(a: ConvexSubcomplex, basepoint: int) -> ProductRegion:
 
 
 def parallel_copies(a: ConvexSubcomplex) -> list[ConvexSubcomplex]:
-    """The full parallelism class of A, in vertex order: the base slices of
-    its product region, one through each b in orth(A, a), crossed by A's
-    classes and with b's signs on the others."""
-    cx, free = a.parent, a.crossing_mask
-    bases = {cx.signs[b] & ~free for b in orth(a, a.vertices[0])}
-    first_seen = dict.fromkeys(s & ~free for s in cx.signs)
-    return [ConvexSubcomplex(cx, free, base) for base in first_seen if base in bases]
+    """The full parallelism class of A: every key crossed by A's classes, by least vertex."""
+    return list(a.parent.parallel_class(a.crossing_mask))

@@ -42,15 +42,12 @@ class Hyperclosure:
     def __init__(self, complex: MedianComplex, members: tuple[ConvexSubcomplex, ...],
                  grade: dict[ConvexSubcomplex, int],
                  derivation: dict[ConvexSubcomplex, Derivation],
-                 parallel_classes: tuple[tuple[ConvexSubcomplex, ...], ...],
-                 max_members: int, max_grade: int):
+                 parallel_classes: tuple[tuple[ConvexSubcomplex, ...], ...]):
         self.complex = complex
         self.members = members
         self.grade = grade
         self.derivation = derivation
         self.parallel_classes = parallel_classes
-        self.max_members = max_members
-        self.max_grade = max_grade
 
     @_lazy
     def member_set(self) -> frozenset[ConvexSubcomplex]:
@@ -119,6 +116,9 @@ def hyperclosure(cx: MedianComplex, *, max_members: int = DEFAULT_MAX_MEMBERS,
     if max_members < 1:
         raise ResourceLimitError(
             "max_members", f"hyperclosure exceeds max_members={max_members}")
+    if max_grade < 0:
+        raise ResourceLimitError(
+            "max_grade", f"hyperclosure grading exceeds max_grade={max_grade}")
     whole = whole_complex(cx)
     grade: dict[ConvexSubcomplex, int] = {whole: 0}
     derivation: dict[ConvexSubcomplex, Derivation] = {whole: Derivation("whole")}
@@ -148,15 +148,12 @@ def hyperclosure(cx: MedianComplex, *, max_members: int = DEFAULT_MAX_MEMBERS,
                 new.append(p)
         frontier = new
 
+    # one pass per mask fills the vertex table, so the sort filters no key
+    by_mask = {mask: tuple(cx.parallel_class(mask)) for mask in {m.crossing_mask for m in grade}}
     ordered = sorted(grade, key=lambda s: (len(s.vertices), s.vertices))
-    by_sig: dict[int, list[ConvexSubcomplex]] = {}
-    for m in ordered:
-        by_sig.setdefault(m.crossing_mask, []).append(m)
-    classes = tuple(tuple(group) for group in
-                    sorted(by_sig.values(), key=lambda g: (len(g[0].vertices), g[0].vertices)))
+    classes = tuple(by_mask[mask] for mask in dict.fromkeys(m.crossing_mask for m in ordered))
     return Hyperclosure(complex=cx, members=tuple(ordered), grade=grade,
-                        derivation=derivation, parallel_classes=classes,
-                        max_members=max_members, max_grade=max_grade)
+                        derivation=derivation, parallel_classes=classes)
 
 
 def oracle_hyperclosure(cx: MedianComplex, *,

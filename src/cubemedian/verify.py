@@ -66,23 +66,11 @@ def _recomputed(s):
 
 
 def _true_copies(f, copies) -> list[bool]:
-    """For each claimed copy of F, whether it is parallel to F and is the key
-    its vertices recompute, from one pass over the signs.
-
-    The vertices of a key (fF, b) are the signs s with s & ~fF == b, and
-    their hull is crossed by the OR of their XORs with the first of them.
-    So grouping the signs by s & ~fF gives the recomputed key of every
-    F-parallel key at once: a copy keyed (fF, b) is true iff b is a group
-    whose spread is fF.  A base holding no vertex is no group.
-    """
-    free = f.crossing_mask
-    fixed = ~free
-    first: dict[int, int] = {}
-    spread: dict[int, int] = {}
-    for s in f.parent.signs:
-        b = s & fixed
-        spread[b] = spread.get(b, 0) | (s ^ first.setdefault(b, s))
-    return [is_parallel(f, c2) and spread.get(c2.base) == free for c2 in copies]
+    """Whether each claimed copy of F is a slice of F × orth(F, x), one per b in
+    orth(F, x): parallel to F, with b's signs off F's mask.  It reads no fibre of F's mask."""
+    cx, free = f.parent, f.crossing_mask
+    bases = {cx.signs[b] & ~free for b in orth(f, f.vertices[0])}
+    return [is_parallel(f, c2) and c2.base in bases for c2 in copies]
 
 
 def _product_bijection_ok(region, left, right) -> bool:
@@ -118,6 +106,8 @@ def _gates_suite(cx, rng, cases, rec: _Recorder):
         rec.check(f in copies, "copies-contain-self", finputs)
         is_copy = _true_copies(f, copies)
         rec.check(all(is_copy), "copies-parallel", finputs)
+        rec.check(len({c2.base for c2, ok in zip(copies, is_copy) if ok}) ==
+                  len(orth(f, f.vertices[0])), "copies-complete", finputs)
         i = rng.randrange(len(copies))  # as rng.choice(copies) draws
         if not is_copy[i]:
             continue  # a false copy spans no product with F
@@ -176,11 +166,13 @@ def _closure_suite(cx, rng, cases, rec: _Recorder, closure: Hyperclosure):
         rec.check(orth(a_sub, a) in member_set, "complement-closure",
                   {"A": a_sub.vertices, "a": a})
 
+    first_of_class: dict[int, ConvexSubcomplex] = {}  # a class's members share one copy list
     for member in members:
         if rec.full:
             return
-        rec.check(all(c in member_set for c in parallel_copies(member)),
-                  "parallelism-closure", {"F": member.vertices})
+        if first_of_class.setdefault(member.crossing_mask, member) is member:
+            rec.check(all(c in member_set for c in parallel_copies(member)),
+                      "parallelism-closure", {"F": member.vertices})
         rec.check(member == _recomputed(member) and _sound_derivation(closure, member),
                   "grading-soundness", {"F": member.vertices, "grade": closure.grade[member]})
 

@@ -28,7 +28,11 @@ derivation, which preceded the double complement in `witness_compact`;
 `sign_filter_vertices`, the vertex filter each key ran for itself, which
 preceded the filter once per complex and key; and `per_copy_copies_check`,
 verify's copies-parallel check by one hull per copy, which preceded the
-one pass over the signs.
+one pass over the signs; `orth_parallel_copies`, the parallel copies as
+the base slices of the product region, which preceded one pass over the
+signs per crossing mask (`MedianComplex.parallel_class`); and
+`by_sig_parallel_classes`, the members grouped by crossing signature,
+which preceded the closure's classes from that pass.
 """
 
 import functools
@@ -41,6 +45,7 @@ import networkx as nx
 
 from cubemedian import hull, orth, subcomplex
 from cubemedian.core import (
+    ConvexSubcomplex,
     InvariantFailure,
     ValidationReport,
     _bits,
@@ -265,6 +270,26 @@ def medians_by_paths(cx, x, y, z):
     return between(x, y) & between(y, z) & between(x, z)
 
 
+def orth_parallel_copies(a):
+    """The full parallelism class of A, in vertex order: the base slices of
+    its product region, one through each b in orth(A, a), crossed by A's
+    classes and with b's signs on the others."""
+    cx, free = a.parent, a.crossing_mask
+    bases = {cx.signs[b] & ~free for b in orth(a, a.vertices[0])}
+    first_seen = dict.fromkeys(s & ~free for s in cx.signs)
+    return [ConvexSubcomplex(cx, free, base) for base in first_seen if base in bases]
+
+
+def by_sig_parallel_classes(members):
+    """Members (in (size, vertices) order) grouped by crossing signature,
+    the groups ordered by their first member."""
+    by_sig = {}
+    for m in members:
+        by_sig.setdefault(crossing_signature(m), []).append(m)
+    return tuple(tuple(group) for group in
+                 sorted(by_sig.values(), key=lambda g: (len(g[0].vertices), g[0].vertices)))
+
+
 def fixpoint_hyperclosure(cx, *, max_members=DEFAULT_MAX_MEMBERS,
                           max_grade=DEFAULT_MAX_GRADE):
     """Compute the hyperclosure as a worklist fixpoint, then grade it.
@@ -301,7 +326,7 @@ def fixpoint_hyperclosure(cx, *, max_members=DEFAULT_MAX_MEMBERS,
         for f2 in list(member_list):
             add(project(f, f2))
             add(project(f2, f))
-        for copy in parallel_copies(f):
+        for copy in orth_parallel_copies(f):
             add(copy)
 
     grade = {whole: 0}
@@ -333,14 +358,9 @@ def fixpoint_hyperclosure(cx, *, max_members=DEFAULT_MAX_MEMBERS,
         frontier = new
 
     ordered = sorted(members, key=lambda s: (len(s.vertices), s.vertices))
-    by_sig = {}
-    for m in ordered:
-        by_sig.setdefault(crossing_signature(m), []).append(m)
-    classes = tuple(tuple(group) for group in
-                    sorted(by_sig.values(), key=lambda g: (len(g[0].vertices), g[0].vertices)))
     return Hyperclosure(complex=cx, members=tuple(ordered), grade=grade,
-                        derivation=derivation, parallel_classes=classes,
-                        max_members=max_members, max_grade=max_grade)
+                        derivation=derivation,
+                        parallel_classes=by_sig_parallel_classes(ordered))
 
 
 def table_distances(cx):

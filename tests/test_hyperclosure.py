@@ -7,13 +7,17 @@ from hypothesis import strategies as st
 
 from conftest import MEDIAN_FIXTURES, by_label, draw_product_or_wedge
 from oracles import (
+    by_sig_parallel_classes,
     contained_member_pairs,
+    copies_by_scan,
     fixpoint_hyperclosure,
     mask_longest_chain,
+    orth_parallel_copies,
     per_copy_copies_check,
 )
 from cubemedian import (
     ConvexSubcomplex,
+    MedianComplex,
     ResourceLimitError,
     all_convex_subcomplexes,
     carrier,
@@ -38,12 +42,15 @@ from cubemedian import (
     verify,
     whole_complex,
 )
+from cubemedian import core
 from cubemedian.hyperclosure import _containments
 from cubemedian.rng import SplitMix64
 
 # The fixpoint oracle costs about |F|^2 projections, about a million on the
 # full 6-cube (64 vertices, 729 members), so drawn complexes stop below it.
 ORACLE_VERTEX_CAP = 48
+# copies_by_scan tests all 2^n vertex sets for convexity.
+SCAN_VERTEX_CAP = 10
 
 
 def closure_key(h):
@@ -111,8 +118,6 @@ class TestLimitBoundaries:
         top = max(hyperclosure(cx).grade.values())
         # the empty level after the top grade must not trip the limit
         assert hyperclosure(cx, max_grade=top).grade == hyperclosure(cx).grade
-        if top == 0:
-            return
         with pytest.raises(ResourceLimitError) as err:
             hyperclosure(cx, max_grade=top - 1)
         assert err.value.limit == "max_grade"
@@ -518,6 +523,75 @@ class TestCopiesParallelCheck:
         monkeypatch.setattr(verify, "hull", counting)
         assert verify.verify_complex(tree(200, seed=1), suite="gates", cases=20) == []
         assert len(calls) <= 12 * 20
+
+
+    def test_dropped_copy_is_reported(self, monkeypatch):
+        """A copy list missing a true copy is a copies-complete violation and
+        nothing else; the parallelism-closure check of each class relies on
+        the list being whole."""
+        honest = verify.parallel_copies
+
+        def dropping(f):
+            copies = honest(f)
+            dropped = next((c for c in copies if c != f), None)
+            return [c for c in copies if c != dropped]
+
+        monkeypatch.setattr(verify, "parallel_copies", dropping)
+        found = {v.invariant for v in verify.verify_complex(staircase(4), suite="gates",
+                                                            cases=50, seed=1)}
+        assert found == {"copies-complete"}
+
+
+class TestParallelClass:
+    """One pass over the signs per crossing mask, against the product-region
+    slices and the member grouping it replaced, and the exhaustive scan."""
+
+    def check(self, cx, rng):
+        subs = all_convex_subcomplexes(cx)
+        for a in subs if len(subs) <= 40 else rng.sample(subs, 40):
+            copies = parallel_copies(a)
+            assert copies == orth_parallel_copies(a)
+            if cx.vertex_count <= SCAN_VERTEX_CAP:
+                assert [c.vertices for c in copies] == copies_by_scan(a)
+        # on a complex with an empty vertex table, every key the closure reads
+        # is already in the table: the passes fill it before the member sort
+        fresh = MedianComplex(cx.vertex_count, cx.edges)
+        real = core.ConvexSubcomplex.vertices.func
+
+        def vertices(s):
+            assert (s.crossing_mask, s.base) in fresh._vertex_sets
+            return real(s)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(core.ConvexSubcomplex, "vertices", core._lazy(vertices))
+            h = hyperclosure(fresh)
+        assert set(fresh._vertex_sets) == {(m.crossing_mask, m.base) for m in h.members}
+        assert h.parallel_classes == by_sig_parallel_classes(h.members)
+
+    @pytest.mark.parametrize("name", MEDIAN_FIXTURES)
+    def test_fixtures(self, name, request):
+        self.check(request.getfixturevalue(name), SplitMix64(13))
+
+    test_random_median, test_products_and_wedges = drawn_complexes(check)
+
+    def test_tampered_class_is_reported_once(self, monkeypatch):
+        """The members of a class share one copy list, so a non-member added
+        to it is one parallelism-closure violation, not one per member."""
+        st4 = staircase(4)
+        h = hyperclosure(st4)
+        group = max(h.parallel_classes, key=len)
+        assert len(group) > 1
+        stranger = next(s for s in all_convex_subcomplexes(st4) if s not in h.member_set)
+        honest = verify.parallel_copies
+
+        def tampered(f):
+            extra = [stranger] if f.crossing_mask == group[0].crossing_mask else []
+            return honest(f) + extra
+
+        monkeypatch.setattr(verify, "parallel_copies", tampered)
+        found = [v.invariant for v in verify.verify_complex(st4, suite="closure",
+                                                            cases=50, seed=1)]
+        assert found == ["parallelism-closure"]
 
 
 class TestContainedPairs:

@@ -183,6 +183,14 @@ class TestCli:
             assert err.startswith(f"error: resource limit '{flag[2:].replace('-', '_')}'")
             assert err.count("\n") == 1
 
+    def test_negative_max_grade_exit_3(self, tmp_path, capsys):
+        # the single vertex has only grade 0, so max_grade=-1 must refuse it
+        one = tmp_path / "one.json"
+        one.write_text(json.dumps({"vertices": 1, "edges": []}))
+        assert run(["analyze", str(one), "--max-grade", "-1"]) == 3
+        assert capsys.readouterr() == (
+            "", "error: resource limit 'max_grade': hyperclosure grading exceeds max_grade=-1\n")
+
     def test_invalid_complex_exit_1(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"vertices": 3, "edges": [[0, 1], [1, 2], [0, 2]]}))
