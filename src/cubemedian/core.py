@@ -21,9 +21,9 @@ where its signs are constant; the other classes are the ones crossing it.
 So a convex subcomplex is keyed by two ints, its crossing mask and its
 base (its signs on the classes not crossing it), and that key is the
 currency of every higher operation: hull, projection, complement,
-parallel copies and containment are bit expressions over keys.  A key
-cannot be rebound; its sorted vertex tuple is kept in a table of the
-complex, filled by one filter per key or one pass per parallel class.
+parallel copies and containment are bit expressions over keys.  Each
+complex holds one object per key, and a key cannot be rebound; its sorted
+vertex tuple is filtered once, or set by one pass per parallel class.
 
 Records are NamedTuples or plain classes, not dataclasses: importing
 dataclasses pulls in inspect, ast, dis and tokenize, start-up that every
@@ -83,8 +83,9 @@ def _mask_of(vertices: Iterable[int]) -> int:
     return m
 
 
-def _two_colour(cx: "MedianComplex") -> tuple[list[int], list[int], Optional[tuple[int, int]]]:
-    """BFS 2-colouring from vertex 0: depths (-1 if unreachable; the colour
+def _two_colour(cx: "MedianComplex", source: int = 0
+                ) -> tuple[list[int], list[int], Optional[tuple[int, int]]]:
+    """BFS 2-colouring from `source`: depths (-1 if unreachable; the colour
     is the depth's parity), BFS parents, and the first edge found joining
     two vertices of one colour."""
     n = cx.vertex_count
@@ -92,8 +93,8 @@ def _two_colour(cx: "MedianComplex") -> tuple[list[int], list[int], Optional[tup
     parent = [-1] * n
     odd = None
     if n:
-        depth[0] = 0
-        queue = deque([0])
+        depth[source] = 0
+        queue = deque([source])
         while queue:
             x = queue.popleft()
             for y in cx.neighbors[x]:
@@ -113,7 +114,7 @@ class MedianComplex:
     in range, no loops, no duplicate edges); the median invariants are
     checked by `validate`.  Instances are immutable after construction; the
     wall classes and the sign vectors are computed on first use and cached,
-    and so is the vertex set of each convex subcomplex key.
+    and so is the one object of each convex subcomplex key.
     """
 
     def __init__(self, vertex_count: int, edges: Iterable[tuple[int, int]],
@@ -143,8 +144,11 @@ class MedianComplex:
         self.generator = generator
         self.validated = False
         self.full_mask = (1 << vertex_count) - 1
-        # (crossing_mask, base) -> vertex tuple, filled by `vertices` and `parallel_class`
-        self._vertex_sets: dict[tuple[int, int], tuple[int, ...]] = {}
+        self._keys: dict[tuple[int, int], ConvexSubcomplex] = {}  # see ConvexSubcomplex
+
+    def __reduce__(self):
+        return MedianComplex, (self.vertex_count, self.edges, self.labels, self.generator), {
+            "validated": self.validated}
 
     # -- wall classes and sign vectors -------------------------------------
 
@@ -233,7 +237,7 @@ class MedianComplex:
     def parallel_class(self, mask: int) -> Iterator["ConvexSubcomplex"]:
         """Every convex subcomplex crossed by exactly `mask`, by least vertex:
         the fibres {v : s_v & ~mask == b} whose spread, the OR of their XORs
-        with their first sign, is `mask`.  Only their tuples enter the table."""
+        with their first sign, is `mask`.  Each key gets its tuple from this pass."""
         signs = self.signs
         fibres: dict[int, list[int]] = {}
         for v, s in enumerate(signs):
@@ -243,8 +247,9 @@ class MedianComplex:
             for v in verts:
                 spread |= signs[v] ^ first
             if spread == mask:
-                self._vertex_sets.setdefault((mask, base), tuple(verts))
-                yield ConvexSubcomplex(self, mask, base)
+                s = ConvexSubcomplex(self, mask, base)
+                s.__dict__.setdefault("vertices", tuple(verts))
+                yield s
 
     def distance(self, u: int, v: int) -> int:
         """The number of walls separating u and v."""
@@ -447,24 +452,23 @@ class ConvexSubcomplex(_Frozen):
     A convex set is the set of all vertices whose signs equal `base` on the
     classes outside `crossing_mask`, so the pair fixes it.  Every
     constructor gives the exact crossing mask, which makes the key
-    canonical: equality is on the two ints within the same parent, and the
-    hash on the two ints alone.  The key cannot be rebound; the vertex
-    tuple, ascending, is filtered from the signs on the first read of the
-    key in its complex (the parent keeps a table of them), and its bitmask
-    is built on first read.
+    canonical, and returns the parent's one object for the two ints (stored
+    by dict.setdefault, so two threads building it get one object): equality
+    is identity, and the hash is on the two ints alone.  The key cannot be
+    rebound; its ascending vertex tuple is filtered from the signs on first
+    read unless `parallel_class` set it, and its bitmask built on first read.
     """
 
-    def __init__(self, parent: MedianComplex, crossing_mask: int, base: int):
-        d = self.__dict__
-        d["parent"] = parent
-        d["crossing_mask"] = crossing_mask
-        d["base"] = base
+    def __new__(cls, parent: MedianComplex, crossing_mask: int, base: int) -> "ConvexSubcomplex":
+        s = parent._keys.get((crossing_mask, base))
+        if s is None:
+            s = object.__new__(cls)
+            s.__dict__.update(parent=parent, crossing_mask=crossing_mask, base=base)
+            s = parent._keys.setdefault((crossing_mask, base), s)
+        return s
 
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.crossing_mask == other.crossing_mask and self.base == other.base
-                and self.parent is other.parent)
+    def __reduce__(self):
+        return ConvexSubcomplex, (self.parent, self.crossing_mask, self.base)
 
     def __hash__(self) -> int:
         return hash((self.crossing_mask, self.base))
@@ -480,18 +484,12 @@ class ConvexSubcomplex(_Frozen):
 
     @_lazy
     def vertices(self) -> tuple[int, ...]:
-        """Equal keys built separately share the tuple; an empty filter is
-        not stored, so it raises on every read."""
-        key = (self.crossing_mask, self.base)
-        table = self.parent._vertex_sets
-        verts = table.get(key)
-        if verts is None:
-            fixed, base = ~self.crossing_mask, self.base
-            verts = tuple(v for v, s in enumerate(self.parent.signs) if s & fixed == base)
-            if not verts:
-                raise InvariantViolation(
-                    "no vertex has the required signs (the graph is not median)")
-            table[key] = verts
+        """An empty filter is not stored, so it raises on every read."""
+        fixed, base = ~self.crossing_mask, self.base
+        verts = tuple(v for v, s in enumerate(self.parent.signs) if s & fixed == base)
+        if not verts:
+            raise InvariantViolation(
+                "no vertex has the required signs (the graph is not median)")
         return verts
 
     @_lazy
@@ -565,10 +563,21 @@ def _odd_cycle_witness(cx: MedianComplex, color: list[int], parent: list[int],
     return path_u + path_v[::-1][1:]
 
 
-def _square_gap(cx: MedianComplex) -> Optional[tuple[int, int, int]]:
-    """The first triple (z^i, z^j, w), sorted, whose majority z^i^j is
-    missing, found by the square scan of `validate`; None if there is none."""
-    return cx._squares.gap
+def _gap_failure(cx: MedianComplex, triple: tuple[int, int, int]) -> InvariantFailure:
+    """The gap triple with no median, or, on classes not checked for
+    transitivity, a pair whose BFS distance is not its wall count: a triple
+    with a median (three distances summing to half the perimeter) has one,
+    or that median would carry the missing majority signs."""
+    rows = [_two_colour(cx, u)[0] for u in triple]
+    perimeter = sum(rows[i][triple[i - 1]] for i in range(3))
+    if any(2 * sum(dists) == perimeter for dists in zip(*rows)):
+        for u, row in zip(triple, rows):
+            for w, d in enumerate(row):
+                walls = (cx.signs[u] ^ cx.signs[w]).bit_count()
+                if d != walls:
+                    return InvariantFailure("partial-cube", f"vertices {min(u, w)} and {max(u, w)} "
+                                            f"are {d} edges but {walls} walls apart")
+    return InvariantFailure("unique-median", "triple ({},{},{}) has medians []".format(*triple))
 
 
 def validate(cx: MedianComplex) -> ValidationReport:
@@ -590,8 +599,8 @@ def validate(cx: MedianComplex) -> ValidationReport:
     one AND of two halfspace masks, per pair of neighbours: sum of deg(z)^2
     in all.  A vertex z^i^j not adjacent to z^i (say) is reported as a
     pair one wall apart but not adjacent; a missing z^i^j as the triple
-    (z^i, z^j, w), whose majority it is.  The labelling of
-    `MedianComplex.classes` has passed this scan already when it was kept,
+    (z^i, z^j, w), whose majority it is (but see `_gap_failure`).  The
+    labelling of `MedianComplex.classes` passed this scan when it was kept,
     so on a median graph `validate` costs that labelling and one BFS.
 
     Why this is equivalent to the graph being median.  Let the sign vectors
@@ -656,8 +665,7 @@ def validate(cx: MedianComplex) -> ValidationReport:
             "partial-cube",
             "vertices {} and {} are one wall apart but not adjacent".format(*squares.non_adjacent)))
     if squares.gap is not None:
-        failures.append(InvariantFailure(
-            "unique-median", "triple ({},{},{}) has medians []".format(*squares.gap)))
+        failures.append(_gap_failure(cx, squares.gap))
 
     report = ValidationReport(not failures, failures)
     cx.validated = report.passed

@@ -166,8 +166,6 @@ def _build_staircase(n: int):
 def _build_tree(n: int, seed: int):
     if n == 1:
         return 1, [], None
-    if n == 2:
-        return 2, [(0, 1)], None
     rng = SplitMix64(seed)
     seq = [rng.randrange(n) for _ in range(n - 2)]
     degree = [1] * n
@@ -339,8 +337,6 @@ def _stamp(cx: MedianComplex, spec: GeneratorSpec) -> MedianComplex:
 def _build_glued_ray(n: int) -> MedianComplex:
     # path 0..n with staircase(k) wedged at path vertex k, at its (0,0) corner
     cx = MedianComplex(n + 1, [(k, k + 1) for k in range(n)])
-    report = validate(cx)
-    assert report.passed
     for k in range(1, n + 1):
         st = staircase(k)
         corner = next(i for i, lab in st.labels.items() if lab == (0, 0))

@@ -148,7 +148,7 @@ def hyperclosure(cx: MedianComplex, *, max_members: int = DEFAULT_MAX_MEMBERS,
                 new.append(p)
         frontier = new
 
-    # one pass per mask fills the vertex table, so the sort filters no key
+    # one pass per mask sets the members' vertex tuples, so the sort filters no key
     by_mask = {mask: tuple(cx.parallel_class(mask)) for mask in {m.crossing_mask for m in grade}}
     ordered = sorted(grade, key=lambda s: (len(s.vertices), s.vertices))
     classes = tuple(by_mask[mask] for mask in dict.fromkeys(m.crossing_mask for m in ordered))

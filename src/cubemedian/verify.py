@@ -46,9 +46,11 @@ class _Recorder:
         self.out = out
         self.cap = cap
 
-    def check(self, ok: bool, invariant: str, inputs: dict, message: str = "") -> None:
+    def check(self, ok: bool, invariant: str, **inputs) -> None:
         if not ok and not self.full:
-            self.out.append(Violation(self.suite, invariant, inputs, message))
+            self.out.append(Violation(self.suite, invariant, {
+                name: v.vertices if isinstance(v, ConvexSubcomplex) else v
+                for name, v in inputs.items()}))
 
     @property
     def full(self) -> bool:
@@ -65,11 +67,11 @@ def _recomputed(s):
     return hull(s.parent, s.vertices)
 
 
-def _true_copies(f, copies) -> list[bool]:
-    """Whether each claimed copy of F is a slice of F × orth(F, x), one per b in
-    orth(F, x): parallel to F, with b's signs off F's mask.  It reads no fibre of F's mask."""
+def _true_copies(f, copies, perp) -> list[bool]:
+    """Whether each claimed copy of F is a slice of F × perp, one per b in perp =
+    orth(F, x), x in F: parallel to F, with b's signs off F's mask.  It reads no fibre."""
     cx, free = f.parent, f.crossing_mask
-    bases = {cx.signs[b] & ~free for b in orth(f, f.vertices[0])}
+    bases = {cx.signs[b] & ~free for b in perp}
     return [is_parallel(f, c2) and c2.base in bases for c2 in copies]
 
 
@@ -87,40 +89,38 @@ def _gates_suite(cx, rng, cases, rec: _Recorder):
         z = _random_convex(cx, rng)
         img = project(y, z)
         key = _recomputed(img)
-        inputs = {"Y": y.vertices, "Z": z.vertices}
         rec.check(key == img and key.crossing_mask == y.crossing_mask & z.crossing_mask,
-                  "gate-crossing-law", inputs)
-        rec.check(is_convex(cx, img.vertices), "projection-convex", inputs)
-        rec.check(is_parallel(key, _recomputed(project(z, y))), "symmetric-parallelism", inputs)
+                  "gate-crossing-law", Y=y, Z=z)
+        rec.check(is_convex(cx, img.vertices), "projection-convex", Y=y, Z=z)
+        rec.check(is_parallel(key, _recomputed(project(z, y))), "symmetric-parallelism", Y=y, Z=z)
 
         c, d, e = (_random_convex(cx, rng) for _ in range(3))
         p1, p2, p3 = (_recomputed(p) for p in (project(project(c, d), e),
                                                project(c, project(d, e)),
                                                project(c, project(e, d))))
         rec.check(is_parallel(p1, p2) and is_parallel(p2, p3), "projection-currying",
-                  {"C": c.vertices, "D": d.vertices, "E": e.vertices})
+                  C=c, D=d, E=e)
 
         f = _random_convex(cx, rng)
         copies = parallel_copies(f)
-        finputs = {"F": f.vertices}
-        rec.check(f in copies, "copies-contain-self", finputs)
-        is_copy = _true_copies(f, copies)
-        rec.check(all(is_copy), "copies-parallel", finputs)
-        rec.check(len({c2.base for c2, ok in zip(copies, is_copy) if ok}) ==
-                  len(orth(f, f.vertices[0])), "copies-complete", finputs)
+        rec.check(f in copies, "copies-contain-self", F=f)
+        perp = orth(f, f.vertices[0])
+        is_copy = _true_copies(f, copies, perp)
+        rec.check(all(is_copy), "copies-parallel", F=f)
+        rec.check(len({c2.base for c2, ok in zip(copies, is_copy) if ok}) == len(perp),
+                  "copies-complete", F=f)
         i = rng.randrange(len(copies))  # as rng.choice(copies) draws
         if not is_copy[i]:
             continue  # a false copy spans no product with F
         f2 = copies[i]
         region = hull(cx, f.vertices + f2.vertices)
         seps = separators(f, f2)
-        pinputs = {"F": f.vertices, "F2": f2.vertices}
         rec.check(crossing_signature(region) == crossing_signature(f) | seps and
                   not crossing_signature(f) & seps,
-                  "parallel-product-signature", pinputs)
+                  "parallel-product-signature", F=f, F2=f2)
         bridge = parallel_bridge(f, f2)
         rec.check(_product_bijection_ok(region, f, bridge),
-                  "parallel-product-bijection", pinputs)
+                  "parallel-product-bijection", F=f, F2=f2)
 
 
 def _orth_suite(cx, rng, cases, rec: _Recorder, closure: Hyperclosure):
@@ -131,14 +131,14 @@ def _orth_suite(cx, rng, cases, rec: _Recorder, closure: Hyperclosure):
         a = rng.choice(a_sub.vertices)
         o1 = _recomputed(orth(a_sub, a))
         o3 = orth(orth(o1, a), a)
-        rec.check(o3 == o1, "triple-complement", {"A": a_sub.vertices, "a": a})
+        rec.check(o3 == o1, "triple-complement", A=a_sub, a=a)
 
         b_sub = _random_convex(cx, rng)
         inner = hull(cx, rng.sample(b_sub.vertices,
                                     1 + rng.randrange(len(b_sub))))
         x = rng.choice(inner.vertices)
         rec.check(_recomputed(orth(b_sub, x)) <= _recomputed(orth(inner, x)),
-                  "contravariance", {"A": inner.vertices, "B": b_sub.vertices, "a": x})
+                  "contravariance", A=inner, B=b_sub, a=x)
 
     for member in closure.members:
         if rec.full:
@@ -147,8 +147,7 @@ def _orth_suite(cx, rng, cases, rec: _Recorder, closure: Hyperclosure):
         if len(points) > 8:
             points = tuple(sorted(rng.sample(points, 8)))
         for x in points:
-            rec.check(orth(orth(member, x), x) == member, "double-complement",
-                      {"F": member.vertices, "x": x})
+            rec.check(orth(orth(member, x), x) == member, "double-complement", F=member, x=x)
 
 
 def _closure_suite(cx, rng, cases, rec: _Recorder, closure: Hyperclosure):
@@ -159,12 +158,10 @@ def _closure_suite(cx, rng, cases, rec: _Recorder, closure: Hyperclosure):
             return
         f = rng.choice(members)
         f2 = rng.choice(members)
-        rec.check(project(f, f2) in member_set, "projection-closure",
-                  {"F": f.vertices, "F2": f2.vertices})
+        rec.check(project(f, f2) in member_set, "projection-closure", F=f, F2=f2)
         a_sub = _random_convex(cx, rng)
         a = rng.choice(a_sub.vertices)
-        rec.check(orth(a_sub, a) in member_set, "complement-closure",
-                  {"A": a_sub.vertices, "a": a})
+        rec.check(orth(a_sub, a) in member_set, "complement-closure", A=a_sub, a=a)
 
     first_of_class: dict[int, ConvexSubcomplex] = {}  # a class's members share one copy list
     for member in members:
@@ -172,9 +169,9 @@ def _closure_suite(cx, rng, cases, rec: _Recorder, closure: Hyperclosure):
             return
         if first_of_class.setdefault(member.crossing_mask, member) is member:
             rec.check(all(c in member_set for c in parallel_copies(member)),
-                      "parallelism-closure", {"F": member.vertices})
+                      "parallelism-closure", F=member)
         rec.check(member == _recomputed(member) and _sound_derivation(closure, member),
-                  "grading-soundness", {"F": member.vertices, "grade": closure.grade[member]})
+                  "grading-soundness", F=member, grade=closure.grade[member])
 
     _clean_container_checks(cx, rng, cases, rec, closure)
 
@@ -211,15 +208,14 @@ def _clean_container_checks(cx, rng, cases, rec: _Recorder, closure: Hyperclosur
             return
         x = v.vertices[0]
         u = clean_container(closure, f, v, x)
-        inputs = {"F": f.vertices, "V": v.vertices, "x": x}
         rec.check(u == _recomputed(u) and u in closure.member_set,
-                  "clean-container-member", inputs)
-        rec.check(_orthogonal(cx, u, v), "clean-container-orthogonal", inputs)
+                  "clean-container-member", F=f, V=v, x=x)
+        rec.check(_orthogonal(cx, u, v), "clean-container-orthogonal", F=f, V=v, x=x)
         region = hull(cx, v.vertices + u.vertices)
         rec.check(region <= f and _product_bijection_ok(region, v, u),
-                  "clean-container-product", inputs)
+                  "clean-container-product", F=f, V=v, x=x)
         maximal = all(parallel_into(w, u) for w in inside[f] if _orthogonal(cx, w, v))
-        rec.check(maximal, "clean-container-maximality", inputs)
+        rec.check(maximal, "clean-container-maximality", F=f, V=v, x=x)
 
 
 def verify_complex(cx: MedianComplex, suite: str = "all", cases: int = 1000,

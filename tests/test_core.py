@@ -1,5 +1,8 @@
 """Base combinatorics: validation, medians, intervals, walls, convexity, hulls."""
 
+import copy
+import pickle
+import re
 from unittest import mock
 
 import pytest
@@ -21,6 +24,8 @@ from cubemedian import (
     interval,
     is_convex,
     median,
+    orth,
+    project,
     random_median,
     subcomplex,
     theta_classes,
@@ -29,9 +34,14 @@ from cubemedian import (
     whole_complex,
 )
 from cubemedian import core
-from cubemedian.core import _square_gap
 from cubemedian.generators import generate, parse_spec
 from cubemedian.rng import SplitMix64
+
+
+def _square_gap(cx):
+    """The first triple (z^i, z^j, w), sorted, whose majority z^i^j is
+    missing, found by the square scan of `validate`; None if there is none."""
+    return cx._squares.gap
 
 
 def members(mask):
@@ -131,13 +141,28 @@ class TestValidate:
     @given(cx=induced_hypercube_subgraphs(5))
     @example(cx=induced_hypercube_subgraph(3, range(7)))
     @example(cx=induced_hypercube_subgraph(5, (0, 1, 3, 7, 6, 4, 16)))
+    # split classes that are not transitive: the square scan finds a gap
+    # whose triple has a median by graph distance
+    @example(cx=induced_hypercube_subgraph(
+        5, [0, 4, 7, 9, 10, 12, 15, 16, 17, 18, 19, 20, 21, 22, 24, 29, 30, 31]))
+    @example(cx=induced_hypercube_subgraph(
+        5, [0, 1, 8, 9, 12, 15, 16, 17, 18, 20, 21, 23, 24, 26, 28, 29, 31]))
     def test_non_median_witness(self, cx):
         """validate() fails exactly the drawn pieces of the 5-cube that the
-        table oracle fails, and on every such piece that is a partial cube it
-        reports a unique-median triple that really has no median."""
+        table oracle fails; a pair it names as off the metric has a graph
+        distance other than its wall count; and on every failing piece that
+        is a partial cube it reports a unique-median triple that really has
+        no median."""
         report = validate(cx)
         assert report.passed == oracles.table_validate(cx).passed
         invariants = {f.invariant for f in report.failures}
+        for f in report.failures:
+            pair = re.fullmatch(r"vertices (\d+) and (\d+) are (\d+) edges but (\d+) walls apart",
+                                f.witness)
+            if pair:
+                u, v, d, walls = map(int, pair.groups())
+                assert f.invariant == "partial-cube" and u < v
+                assert oracles.nx_distances(cx)[u][v] == d != walls == cx.distance(u, v)
         if not report.passed and not invariants & {"wall-relation", "partial-cube"}:
             fail = next(f for f in report.failures if f.invariant == "unique-median")
             triple = eval(fail.witness.split(" has ")[0].replace("triple ", ""))
@@ -588,8 +613,8 @@ class TestSubcomplex:
 
 
 class TestVertexTable:
-    """`vertices` is filtered once per complex and key into the complex's
-    table: the per-key sign filter's tuples, shared by equal keys."""
+    """`vertices` is the per-key sign filter's tuple, filtered once per
+    complex and key: equal keys built separately are one object."""
 
     @staticmethod
     def check(cx):
@@ -608,7 +633,7 @@ class TestVertexTable:
 
     def test_equal_keys_in_two_complexes(self):
         # the q2/p3 pair of test_other_complex_rejected, built fresh so that
-        # each table starts empty: equal ints name unrelated vertex sets
+        # no key is interned yet: equal ints name unrelated vertex sets
         q2, p3 = grid(1, 1), box(2)
         pairs = [(subcomplex(q2, [0, 1]), subcomplex(p3, [0, 1])),
                  (whole_complex(q2), whole_complex(p3))]
@@ -631,4 +656,72 @@ class TestVertexTable:
             for key in (s, s, core.ConvexSubcomplex(c6, 0, base)):
                 with pytest.raises(InvariantViolation, match="not median"):
                     key.vertices
-            assert (0, base) not in c6._vertex_sets
+            assert "vertices" not in s.__dict__
+
+
+class TestInterning:
+    """Each complex holds one object per key: every route to a convex set
+    returns that object, and copies and pickles intern their own."""
+
+    @staticmethod
+    def check(cx):
+        whole = whole_complex(cx)
+        for s in all_convex_subcomplexes(cx):
+            assert hull(cx, s.vertices) is s
+            assert subcomplex(cx, reversed(s.vertices)) is s
+            assert core.ConvexSubcomplex(cx, s.crossing_mask, s.base) is s
+            assert project(whole, s) is s and project(s, whole) is s
+        for v in range(cx.vertex_count):
+            assert orth(hull(cx, [v]), v) is whole
+        closure = hyperclosure(cx)
+        for m in closure.members:
+            x = m.vertices[-1]
+            assert orth(orth(m, x), x) is m
+        ids = {id(m) for m in closure.members}
+        assert {id(s) for group in closure.parallel_classes for s in group} == ids
+        assert {id(s) for s in closure.grade} == {id(s) for s in closure.derivation} == ids
+        assert {id(d.source) for d in closure.derivation.values() if d.source} <= ids
+
+    @pytest.mark.parametrize("name", MEDIAN_FIXTURES)
+    def test_fixtures(self, name, request):
+        self.check(request.getfixturevalue(name))
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_drawn(self, data):
+        self.check(draw_median(data))
+
+    def test_equal_ints_in_two_complexes_are_two_objects(self, q2, p3):
+        for s, t in [(subcomplex(q2, [0, 1]), subcomplex(p3, [0, 1])),
+                     (whole_complex(q2), whole_complex(p3))]:
+            assert (s.crossing_mask, s.base) == (t.crossing_mask, t.base) and s is not t
+            assert core.ConvexSubcomplex(q2, s.crossing_mask, s.base) is s
+            assert core.ConvexSubcomplex(p3, s.crossing_mask, s.base) is t
+
+    @pytest.mark.parametrize("clone", ["deepcopy", "pickle"])
+    def test_copies_and_pickles(self, clone, st3):
+        clone = copy.deepcopy if clone == "deepcopy" else (
+            lambda obj: pickle.loads(pickle.dumps(obj)))
+        closure = hyperclosure(st3)
+        key = closure.members[5]
+        assert copy.copy(key) is key
+        assert whole_complex(copy.copy(st3)).parent is not st3
+
+        cx = clone(st3)
+        assert cx is not st3 and cx.validated
+        assert (cx.vertex_count, cx.edges, cx.labels, cx.generator, cx.signs) == (
+            st3.vertex_count, st3.edges, st3.labels, st3.generator, st3.signs)
+
+        k = clone(key)
+        assert k.parent is not st3 and (k.crossing_mask, k.base) == (key.crossing_mask, key.base)
+        assert k.vertices == key.vertices and hull(k.parent, k.vertices) is k
+
+        h = clone(closure)
+        cx = h.complex
+        assert [m.vertices for m in h.members] == [m.vertices for m in closure.members]
+        assert all(m.parent is cx and core.ConvexSubcomplex(cx, m.crossing_mask, m.base) is m
+                   for m in h.members)
+        assert h.grade[h.members[5]] == closure.grade[key]
+        assert {d.source for d in h.derivation.values() if d.source} <= h.member_set
+        assert [[m.vertices for m in g] for g in h.parallel_classes] == [
+            [m.vertices for m in g] for g in closure.parallel_classes]

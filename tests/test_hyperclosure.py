@@ -477,7 +477,8 @@ class TestCopiesParallelCheck:
         subs = all_convex_subcomplexes(cx)
         for f in subs if len(subs) <= 40 else rng.sample(subs, 40):
             copies = parallel_copies(f)
-            assert verify._true_copies(f, copies) == [True] * len(copies)
+            perp = orth(f, f.vertices[0])
+            assert verify._true_copies(f, copies, perp) == [True] * len(copies)
             assert per_copy_copies_check(f, copies)
             # every F-parallel key that holds a vertex, true copy or not,
             # and the keys one crossing-mask bit off F's
@@ -485,7 +486,7 @@ class TestCopiesParallelCheck:
             claimed = list({ConvexSubcomplex(cx, free, s & ~free) for s in cx.signs})
             claimed += [ConvexSubcomplex(cx, free ^ (1 << i), f.base & ~(1 << i))
                         for i in range(len(cx.classes))]
-            assert (verify._true_copies(f, claimed) ==
+            assert (verify._true_copies(f, claimed, perp) ==
                     [per_copy_copies_check(f, [c2]) for c2 in claimed])
 
     @pytest.mark.parametrize("name", MEDIAN_FIXTURES)
@@ -553,19 +554,17 @@ class TestParallelClass:
             assert copies == orth_parallel_copies(a)
             if cx.vertex_count <= SCAN_VERTEX_CAP:
                 assert [c.vertices for c in copies] == copies_by_scan(a)
-        # on a complex with an empty vertex table, every key the closure reads
-        # is already in the table: the passes fill it before the member sort
+        # on a fresh complex, the closure runs no vertex filter: the passes
+        # give every member its tuple before the member sort, and no other key
         fresh = MedianComplex(cx.vertex_count, cx.edges)
-        real = core.ConvexSubcomplex.vertices.func
 
         def vertices(s):
-            assert (s.crossing_mask, s.base) in fresh._vertex_sets
-            return real(s)
+            raise AssertionError(f"{s!r} filtered inside hyperclosure()")
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(core.ConvexSubcomplex, "vertices", core._lazy(vertices))
             h = hyperclosure(fresh)
-        assert set(fresh._vertex_sets) == {(m.crossing_mask, m.base) for m in h.members}
+        assert {s for s in fresh._keys.values() if "vertices" in s.__dict__} == h.member_set
         assert h.parallel_classes == by_sig_parallel_classes(h.members)
 
     @pytest.mark.parametrize("name", MEDIAN_FIXTURES)
