@@ -18,9 +18,9 @@ from __future__ import annotations
 from collections import Counter
 from typing import NamedTuple, Optional
 
-from .core import ConvexSubcomplex, MedianComplex, _lazy, all_convex_subcomplexes, whole_complex
+from .core import ConvexSubcomplex, MedianComplex, _lazy, all_convex_subcomplexes
 from .errors import InvariantViolation, ResourceLimitError
-from .gates import comb_side, project
+from .gates import comb_side
 from .orthocomplement import orth
 
 DEFAULT_MAX_MEMBERS = 100_000
@@ -109,6 +109,35 @@ def hyperclosure(cx: MedianComplex, *, max_members: int = DEFAULT_MAX_MEMBERS,
     family.  tests/oracles.py keeps the pairwise worklist fixpoint this
     replaced, and the tests check that both agree.
 
+    The search runs on (crossing mask, base) int pairs, and each side meets
+    each restriction once.  Restriction lemma: with S = (M, b) and
+    f = (m, c), where a base is zero on its own mask (so c & ~m = c),
+
+        project(S, f) = (M & m, b | (c & M & ~m)) = (r_m, b | r_c)
+
+    for r = (m & M, c & M), the restriction of f to M.  So the projection
+    reads f only through r, and for a fixed side distinct restrictions
+    give distinct results (r_c is the result's base on M, where b is zero).
+    A level therefore restricts the frontier once per distinct side mask,
+    and keeps for each restriction the first f in frontier order.  Every
+    side of that mask projects only the restrictions its mask has not met
+    at this level or an earlier one.  A skipped pair cannot change a grade
+    or a derivation:
+    - a later f of this level with a met restriction r gives, for each
+      side, the same key as the first f with r, which that side reached
+      earlier in its inner loop, so the key is already graded;
+    - a restriction met at an earlier level gave, for every side of the
+      mask, its key then, so the key is already graded, at a lower level.
+    The pairs that remain are visited in the full loop's order, sides
+    outer and frontier inner, so each new key is found at the same step,
+    from the same side and the same first f, which is the source the full
+    loop records (its later f's find the key graded).  The limits fire at the
+    same new key for the same reason.  tests/oracles.py keeps the full
+    loop over keys and the tests check that both agree.
+
+    Keys become `ConvexSubcomplex` objects only after the search, one per
+    member; derivation sources are members.
+
     Raises ResourceLimitError naming the limit when the (max_members+1)-th
     member is found, or when a member of grade above max_grade appears; no
     partial result is kept.
@@ -119,18 +148,29 @@ def hyperclosure(cx: MedianComplex, *, max_members: int = DEFAULT_MAX_MEMBERS,
     if max_grade < 0:
         raise ResourceLimitError(
             "max_grade", f"hyperclosure grading exceeds max_grade={max_grade}")
-    whole = whole_complex(cx)
-    grade: dict[ConvexSubcomplex, int] = {whole: 0}
-    derivation: dict[ConvexSubcomplex, Derivation] = {whole: Derivation("whole")}
-    sides = _hyperplane_sides(cx)
+    whole = ((1 << len(cx.classes)) - 1, 0)
+    grade: dict[tuple[int, int], int] = {whole: 0}
+    # sources stay int pairs until the keys are built
+    derivation: dict[tuple[int, int], Derivation] = {whole: Derivation("whole")}
+    sides = [(cid, sign, s.crossing_mask, s.base) for cid, sign, s in _hyperplane_sides(cx)]
+    # the restrictions each side mask has met, at this level or an earlier one
+    met: dict[int, set[tuple[int, int]]] = {mask: set() for _, _, mask, _ in sides}
     frontier = [whole]
     level = 0
     while frontier:
         level += 1
-        new: list[ConvexSubcomplex] = []
-        for cid, sign, side in sides:
+        fresh = {}  # per side mask: each new restriction, with the first f giving it
+        for mask, seen in met.items():
+            fresh[mask] = out = []
             for f in frontier:
-                p = project(side, f)
+                r = (f[0] & mask, f[1] & mask)
+                if r not in seen:
+                    seen.add(r)
+                    out.append((*r, f))
+        new: list[tuple[int, int]] = []
+        for cid, sign, mask, base in sides:
+            for r_mask, r_base, f in fresh[mask]:
+                p = (r_mask, base | r_base)
                 if p in grade:
                     continue
                 if level > max_grade:
@@ -148,12 +188,17 @@ def hyperclosure(cx: MedianComplex, *, max_members: int = DEFAULT_MAX_MEMBERS,
                 new.append(p)
         frontier = new
 
+    key = {p: ConvexSubcomplex(cx, *p) for p in grade}
     # one pass per mask sets the members' vertex tuples, so the sort filters no key
-    by_mask = {mask: tuple(cx.parallel_class(mask)) for mask in {m.crossing_mask for m in grade}}
-    ordered = sorted(grade, key=lambda s: (len(s.vertices), s.vertices))
+    by_mask = {mask: tuple(cx.parallel_class(mask)) for mask in {p[0] for p in grade}}
+    ordered = sorted(key.values(), key=lambda s: (len(s.vertices), s.vertices))
     classes = tuple(by_mask[mask] for mask in dict.fromkeys(m.crossing_mask for m in ordered))
-    return Hyperclosure(complex=cx, members=tuple(ordered), grade=grade,
-                        derivation=derivation, parallel_classes=classes)
+    return Hyperclosure(
+        complex=cx, members=tuple(ordered),
+        grade={key[p]: g for p, g in grade.items()},
+        derivation={key[p]: d if d.source is None else Derivation(*d[:3], key[d.source])
+                    for p, d in derivation.items()},
+        parallel_classes=classes)
 
 
 def oracle_hyperclosure(cx: MedianComplex, *,

@@ -32,7 +32,10 @@ one pass over the signs; `orth_parallel_copies`, the parallel copies as
 the base slices of the product region, which preceded one pass over the
 signs per crossing mask (`MedianComplex.parallel_class`); and
 `by_sig_parallel_classes`, the members grouped by crossing signature,
-which preceded the closure's classes from that pass.
+which preceded the closure's classes from that pass; and
+`graded_bfs_hyperclosure`, the graded search that projected every side
+onto every frontier member as keys, which preceded the search on int
+pairs in which each side meets each restriction once.
 """
 
 import functools
@@ -361,6 +364,54 @@ def fixpoint_hyperclosure(cx, *, max_members=DEFAULT_MAX_MEMBERS,
     return Hyperclosure(complex=cx, members=tuple(ordered), grade=grade,
                         derivation=derivation,
                         parallel_classes=by_sig_parallel_classes(ordered))
+
+
+def graded_bfs_hyperclosure(cx, *, max_members=DEFAULT_MAX_MEMBERS,
+                            max_grade=DEFAULT_MAX_GRADE):
+    """The graded search over keys: every side projected with `project` onto
+    every frontier member, sides outer, frontier inner, one key per
+    projection.  About 2k·|F| projections."""
+    if max_members < 1:
+        raise ResourceLimitError(
+            "max_members", f"hyperclosure exceeds max_members={max_members}")
+    if max_grade < 0:
+        raise ResourceLimitError(
+            "max_grade", f"hyperclosure grading exceeds max_grade={max_grade}")
+    whole = whole_complex(cx)
+    grade: dict[ConvexSubcomplex, int] = {whole: 0}
+    derivation: dict[ConvexSubcomplex, Derivation] = {whole: Derivation("whole")}
+    sides = _hyperplane_sides(cx)
+    frontier = [whole]
+    level = 0
+    while frontier:
+        level += 1
+        new: list[ConvexSubcomplex] = []
+        for cid, sign, side in sides:
+            for f in frontier:
+                p = project(side, f)
+                if p in grade:
+                    continue
+                if level > max_grade:
+                    raise ResourceLimitError(
+                        "max_grade", f"hyperclosure grading exceeds max_grade={max_grade}")
+                if len(grade) >= max_members:
+                    raise ResourceLimitError(
+                        "max_members", f"hyperclosure exceeds max_members={max_members}")
+                grade[p] = level
+                if level == 1:
+                    derivation[p] = Derivation("side", class_id=cid, sign=sign)
+                else:
+                    derivation[p] = Derivation(
+                        "projection", class_id=cid, sign=sign, source=f)
+                new.append(p)
+        frontier = new
+
+    # one pass per mask sets the members' vertex tuples, so the sort filters no key
+    by_mask = {mask: tuple(cx.parallel_class(mask)) for mask in {m.crossing_mask for m in grade}}
+    ordered = sorted(grade, key=lambda s: (len(s.vertices), s.vertices))
+    classes = tuple(by_mask[mask] for mask in dict.fromkeys(m.crossing_mask for m in ordered))
+    return Hyperclosure(complex=cx, members=tuple(ordered), grade=grade,
+                        derivation=derivation, parallel_classes=classes)
 
 
 def table_distances(cx):

@@ -1,5 +1,8 @@
 """The hyperclosure: members, grades, limits, agreement with the pairwise
-fixpoint oracle, multiplicity, chains and clean containers."""
+fixpoint oracle and the graded search over keys, multiplicity, chains and
+clean containers."""
+
+import importlib
 
 import pytest
 from hypothesis import assume, given, settings
@@ -11,6 +14,7 @@ from oracles import (
     contained_member_pairs,
     copies_by_scan,
     fixpoint_hyperclosure,
+    graded_bfs_hyperclosure,
     mask_longest_chain,
     orth_parallel_copies,
     per_copy_copies_check,
@@ -24,7 +28,9 @@ from cubemedian import (
     clean_container,
     comb_side,
     crossing_signature,
+    generate,
     grades_report,
+    grid,
     hull,
     hyperclosure,
     longest_chain,
@@ -33,6 +39,7 @@ from cubemedian import (
     orth,
     parallel_copies,
     parallel_into,
+    parse_spec,
     project,
     random_median,
     staircase,
@@ -42,7 +49,7 @@ from cubemedian import (
     verify,
     whole_complex,
 )
-from cubemedian import core
+from cubemedian import core, gates
 from cubemedian.hyperclosure import _containments
 from cubemedian.rng import SplitMix64
 
@@ -51,6 +58,13 @@ from cubemedian.rng import SplitMix64
 ORACLE_VERTEX_CAP = 48
 # copies_by_scan tests all 2^n vertex sets for convexity.
 SCAN_VERTEX_CAP = 10
+# The graded search over keys costs 2k·|F| projections, so drawn
+# complexes stop at this size.
+GRADED_BFS_VERTEX_CAP = 200
+# the closure workload's complexes, and two with many members and classes
+BENCH_SPECS = ("random_median(6,10,seed=3)", "random_median(7,9,seed=4)",
+               "staircase(10)", "glued_staircase_ray(5)", "box(3,3,3)",
+               "tree(300,seed=1)", "staircase(12)")
 
 
 def closure_key(h):
@@ -146,6 +160,114 @@ class TestFixpointOracleAgreement:
         cx = draw_product_or_wedge(data)
         assume(cx.vertex_count <= ORACLE_VERTEX_CAP)
         assert_matches_fixpoint(cx)
+
+
+def assert_matches_graded_bfs(cx):
+    h = hyperclosure(cx)
+    assert closure_key(h) == closure_key(graded_bfs_hyperclosure(cx))
+    # keys are interned and equality is identity: these are the member objects
+    assert set(h.grade) == set(h.derivation) == h.member_set
+    assert all(d.source in h.member_set for d in h.derivation.values()
+               if d.source is not None)
+
+
+class TestGradedBfsAgreement:
+    """The search on int pairs, each side meeting each restriction once,
+    against the graded search over keys it replaced."""
+
+    @pytest.mark.parametrize("name", MEDIAN_FIXTURES)
+    def test_fixtures(self, name, request):
+        assert_matches_graded_bfs(request.getfixturevalue(name))
+
+    @pytest.mark.parametrize("spec", BENCH_SPECS)
+    def test_bench_complexes(self, spec):
+        assert_matches_graded_bfs(generate(parse_spec(spec)))
+
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_random_median(self, data):
+        dim = data.draw(st.integers(1, 8))
+        count = data.draw(st.integers(1, min(12, 1 << dim)))
+        cx = random_median(dim, count, seed=data.draw(st.integers(0, 2**64 - 1)))
+        assume(cx.vertex_count <= GRADED_BFS_VERTEX_CAP)
+        assert_matches_graded_bfs(cx)
+
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_products_and_wedges(self, data):
+        cx = draw_product_or_wedge(data)
+        assume(cx.vertex_count <= GRADED_BFS_VERTEX_CAP)
+        assert_matches_graded_bfs(cx)
+
+
+def limit_outcome(closure, cx, **limit):
+    """The limit and message the closure raises under `limit`, or None."""
+    try:
+        closure(cx, **limit)
+    except ResourceLimitError as err:
+        return err.limit, str(err)
+    return None
+
+
+class TestLimitsAgreeWithGradedBfs:
+    """Both searches find the new keys in the same order, so a limit fires
+    at the same key, with the same name and message."""
+
+    @pytest.mark.parametrize("name", MEDIAN_FIXTURES)
+    def test_every_max_members(self, name, request):
+        cx = request.getfixturevalue(name)
+        size = len(hyperclosure(cx))
+        for n in range(1, size + 1):
+            outcome = limit_outcome(hyperclosure, cx, max_members=n)
+            assert outcome == limit_outcome(graded_bfs_hyperclosure, cx, max_members=n)
+            assert outcome == (None if n == size else
+                               ("max_members", f"hyperclosure exceeds max_members={n}"))
+
+    @pytest.mark.parametrize("name", MEDIAN_FIXTURES)
+    def test_every_max_grade(self, name, request):
+        cx = request.getfixturevalue(name)
+        top = max(hyperclosure(cx).grade.values())
+        for g in range(top + 1):
+            outcome = limit_outcome(hyperclosure, cx, max_grade=g)
+            assert outcome == limit_outcome(graded_bfs_hyperclosure, cx, max_grade=g)
+            assert outcome == (None if g == top else
+                               ("max_grade", f"hyperclosure grading exceeds max_grade={g}"))
+
+    def test_refused_ingest_run(self):
+        """The ingest workload refuses analyze --max-members 64 on grid(16,16)."""
+        cx = grid(16, 16)
+        outcome = limit_outcome(hyperclosure, cx, max_members=64)
+        assert outcome == ("max_members", "hyperclosure exceeds max_members=64")
+        assert outcome == limit_outcome(graded_bfs_hyperclosure, cx, max_members=64)
+
+
+class TestClosureWork:
+    """Work guards that count calls, not time."""
+
+    def test_keys_built_grow_with_members(self, monkeypatch):
+        # the graded search over keys built 180,898 keys here, one per projection
+        cx = tree(300, seed=1)
+        built = []
+        new = core.ConvexSubcomplex.__new__
+
+        def counting(cls, *args):
+            built.append(args)
+            return new(cls, *args)
+
+        monkeypatch.setattr(core.ConvexSubcomplex, "__new__", staticmethod(counting))
+        h = hyperclosure(cx)
+        assert len(h) == 301
+        assert len(built) < 10 * len(h)
+
+    def test_no_gate_projection(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("hyperclosure() called gates.project")
+
+        for module in (gates, importlib.import_module("cubemedian.hyperclosure")):
+            if hasattr(module, "project"):
+                monkeypatch.setattr(module, "project", refuse)
+        for cx in (staircase(5), random_median(5, 7, seed=3), tree(40, seed=2)):
+            assert len(hyperclosure(cx)) > 1
 
 
 class TestOracleAgreement:
