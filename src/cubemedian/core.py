@@ -188,10 +188,16 @@ class MedianComplex:
         return self._walls[1]
 
     @_lazy
-    def _walls(self) -> tuple[tuple["HyperplaneClass", ...], tuple[int, ...], Optional["_Squares"]]:
-        """The classes, the signs, and the square scan that certified them
-        (None when the classes were built class by class)."""
-        depth, _, odd = _two_colour(self)
+    def _colouring(self) -> tuple[list[int], list[int], Optional[tuple[int, int]]]:
+        """`_two_colour` from vertex 0, once for the walls and `validate` alike."""
+        return _two_colour(self)
+
+    @_lazy
+    def _walls(self) -> tuple[tuple["HyperplaneClass", ...], tuple[int, ...],
+                              Optional["_Squares"], Optional[dict[int, int]]]:
+        """The classes, the signs, and the square scan and sign index that
+        certified them (both None when the classes were built class by class)."""
+        depth, _, odd = self._colouring
         if -1 in depth:
             raise InvariantViolation("wall classes undefined: graph is disconnected")
         if odd is not None:
@@ -205,20 +211,19 @@ class MedianComplex:
             if len(by_sign) == self.vertex_count:
                 squares = _scan_squares(self, classes, signs, by_sign)
                 if squares.gap is None and squares.non_adjacent is None:
-                    return classes, signs, squares
-        return (*_classes_by_split(self), None)
+                    return classes, signs, squares, by_sign
+        return (*_classes_by_split(self), None, None)
 
     @_lazy
     def _squares(self) -> "_Squares":
         """The square scan of `validate` over the classes and signs."""
-        squares = self._walls[2]
-        if squares is None:
-            squares = _scan_squares(self, self.classes, self.signs, self.by_sign)
-        return squares
+        return self._walls[2] or _scan_squares(self, self.classes, self.signs, self.by_sign)
 
     @_lazy
     def by_sign(self) -> dict[int, int]:
         """The inverse of `signs`; raises unless the walls separate all vertices."""
+        if self._walls[3] is not None:
+            return self._walls[3]
         out: dict[int, int] = {}
         for w, s in enumerate(self.signs):
             first = out.setdefault(s, w)
@@ -325,12 +330,7 @@ def _label_by_bfs(cx: MedianComplex, depth: list[int]
     classes = []
     for cid, edges in enumerate(dual):
         plus = full & ~away[cid] if (flip >> cid) & 1 else away[cid]
-        minus = full & ~plus
-        ends = 0
-        for a, b in edges:
-            ends |= (1 << a) | (1 << b)
-        classes.append(HyperplaneClass(cx, cid, tuple(edges), minus, plus,
-                                       ends & minus, ends & plus))
+        classes.append(HyperplaneClass(cx, cid, tuple(edges), full & ~plus, plus))
     return tuple(classes), tuple(s ^ flip for s in rel)
 
 
@@ -353,14 +353,11 @@ def _classes_by_split(cx: MedianComplex) -> tuple[tuple["HyperplaneClass", ...],
                     queue.append(y)
         minus = _mask_of(w for w, is_near in near.items() if is_near)
         dual = tuple(e for e in cx.edges if ((minus >> e[0]) ^ (minus >> e[1])) & 1)
-        ends = 0
         for a, b in dual:
             if edge_class.setdefault((a, b), cid) != cid:
                 raise InvariantViolation(
                     f"wall relation is not transitive: witness edges ({u},{v}), ({a},{b})")
-            ends |= (1 << a) | (1 << b)
-        classes.append(HyperplaneClass(cx, cid, dual, minus, cx.full_mask & ~minus,
-                                       ends & minus, ends & ~minus))
+        classes.append(HyperplaneClass(cx, cid, dual, minus, cx.full_mask & ~minus))
     signs = [0] * cx.vertex_count
     for h in classes:
         for w in _bits(h.side_plus_mask):
@@ -421,28 +418,37 @@ class HyperplaneClass(_Frozen):
 
     The minus side is the halfspace containing the least endpoint of the
     least dual edge, which makes class numbering and side order
-    reproducible.  comb_minus/comb_plus (the combinatorial hyperplanes) are
-    the endpoints of the dual edges inside each halfspace.  Each complex
-    builds its walls once, so walls compare by identity.
+    reproducible.  The combinatorial hyperplanes are keys (`comb_sides`).
+    Each complex builds its walls once, so walls compare by identity.
     """
 
     def __init__(self, parent: MedianComplex, class_id: int,
                  dual_edges: tuple[tuple[int, int], ...], side_minus_mask: int,
-                 side_plus_mask: int, comb_minus_mask: int, comb_plus_mask: int):
+                 side_plus_mask: int):
         self.__dict__.update(parent=parent, class_id=class_id, dual_edges=dual_edges,
-                             side_minus_mask=side_minus_mask, side_plus_mask=side_plus_mask,
-                             comb_minus_mask=comb_minus_mask, comb_plus_mask=comb_plus_mask)
+                             side_minus_mask=side_minus_mask, side_plus_mask=side_plus_mask)
 
     def __repr__(self) -> str:
         return f"HyperplaneClass(class_id={self.class_id!r}, dual_edges={self.dual_edges!r})"
 
+    @_lazy
+    def comb_sides(self) -> tuple["ConvexSubcomplex", "ConvexSubcomplex"]:
+        """The combinatorial hyperplanes (minus, plus), the dual-edge ends on each
+        side, as keys: crossed by the classes crossing this wall, off them the signs
+        of that side's end of the least dual edge.  Raises unless certified median."""
+        cx = self.parent
+        if cx._walls[2] is None:
+            raise InvariantViolation("no vertex has the required signs (the graph is not median)")
+        free = cx.crossing_masks[self.class_id]
+        return tuple(ConvexSubcomplex(cx, free, cx.signs[e] & ~free) for e in self.dual_edges[0])
+
     @property
     def comb_minus(self) -> frozenset[int]:
-        return frozenset(_bits(self.comb_minus_mask))
+        return frozenset(self.comb_sides[0].vertices)
 
     @property
     def comb_plus(self) -> frozenset[int]:
-        return frozenset(_bits(self.comb_plus_mask))
+        return frozenset(self.comb_sides[1].vertices)
 
 
 class ConvexSubcomplex(_Frozen):
@@ -601,7 +607,7 @@ def validate(cx: MedianComplex) -> ValidationReport:
     pair one wall apart but not adjacent; a missing z^i^j as the triple
     (z^i, z^j, w), whose majority it is (but see `_gap_failure`).  The
     labelling of `MedianComplex.classes` passed this scan when it was kept,
-    so on a median graph `validate` costs that labelling and one BFS.
+    so on a median graph `validate` costs that labelling, whose BFS it reads.
 
     Why this is equivalent to the graph being median.  Let the sign vectors
     be injective, every edge flip exactly one bit, the graph be connected
@@ -644,7 +650,7 @@ def validate(cx: MedianComplex) -> ValidationReport:
         failures.append(InvariantFailure("connected", "empty complex"))
         return ValidationReport(False, failures)
 
-    depth, parent, odd = _two_colour(cx)
+    depth, parent, odd = cx._colouring
     if -1 in depth:
         failures.append(InvariantFailure(
             "connected", f"vertex {depth.index(-1)} unreachable from vertex 0"))

@@ -62,18 +62,18 @@ def parallel_into(s: ConvexSubcomplex, t: ConvexSubcomplex) -> bool:
 
 def carrier(h: HyperplaneClass) -> ConvexSubcomplex:
     """Endpoints of the dual edges: the union of the two combinatorial sides,
-    crossed by h and by the classes crossing h."""
-    return hull(h.parent, _bits(h.comb_minus_mask | h.comb_plus_mask))
+    crossed by h and by the classes crossing h, with the sides' base off them."""
+    free = h.comb_sides[0].crossing_mask | 1 << h.class_id
+    return ConvexSubcomplex(h.parent, free, h.comb_sides[0].base & ~free)
 
 
 def comb_side(h: HyperplaneClass, sign: int) -> ConvexSubcomplex:
-    """Combinatorial hyperplane on one side of the wall (sign is -1 or +1),
-    as the hull of its vertices: on non-median input that hull can be larger
-    and its projections empty, which reading their vertices reports."""
+    """Combinatorial hyperplane on one side of the wall (sign is -1 or +1), as
+    the key in `h.comb_sides`: on walls not certified median it raises
+    InvariantViolation."""
     if sign not in (-1, 1):
         raise ValueError("sign must be -1 or +1")
-    mask = h.comb_minus_mask if sign < 0 else h.comb_plus_mask
-    return hull(h.parent, _bits(mask))
+    return h.comb_sides[sign > 0]
 
 
 def set_distance(s: ConvexSubcomplex, t: ConvexSubcomplex) -> int:
@@ -114,12 +114,13 @@ class ProductRegion(_Frozen):
 
 
 def product_region(a: ConvexSubcomplex, basepoint: int) -> ProductRegion:
-    """Product region of A at a point of A: hull(A ∪ orth(A, a)) ≅ A × orth(A, a)."""
+    """Product region of A at a point a of A: hull(A ∪ orth(A, a)) ≅ A × orth(A, a),
+    crossed by the classes crossing either (both hold a), with a's signs off them."""
     if basepoint not in a:
         raise ValueError(f"basepoint {basepoint} is not in the subcomplex")
-    cx = a.parent
     complement = orth(a, basepoint)
-    region = hull(cx, a.vertices + complement.vertices)
+    free = a.crossing_mask | complement.crossing_mask
+    region = ConvexSubcomplex(a.parent, free, complement.base & ~free)
     coords = {v: (gate(a, v), gate(complement, v)) for v in region.vertices}
     return ProductRegion(base=a, complement=complement, region=region, coordinates=coords)
 

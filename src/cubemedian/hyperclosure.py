@@ -20,7 +20,6 @@ from typing import NamedTuple, Optional
 
 from .core import ConvexSubcomplex, MedianComplex, _lazy, all_convex_subcomplexes
 from .errors import InvariantViolation, ResourceLimitError
-from .gates import comb_side
 from .orthocomplement import orth
 
 DEFAULT_MAX_MEMBERS = 100_000
@@ -55,15 +54,6 @@ class Hyperclosure:
 
     def __len__(self) -> int:
         return len(self.members)
-
-
-def _hyperplane_sides(cx: MedianComplex) -> list[tuple[int, int, ConvexSubcomplex]]:
-    """All combinatorial hyperplanes as (class_id, sign, side), in canonical order."""
-    out = []
-    for h in cx.classes:
-        out.append((h.class_id, -1, comb_side(h, -1)))
-        out.append((h.class_id, +1, comb_side(h, +1)))
-    return out
 
 
 def hyperclosure(cx: MedianComplex, *, max_members: int = DEFAULT_MAX_MEMBERS,
@@ -152,7 +142,8 @@ def hyperclosure(cx: MedianComplex, *, max_members: int = DEFAULT_MAX_MEMBERS,
     grade: dict[tuple[int, int], int] = {whole: 0}
     # sources stay int pairs until the keys are built
     derivation: dict[tuple[int, int], Derivation] = {whole: Derivation("whole")}
-    sides = [(cid, sign, s.crossing_mask, s.base) for cid, sign, s in _hyperplane_sides(cx)]
+    sides = [(h.class_id, sign, s.crossing_mask, s.base)  # by class, minus side first
+             for h in cx.classes for sign, s in zip((-1, 1), h.comb_sides)]
     # the restrictions each side mask has met, at this level or an earlier one
     met: dict[int, set[tuple[int, int]]] = {mask: set() for _, _, mask, _ in sides}
     frontier = [whole]

@@ -10,7 +10,6 @@ from typing import Optional
 
 from .core import ConvexSubcomplex, MedianComplex, _bits, hull, is_convex, whole_complex
 from .gates import (
-    comb_side,
     crossing_signature,
     gate,
     is_parallel,
@@ -153,6 +152,9 @@ def _orth_suite(cx, rng, cases, rec: _Recorder, closure: Hyperclosure):
 def _closure_suite(cx, rng, cases, rec: _Recorder, closure: Hyperclosure):
     members = closure.members
     member_set = closure.member_set
+    # each side by (class id, sign) as the hull of its dual-edge ends, not the closure's own keys
+    sides = {(h.class_id, sign): hull(cx, [v for e in h.dual_edges for v in e if (side >> v) & 1])
+             for h in cx.classes for sign, side in ((-1, h.side_minus_mask), (1, h.side_plus_mask))}
     for _ in range(cases):
         if rec.full:
             return
@@ -170,22 +172,21 @@ def _closure_suite(cx, rng, cases, rec: _Recorder, closure: Hyperclosure):
         if first_of_class.setdefault(member.crossing_mask, member) is member:
             rec.check(all(c in member_set for c in parallel_copies(member)),
                       "parallelism-closure", F=member)
-        rec.check(member == _recomputed(member) and _sound_derivation(closure, member),
+        rec.check(member == _recomputed(member) and _sound_derivation(closure, sides, member),
                   "grading-soundness", F=member, grade=closure.grade[member])
 
     _clean_container_checks(cx, rng, cases, rec, closure)
 
 
-def _sound_derivation(closure: Hyperclosure, member) -> bool:
-    cx = closure.complex
+def _sound_derivation(closure: Hyperclosure, sides, member) -> bool:
     der = closure.derivation[member]
     n = closure.grade[member]
     if der.kind == "whole":
-        return n == 0 and member == whole_complex(cx)
+        return n == 0 and member == whole_complex(closure.complex)
+    side = sides[der.class_id, der.sign]
     if der.kind == "side":
-        return n == 1 and member == comb_side(cx.classes[der.class_id], der.sign)
-    return (n == closure.grade[der.source] + 1 and
-            project(comb_side(cx.classes[der.class_id], der.sign), der.source) == member)
+        return n == 1 and member == side
+    return n == closure.grade[der.source] + 1 and project(side, der.source) == member
 
 
 def _orthogonal(cx, s, t) -> bool:

@@ -7,6 +7,11 @@ from cubemedian.generators import generate, parse_spec
 MEDIAN_FIXTURES = ("q2", "p3", "g33", "box222", "st2", "st3", "tree8", "rm451",
                    "single_vertex")
 
+# the closure workload's complexes, and two with many members and classes
+BENCH_SPECS = ("random_median(6,10,seed=3)", "random_median(7,9,seed=4)",
+               "staircase(10)", "glued_staircase_ray(5)", "box(3,3,3)",
+               "tree(300,seed=1)", "staircase(12)")
+
 # Operands for drawn products and wedges: small enough that the pairwise
 # fixpoint oracle stays fast on their products.
 SMALL_SPECS = ("box(1)", "box(2)", "box(3)", "grid(1,1)", "staircase(2)",

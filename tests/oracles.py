@@ -35,7 +35,10 @@ signs per crossing mask (`MedianComplex.parallel_class`); and
 which preceded the closure's classes from that pass; and
 `graded_bfs_hyperclosure`, the graded search that projected every side
 onto every frontier member as keys, which preceded the search on int
-pairs in which each side meets each restriction once.
+pairs in which each side meets each restriction once; and
+`hull_comb_side`, `hull_carrier` and `hull_product_region`, the
+combinatorial hyperplanes, carriers and product regions as hulls of their
+vertices, which preceded their keys from the crossing masks.
 """
 
 import functools
@@ -71,7 +74,6 @@ from cubemedian.hyperclosure import (
     DEFAULT_MAX_MEMBERS,
     Derivation,
     Hyperclosure,
-    _hyperplane_sides,
 )
 
 
@@ -210,6 +212,35 @@ def orth_by_definition(a_sub, basepoint):
     return subcomplex(cx, verts)
 
 
+def comb_ends_masks(h):
+    """(minus, plus) bitmasks of the dual-edge endpoints on each side of h."""
+    ends = sum((1 << u) | (1 << v) for u, v in h.dual_edges)
+    return ends & h.side_minus_mask, ends & h.side_plus_mask
+
+
+def hull_comb_side(h, sign):
+    """The combinatorial hyperplane on one side of h (sign -1 or +1), as the
+    hull of the dual-edge endpoints on that side."""
+    return hull(h.parent, _bits(comb_ends_masks(h)[sign > 0]))
+
+
+def hull_carrier(h):
+    """The hull of every dual-edge endpoint of h."""
+    minus, plus = comb_ends_masks(h)
+    return hull(h.parent, _bits(minus | plus))
+
+
+def hull_product_region(a, basepoint):
+    """hull(A ∪ orth(A, a)), from the two vertex sets."""
+    return hull(a.parent, a.vertices + orth(a, basepoint).vertices)
+
+
+def hull_hyperplane_sides(cx):
+    """All combinatorial hyperplanes as (class_id, sign, side), in canonical
+    order, each the hull of its dual-edge endpoints."""
+    return [(h.class_id, sign, hull_comb_side(h, sign)) for h in cx.classes for sign in (-1, 1)]
+
+
 def projection_orth(a, basepoint):
     """Orthogonal complement by projection: intersect the projections onto Y
     of both combinatorial sides of every class crossing A, where Y is the
@@ -224,14 +255,13 @@ def projection_orth(a, basepoint):
     classes = cx.classes
     y_mask = cx.full_mask
     for cid in sig:
-        for comb in (classes[cid].comb_minus_mask, classes[cid].comb_plus_mask):
+        for comb in comb_ends_masks(classes[cid]):
             if (comb >> basepoint) & 1:
                 y_mask &= comb
     y = _from_mask(cx, y_mask)
     result = cx.full_mask
     for cid in sig:
-        h = classes[cid]
-        for side_mask in (h.comb_minus_mask, h.comb_plus_mask):
+        for side_mask in comb_ends_masks(classes[cid]):
             result &= project(y, _from_mask(cx, side_mask)).mask
     return _from_mask(cx, result)
 
@@ -318,7 +348,7 @@ def fixpoint_hyperclosure(cx, *, max_members=DEFAULT_MAX_MEMBERS,
             heapq.heappush(queue, (s.vertices, s))
 
     add(whole)
-    sides = _hyperplane_sides(cx)
+    sides = hull_hyperplane_sides(cx)
     for _, _, side in sides:
         add(side)
 
@@ -380,7 +410,7 @@ def graded_bfs_hyperclosure(cx, *, max_members=DEFAULT_MAX_MEMBERS,
     whole = whole_complex(cx)
     grade: dict[ConvexSubcomplex, int] = {whole: 0}
     derivation: dict[ConvexSubcomplex, Derivation] = {whole: Derivation("whole")}
-    sides = _hyperplane_sides(cx)
+    sides = hull_hyperplane_sides(cx)
     frontier = [whole]
     level = 0
     while frontier:

@@ -1,12 +1,16 @@
 """Base combinatorics: validation, medians, intervals, walls, convexity, hulls."""
 
+import contextlib
 import copy
+import io
 import pickle
 import re
+import tempfile
+from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -33,8 +37,10 @@ from cubemedian import (
     validate,
     whole_complex,
 )
-from cubemedian import core
+from cubemedian import carrier, comb_side, core
+from cubemedian.cli import run
 from cubemedian.generators import generate, parse_spec
+from cubemedian.io import save_complex
 from cubemedian.rng import SplitMix64
 
 
@@ -173,6 +179,46 @@ class TestValidate:
             assert cx.validated
 
 
+NOT_MEDIAN = "no vertex has the required signs (the graph is not median)"
+
+
+def run_quietly(argv):
+    """cli.run with stdout and stderr captured: (exit code, stdout, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+class TestNonMedianStopsAtTheFirstSide:
+    """Without validation, a non-median graph that has wall classes stops at
+    the first hyperplane side the closure reads, with the not-median line."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(cx=induced_hypercube_subgraphs(5))
+    @example(cx=induced_hypercube_subgraph(3, (0, 1, 3, 7, 6, 4)))  # C6
+    @example(cx=induced_hypercube_subgraph(3, range(7)))
+    def test_induced_5cube_subgraphs(self, cx):
+        if validate(cx).passed:
+            return
+        try:
+            classes = cx.classes
+        except InvariantViolation:
+            return  # no wall classes: the run stops at those instead
+        event("non-median with wall classes")
+        with tempfile.TemporaryDirectory() as tmp:
+            path = str(Path(tmp) / "cx.json")
+            save_complex(cx, path)
+            for command in ("analyze", "oracle"):
+                assert run_quietly([command, path, "--no-validate"]) == (
+                    1, "", f"error: invariant violation: {NOT_MEDIAN}\n")
+        for h in classes:
+            for read in (lambda: comb_side(h, -1), lambda: comb_side(h, 1),
+                         lambda: carrier(h), lambda: h.comb_minus):
+                with pytest.raises(InvariantViolation, match=re.escape(NOT_MEDIAN)):
+                    read()
+
+
 class TestValidateOracle:
     """validate() agrees with the table-based validation it replaced."""
 
@@ -258,8 +304,8 @@ def assert_walls_match_oracles(cx):
     assert [(h.side_minus_mask, h.side_plus_mask) for h in cx.classes] == sides
     for h in cx.classes:
         ends = sum((1 << u) | (1 << v) for u, v in h.dual_edges)
-        assert (h.comb_minus_mask, h.comb_plus_mask) == (ends & h.side_minus_mask,
-                                                         ends & h.side_plus_mask)
+        assert tuple(s.mask for s in h.comb_sides) == (ends & h.side_minus_mask,
+                                                       ends & h.side_plus_mask)
     assert cx.signs == tuple(sum(1 << i for i, (_, plus) in enumerate(sides) if (plus >> v) & 1)
                              for v in range(cx.vertex_count))
 
@@ -274,6 +320,41 @@ def draw_median(data):
     else:
         cx = draw_product_or_wedge(data)
     return relabelled(cx, data.draw(st.permutations(range(cx.vertex_count))))
+
+
+class TestOneCertificate:
+    """validate() and the walls share one 2-colouring and one sign index."""
+
+    @pytest.mark.parametrize("name", MEDIAN_FIXTURES)
+    def test_two_colour_runs_once(self, name, request):
+        cx = request.getfixturevalue(name)
+        fresh = relabelled(cx, range(cx.vertex_count))
+        with mock.patch.object(core, "_two_colour", wraps=core._two_colour) as spy:
+            assert validate(fresh).passed
+            assert len(fresh.by_sign) == len(fresh.signs) == fresh.vertex_count
+        assert spy.call_count == 1
+
+    def test_odd_cycle_from_the_shared_colouring(self, k3):
+        with mock.patch.object(core, "_two_colour", wraps=core._two_colour) as spy:
+            report = validate(k3)
+            with pytest.raises(InvariantViolation, match="not bipartite"):
+                k3.classes
+        assert [(f.invariant, f.witness) for f in report.failures] == [
+            ("bipartite", "odd cycle [1, 0, 2]")]
+        assert spy.call_count == 1
+
+    @pytest.mark.parametrize("name", MEDIAN_FIXTURES)
+    def test_by_sign_is_the_certified_index(self, name, request):
+        cx = request.getfixturevalue(name)
+        fresh = relabelled(cx, range(cx.vertex_count))
+        assert validate(fresh).passed
+        assert fresh.by_sign is fresh._walls[3]
+        assert fresh.by_sign == {s: v for v, s in enumerate(fresh.signs)}
+
+    def test_by_sign_checks_uncertified_signs(self, c6):
+        # C6's split classes are not certified; its signs are still injective
+        assert c6._walls[3] is None
+        assert c6.by_sign == {s: v for v, s in enumerate(c6.signs)}
 
 
 def no_fallback():

@@ -7,21 +7,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import MEDIAN_FIXTURES, by_label, draw_product_or_wedge
+from conftest import BENCH_SPECS, MEDIAN_FIXTURES, by_label, draw_product_or_wedge
 from cubemedian import (
     all_convex_subcomplexes,
     box,
     carrier,
+    comb_side,
     crosses,
     crossing_signature,
     gate,
+    generate,
     grid,
     hull,
+    hyperclosure,
     is_convex,
     is_parallel,
     parallel_bridge,
     parallel_copies,
     parallel_into,
+    parse_spec,
     product_region,
     project,
     random_median,
@@ -295,6 +299,51 @@ class TestCarrier:
         for h in theta_classes(st3):
             assert set(carrier(h).vertices) == h.comb_minus | h.comb_plus
             assert is_convex(st3, carrier(h).vertices)
+
+
+class TestKeysAgainstHulls:
+    """Sides, carriers and product regions as keys from the crossing masks,
+    against the hulls of their vertices that they replaced."""
+
+    @staticmethod
+    def check(cx, rng):
+        for h in theta_classes(cx):
+            for sign in (-1, 1):
+                assert comb_side(h, sign) is oracles.hull_comb_side(h, sign)
+            assert carrier(h) is oracles.hull_carrier(h)
+            assert h.comb_minus | h.comb_plus == set(carrier(h).vertices)
+        n = cx.vertex_count
+        subjects = list(hyperclosure(cx).members)
+        subjects += [random_convex(cx, rng) for _ in range(min(n, 40))]
+        subjects += [hull(cx, rng.sample(range(n), min(n, 6))) for _ in range(10)]
+        for a in subjects:
+            x = rng.choice(a.vertices)
+            pr = product_region(a, x)
+            assert pr.region is oracles.hull_product_region(a, x)
+            assert set(pr.coordinates.values()) == {(u, v) for u in a.vertices
+                                                    for v in pr.complement.vertices}
+
+    @pytest.mark.parametrize("name", MEDIAN_FIXTURES)
+    def test_fixtures(self, name, request):
+        self.check(request.getfixturevalue(name), SplitMix64(11))
+
+    @pytest.mark.parametrize("spec", BENCH_SPECS)
+    def test_larger_complexes(self, spec):
+        self.check(generate(parse_spec(spec)), SplitMix64(12))
+
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_random_median(self, data):
+        dim = data.draw(st.integers(1, 6))
+        count = data.draw(st.integers(1, min(10, 1 << dim)))
+        cx = random_median(dim, count, seed=data.draw(st.integers(0, 2**64 - 1)))
+        self.check(cx, SplitMix64(data.draw(st.integers(0, 2**64 - 1))))
+
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_products_and_wedges(self, data):
+        cx = draw_product_or_wedge(data)
+        self.check(cx, SplitMix64(data.draw(st.integers(0, 2**64 - 1))))
 
 
 class TestGateLaws:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import MEDIAN_FIXTURES, by_label, draw_product_or_wedge
+from conftest import BENCH_SPECS, MEDIAN_FIXTURES, by_label, draw_product_or_wedge
 from oracles import (
     by_sig_parallel_classes,
     contained_member_pairs,
@@ -61,10 +61,6 @@ SCAN_VERTEX_CAP = 10
 # The graded search over keys costs 2k·|F| projections, so drawn
 # complexes stop at this size.
 GRADED_BFS_VERTEX_CAP = 200
-# the closure workload's complexes, and two with many members and classes
-BENCH_SPECS = ("random_median(6,10,seed=3)", "random_median(7,9,seed=4)",
-               "staircase(10)", "glued_staircase_ray(5)", "box(3,3,3)",
-               "tree(300,seed=1)", "staircase(12)")
 
 
 def closure_key(h):
@@ -342,6 +338,25 @@ class TestGrades:
                     side = comb_side(theta_classes(cx)[der.class_id], der.sign)
                     assert project(side, der.source) == member
                     assert h.grade[der.source] == n - 1
+
+    def test_verify_holds_sides_to_their_hulls(self, monkeypatch):
+        """grading-soundness builds each side from its dual edges, not from the
+        closure's own side keys: with those keys swapped, and `comb_side`
+        with them, every side derivation names the wrong sign and is caught."""
+        keys = core.HyperplaneClass.__dict__["comb_sides"].func
+
+        def comb_sides(h):
+            return keys(h)[::-1]
+
+        cx = staircase(3)
+        h = hyperclosure(cx)
+        monkeypatch.setattr(core.HyperplaneClass, "comb_sides", core._lazy(comb_sides))
+        swapped = hyperclosure(staircase(3))
+        assert [m.vertices for m in swapped.members] == [m.vertices for m in h.members]
+        found = verify.verify_complex(staircase(3), suite="closure", cases=50, max_violations=99)
+        assert {v.invariant for v in found} == {"grading-soundness"}
+        assert {v.inputs["F"] for v in found} >= {
+            m.vertices for m in h.members if h.derivation[m].kind == "side"}
 
 
 class TestMultiplicity:
