@@ -2,6 +2,10 @@
 
 Exit codes: 0 success, 1 invariant violation (with witness), 2 usage or
 spec error, 3 resource limit (named).
+
+Each command imports its layers inside its `_cmd_*` function, because a
+CLI process runs one command and most of its start-up is compiling the
+modules it imports.
 """
 
 from __future__ import annotations
@@ -10,28 +14,23 @@ import argparse
 import sys
 
 from ._version import __version__
-from .analysis import analyze, report_to_json
 from .errors import (
+    DEFAULT_MAX_GRADE,
+    DEFAULT_MAX_MEMBERS,
+    DEFAULT_ORACLE_BOUND,
     InvariantViolation,
     ResourceLimitError,
     StructuralError,
     ValidationError,
 )
-from .generators import generate, parse_spec
-from .hyperclosure import (
-    DEFAULT_MAX_GRADE,
-    DEFAULT_MAX_MEMBERS,
-    DEFAULT_ORACLE_BOUND,
-    hyperclosure,
-    oracle_hyperclosure,
-)
-from .io import load_complex, save_complex, to_dot
-from .verify import SUITES, verify_complex
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_USAGE = 2
 EXIT_RESOURCE = 3
+
+# `("all",) + verify.SUITES`, written out so that the parser loads no `verify`
+SUITE_CHOICES = ("all", "gates", "orth", "closure")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -61,7 +60,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run randomized invariant suites")
     p.add_argument("file")
-    p.add_argument("--suite", choices=("all",) + SUITES, default="all")
+    p.add_argument("--suite", choices=SUITE_CHOICES, default="all")
     p.add_argument("--cases", type=int, default=1000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--no-validate", action="store_true")
@@ -81,6 +80,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_build(args) -> int:
+    from .generators import generate, parse_spec
+    from .io import save_complex
+
     text = f"{args.kind}({','.join(p.strip() for p in args.params)}"
     if args.seed is not None:
         text += f"{',' if args.params else ''}seed={args.seed}"
@@ -93,6 +95,9 @@ def _cmd_build(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
+    from .analysis import analyze, report_to_json
+    from .io import load_complex
+
     cx = load_complex(args.file, run_validate=not args.no_validate)
     report = analyze(cx, max_members=args.max_members, max_grade=args.max_grade,
                      with_oracle=args.with_oracle, oracle_bound=args.oracle_bound,
@@ -107,6 +112,9 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .io import load_complex
+    from .verify import verify_complex
+
     cx = load_complex(args.file, run_validate=not args.no_validate)
     violations = verify_complex(cx, suite=args.suite, cases=args.cases, seed=args.seed)
     if violations:
@@ -124,6 +132,9 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
+    from .hyperclosure import hyperclosure, oracle_hyperclosure
+    from .io import load_complex
+
     cx = load_complex(args.file, run_validate=not args.no_validate)
     closure = hyperclosure(cx, max_members=args.max_members, max_grade=args.max_grade)
     oracle = oracle_hyperclosure(cx, max_vertices=args.oracle_bound)
@@ -140,6 +151,8 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_export(args) -> int:
+    from .io import load_complex, to_dot
+
     cx = load_complex(args.file, run_validate=not args.no_validate)
     with open(args.dot, "w") as fh:
         fh.write(to_dot(cx))

@@ -37,6 +37,9 @@ from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .errors import InvariantViolation, StructuralError
 
+# raised where a wall arithmetic that holds only on median graphs finds no vertex
+_NOT_MEDIAN = "no vertex has the required signs (the graph is not median)"
+
 
 class _lazy:
     """An attribute computed on first read, like functools.cached_property
@@ -233,9 +236,12 @@ class MedianComplex:
         return out
 
     def vertex_at(self, sign: int) -> int:
-        """The vertex with the given sign vector."""
+        """The vertex with the given sign vector.  A missing one means a
+        non-median graph when the square scan did not certify the walls."""
         v = self.by_sign.get(sign)
         if v is None:
+            if self._walls[2] is None:
+                raise InvariantViolation(_NOT_MEDIAN)
             raise InvariantViolation(f"no vertex has sign vector {sign:#b}")
         return v
 
@@ -438,7 +444,7 @@ class HyperplaneClass(_Frozen):
         of that side's end of the least dual edge.  Raises unless certified median."""
         cx = self.parent
         if cx._walls[2] is None:
-            raise InvariantViolation("no vertex has the required signs (the graph is not median)")
+            raise InvariantViolation(_NOT_MEDIAN)
         free = cx.crossing_masks[self.class_id]
         return tuple(ConvexSubcomplex(cx, free, cx.signs[e] & ~free) for e in self.dual_edges[0])
 
@@ -494,8 +500,7 @@ class ConvexSubcomplex(_Frozen):
         fixed, base = ~self.crossing_mask, self.base
         verts = tuple(v for v, s in enumerate(self.parent.signs) if s & fixed == base)
         if not verts:
-            raise InvariantViolation(
-                "no vertex has the required signs (the graph is not median)")
+            raise InvariantViolation(_NOT_MEDIAN)
         return verts
 
     @_lazy

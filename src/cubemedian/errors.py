@@ -1,6 +1,11 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the default limits
+past which `ResourceLimitError` is raised."""
 
 from __future__ import annotations
+
+DEFAULT_MAX_MEMBERS = 100_000
+DEFAULT_MAX_GRADE = 32
+DEFAULT_ORACLE_BOUND = 14
 
 
 class StructuralError(ValueError):

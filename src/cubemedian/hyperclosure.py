@@ -19,12 +19,14 @@ from collections import Counter
 from typing import NamedTuple, Optional
 
 from .core import ConvexSubcomplex, MedianComplex, _lazy, all_convex_subcomplexes
-from .errors import InvariantViolation, ResourceLimitError
+from .errors import (
+    DEFAULT_MAX_GRADE,
+    DEFAULT_MAX_MEMBERS,
+    DEFAULT_ORACLE_BOUND,
+    InvariantViolation,
+    ResourceLimitError,
+)
 from .orthocomplement import orth
-
-DEFAULT_MAX_MEMBERS = 100_000
-DEFAULT_MAX_GRADE = 32
-DEFAULT_ORACLE_BOUND = 14
 
 
 class Derivation(NamedTuple):

@@ -216,12 +216,11 @@ class TestCli:
 
     def test_verify_violation_prints_reproduction(self, st4_file, capsys, monkeypatch):
         from cubemedian import Violation
-        import cubemedian.cli as cli
 
         def fake_verify(cx, suite="all", cases=1000, seed=0):
             return [Violation("gates", "gate-crossing-law", {"Y": (0, 1)}, "boom")]
 
-        monkeypatch.setattr(cli, "verify_complex", fake_verify)
+        monkeypatch.setattr("cubemedian.verify.verify_complex", fake_verify)
         assert run(["verify", st4_file, "--cases", "5", "--seed", "9"]) == 1
         out = capsys.readouterr().out
         assert st4_file in out and "gate-crossing-law" in out
