@@ -80,9 +80,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_build(args) -> int:
-    from .generators import generate, parse_spec
+    from .generators import KINDS, generate, parse_spec
     from .io import save_complex
 
+    if args.kind not in KINDS:  # before it is spliced into a spec the user did not type
+        raise ValueError(f"unknown generator kind {args.kind!r}")
     text = f"{args.kind}({','.join(p.strip() for p in args.params)}"
     if args.seed is not None:
         text += f"{',' if args.params else ''}seed={args.seed}"

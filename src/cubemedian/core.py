@@ -148,6 +148,7 @@ class MedianComplex:
         self.validated = False
         self.full_mask = (1 << vertex_count) - 1
         self._keys: dict[tuple[int, int], ConvexSubcomplex] = {}  # see ConvexSubcomplex
+        self._polars: dict[int, int] = {}  # crossing mask -> its polar, see orthocomplement.orth
 
     def __reduce__(self):
         return MedianComplex, (self.vertex_count, self.edges, self.labels, self.generator), {
@@ -727,7 +728,7 @@ def hull(cx: MedianComplex, vertices: Iterable[int]) -> ConvexSubcomplex:
     verts = list(vertices)
     if not verts:
         raise ValueError("hull requires a nonempty vertex set")
-    if not all(0 <= v < cx.vertex_count for v in verts):
+    if min(verts) < 0 or max(verts) >= cx.vertex_count:
         raise ValueError("vertex index out of range")
     signs = cx.signs
     s0 = signs[verts[0]]

@@ -20,9 +20,12 @@ from .orthocomplement import orth
 def gate(y: ConvexSubcomplex, x: int) -> int:
     """The vertex of Y closest to x: x's signs on the classes crossing Y,
     Y's signs on the others."""
-    if not 0 <= x < y.parent.vertex_count:
+    cx = y.parent
+    if not 0 <= x < cx.vertex_count:
         raise ValueError("vertex index out of range")
-    return y.parent.vertex_at((y.parent.signs[x] & y.crossing_mask) | y.base)
+    sign = (cx.signs[x] & y.crossing_mask) | y.base
+    v = cx.by_sign.get(sign)
+    return cx.vertex_at(sign) if v is None else v  # vertex_at raises the missing vertex's line
 
 
 def project(y: ConvexSubcomplex, z: ConvexSubcomplex) -> ConvexSubcomplex:

@@ -72,6 +72,8 @@ def complex_from_json(text: str, *, run_validate: bool = True) -> MedianComplex:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise StructuralError(f"not valid JSON: {exc}") from exc
+    except RecursionError as exc:  # the parser recurses once per nested array or object
+        raise StructuralError("not valid JSON: nested too deeply") from exc
     if not isinstance(obj, dict) or "vertices" not in obj or "edges" not in obj:
         raise StructuralError('complex file needs "vertices" and "edges"')
     raw_labels = obj.get("labels") or {}

@@ -23,10 +23,10 @@ def orth(a: ConvexSubcomplex, basepoint: int) -> ConvexSubcomplex:
     """Orthogonal complement of A at a point a of A.
 
     Let K be the classes crossing every class that crosses A: the AND of
-    their crossing masks.  A vertex b belongs iff every class separating a
-    from b is in K, that is iff b's signs differ from a's only on bits of
-    K.  The result contains a and is convex, as an intersection of
-    halfspaces.
+    their crossing masks, the polar of A's crossing mask.  A vertex b
+    belongs iff every class separating a from b is in K, that is iff b's
+    signs differ from a's only on bits of K.  The result contains a and is
+    convex, as an intersection of halfspaces.
 
     K is exactly the crossing mask of the result, so (K, a's signs off K)
     is its key.  Only classes in K can cross it.  Conversely, take j in K,
@@ -42,13 +42,20 @@ def orth(a: ConvexSubcomplex, basepoint: int) -> ConvexSubcomplex:
     so K is every class and the complement is the whole complex.  No class
     crosses itself, so for the whole complex K is empty and the complement
     is the single vertex a.
+
+    K depends only on A's crossing mask, so each complex computes it once
+    per mask, on the first ask, and keeps it (stored by dict.setdefault,
+    as the keys are).
     """
     if basepoint not in a:
         raise ValueError(f"basepoint {basepoint} is not in the subcomplex")
-    cx = a.parent
-    perp = (1 << len(cx.classes)) - 1  # K: every class until a class crossing A narrows it
-    for i in _bits(a.crossing_mask):
-        perp &= cx.crossing_masks[i]
+    cx, mask = a.parent, a.crossing_mask
+    perp = cx._polars.get(mask)
+    if perp is None:
+        perp = (1 << len(cx.classes)) - 1  # K: every class until a class crossing A narrows it
+        for i in _bits(mask):
+            perp &= cx.crossing_masks[i]
+        perp = cx._polars.setdefault(mask, perp)
     return ConvexSubcomplex(cx, perp, cx.signs[basepoint] & ~perp)
 
 

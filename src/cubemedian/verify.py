@@ -204,6 +204,9 @@ def _clean_container_checks(cx, rng, cases, rec: _Recorder, closure: Hyperclosur
     pairs = [(f, v) for f in members if f in inside for v in inside[f][1:]]
     if cx.vertex_count > 12 and len(pairs) > cases:
         pairs = [pairs[rng.randrange(len(pairs))] for _ in range(cases)]
+    # maximality reads a member W of F only through its crossing mask (both in
+    # _orthogonal(W, V) and in parallel_into(W, U)), so one W per mask decides it
+    one_per_mask: dict[ConvexSubcomplex, list[ConvexSubcomplex]] = {}
     for f, v in pairs:
         if rec.full:
             return
@@ -215,7 +218,9 @@ def _clean_container_checks(cx, rng, cases, rec: _Recorder, closure: Hyperclosur
         region = hull(cx, v.vertices + u.vertices)
         rec.check(region <= f and _product_bijection_ok(region, v, u),
                   "clean-container-product", F=f, V=v, x=x)
-        maximal = all(parallel_into(w, u) for w in inside[f] if _orthogonal(cx, w, v))
+        if f not in one_per_mask:
+            one_per_mask[f] = list({w.crossing_mask: w for w in inside[f]}.values())
+        maximal = all(parallel_into(w, u) for w in one_per_mask[f] if _orthogonal(cx, w, v))
         rec.check(maximal, "clean-container-maximality", F=f, V=v, x=x)
 
 

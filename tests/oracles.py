@@ -38,7 +38,15 @@ onto every frontier member as keys, which preceded the search on int
 pairs in which each side meets each restriction once; and
 `hull_comb_side`, `hull_carrier` and `hull_product_region`, the
 combinatorial hyperplanes, carriers and product regions as hulls of their
-vertices, which preceded their keys from the crossing masks.
+vertices, which preceded their keys from the crossing masks; and
+`and_loop_polar` and `and_loop_orth`, the polar of a crossing mask by one
+AND per class of the mask on every call, which preceded the polar kept
+once per mask in `orth`; `PoolSplitMix64`, splitmix64 with a
+method call per raw draw, the rejection bound recomputed per draw and
+`sample` over a copy of the whole population, which preceded the inlined
+step, one bound per n and the sparse sample; and `per_member_maximal`,
+the clean-container maximality check over every member inside F, which
+preceded one member per crossing mask.
 """
 
 import functools
@@ -796,3 +804,79 @@ def tuple_random_median(dim, count, seed):
         if not any(between(a, w, b) for w in verts if w != a and w != b):
             edges.append((index[a], index[b]))
     return len(verts), sorted(edges), {i: p for p, i in index.items()}
+
+
+def and_loop_polar(cx, mask):
+    """σ⊥ for σ = mask: the AND of the crossing masks of the classes of σ,
+    every class for σ empty."""
+    perp = (1 << len(cx.classes)) - 1
+    for i in _bits(mask):
+        perp &= cx.crossing_masks[i]
+    return perp
+
+
+def and_loop_orth(a, basepoint):
+    """orth(A, a) keyed by the polar of A's crossing mask, recomputed here,
+    and a's signs off it."""
+    if basepoint not in a:
+        raise ValueError(f"basepoint {basepoint} is not in the subcomplex")
+    cx = a.parent
+    perp = and_loop_polar(cx, a.crossing_mask)
+    return ConvexSubcomplex(cx, perp, cx.signs[basepoint] & ~perp)
+
+
+class PoolSplitMix64:
+    """splitmix64 drawn one method call per raw output, the rejection bound
+    recomputed per call, and `sample` by a partial Fisher-Yates over a copy
+    of the population."""
+
+    _MASK = (1 << 64) - 1
+
+    def __init__(self, seed):
+        self._state = seed & self._MASK
+
+    def next64(self):
+        self._state = (self._state + 0x9E3779B97F4A7C15) & self._MASK
+        z = self._state
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & self._MASK
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & self._MASK
+        return z ^ (z >> 31)
+
+    def randrange(self, n):
+        if n <= 0:
+            raise ValueError("randrange() bound must be positive")
+        if n > 1 << 64:
+            raise ValueError(f"randrange() bound must be at most 2^64, not {n}")
+        limit = (1 << 64) - ((1 << 64) % n)
+        while True:
+            r = self.next64()
+            if r < limit:
+                return r % n
+
+    def choice(self, seq):
+        if not seq:
+            raise ValueError("choice() on empty sequence")
+        return seq[self.randrange(len(seq))]
+
+    def sample(self, seq, k):
+        pool = list(seq)
+        if k > len(pool):
+            raise ValueError("sample() larger than population")
+        for i in range(k):
+            j = i + self.randrange(len(pool) - i)
+            pool[i], pool[j] = pool[j], pool[i]
+        return pool[:k]
+
+
+def per_member_maximal(closure, f, v, u):
+    """True iff every member W inside F (F itself included) that is
+    orthogonal to V, by the crossing sets of their classes, is parallel
+    into U."""
+    crossing = closure.complex.crossing
+    sig_v = crossing_signature(v)
+
+    def orthogonal(w):
+        return all(b in crossing[a] for a in crossing_signature(w) for b in sig_v)
+
+    return all(crossing_signature(w) <= crossing_signature(u)
+               for w in closure.members if w <= f and orthogonal(w))

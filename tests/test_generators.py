@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import by_label
-from oracles import tuple_random_median
+from oracles import PoolSplitMix64, tuple_random_median
 from cubemedian import (
     GeneratorSpec,
     box,
@@ -224,3 +224,50 @@ class TestSplitMix64:
         # rejection sampling would accept no draw, and never return
         with pytest.raises(ValueError, match=rf"at most 2\^64, not {n}$"):
             SplitMix64(1).randrange(n)
+
+
+class TestSplitMix64AgainstPool:
+    """The inlined step, one rejection bound per n and the sparse sample
+    against the generator they replaced: the same outputs, and the same
+    state after every call, so every later draw matches too."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_same_draws_and_state(self, data):
+        seed = data.draw(st.integers(0, 2**64 - 1))
+        new, old = SplitMix64(seed), PoolSplitMix64(seed)
+        size = data.draw(st.integers(1, 200))
+        start = data.draw(st.integers(-5, 5))
+        make = data.draw(st.sampled_from((lambda r: r, tuple, list)))  # range, tuple or list
+        population = make(range(start, start + size))
+        before = list(population)
+        # bounds near 2^64 reject up to half the raw draws, so a wrong bound shows
+        bounds = data.draw(st.lists(st.one_of(st.integers(1, 300),
+                                              st.integers(2**63 - 3, 2**64)), min_size=1))
+        for k in range(size + 1):
+            assert new.sample(population, k) == old.sample(population, k)
+            assert new._state == old._state
+            n = bounds[k % len(bounds)]
+            assert new.randrange(n) == old.randrange(n)
+            assert new._state == old._state
+        assert list(population) == before
+        assert new.next64() == old.next64() and new._state == old._state
+
+    @pytest.mark.parametrize("call,message", [
+        (lambda r: r.randrange(0), "randrange() bound must be positive"),
+        (lambda r: r.randrange(-3), "randrange() bound must be positive"),
+        (lambda r: r.randrange(2**64 + 1),
+         f"randrange() bound must be at most 2^64, not {2**64 + 1}"),
+        (lambda r: r.sample((4, 5, 6), 4), "sample() larger than population"),
+        (lambda r: r.sample(range(0), 1), "sample() larger than population"),
+        (lambda r: r.choice([]), "choice() on empty sequence"),
+    ])
+    def test_refusals_unchanged(self, call, message):
+        new, old = SplitMix64(9), PoolSplitMix64(9)
+        new.randrange(5), old.randrange(5)
+        for rng in (new, old):
+            with pytest.raises(ValueError) as exc:
+                call(rng)
+            assert str(exc.value) == message
+        assert new._state == old._state
+        assert new.randrange(2**63 + 1) == old.randrange(2**63 + 1)

@@ -18,6 +18,7 @@ from oracles import (
     mask_longest_chain,
     orth_parallel_copies,
     per_copy_copies_check,
+    per_member_maximal,
 )
 from cubemedian import (
     ConvexSubcomplex,
@@ -761,3 +762,118 @@ class TestDeterminism:
         assert [m.vertices for m in h1.members] == [m.vertices for m in h2.members]
         assert {m.vertices: g for m, g in h1.grade.items()} == \
             {m.vertices: g for m, g in h2.grade.items()}
+
+
+class TestMaximalityPerMask:
+    """verify's clean-container maximality, one member of F per crossing
+    mask, against the check over every member inside F: the same verdict on
+    every contained pair, also with a clean container that is V itself,
+    which fails the check on many pairs."""
+
+    def check(self, cx, rng=None, *, degenerate=False):
+        closure = hyperclosure(cx)
+        found = []
+        # more cases than pairs: every contained pair is checked, none drawn
+        with pytest.MonkeyPatch.context() as mp:
+            if degenerate:
+                mp.setattr(verify, "clean_container", lambda h, f, v, x: v)
+            verify._clean_container_checks(cx, SplitMix64(0), 10**9,
+                                           verify._Recorder("closure", found, 10**9), closure)
+        got = [(v.inputs["F"], v.inputs["V"]) for v in found
+               if v.invariant == "clean-container-maximality"]
+        want = []
+        for f, v in contained_member_pairs(closure.members):
+            u = v if degenerate else clean_container(closure, f, v, v.vertices[0])
+            if not per_member_maximal(closure, f, v, u):
+                want.append((f.vertices, v.vertices))
+        assert sorted(got) == sorted(want)
+        return want
+
+    @pytest.mark.parametrize("degenerate", [False, True])
+    @pytest.mark.parametrize("name", MEDIAN_FIXTURES)
+    def test_fixtures(self, name, degenerate, request):
+        want = self.check(request.getfixturevalue(name), degenerate=degenerate)
+        assert bool(want) == (degenerate and name != "single_vertex")
+
+    def degenerate_check(self, cx, rng):
+        self.check(cx, rng)
+        self.check(cx, rng, degenerate=True)
+
+    test_random_median, test_products_and_wedges = drawn_complexes(degenerate_check)
+
+
+class TestCaseStreamPinned:
+    """The cases verify draws, pinned as the inputs of violations forced by
+    a check that always fails: a draw that moves changes the list."""
+
+    def test_gates_and_closure_cases(self, monkeypatch):
+        monkeypatch.setattr(verify, "is_parallel", lambda s, t: False)
+        gates = [v.inputs for v in verify.verify_complex(staircase(3), "gates", 40, 7)]
+        monkeypatch.setattr(verify, "parallel_into", lambda s, t: False)
+        closure = [v.inputs for v in verify.verify_complex(staircase(4), "closure", 40, 7)]
+        assert gates == PINNED_GATES_CASES
+        assert closure == PINNED_CLOSURE_CASES
+
+
+# Recorded with the pool-based `sample` and the check of every member inside F.
+PINNED_GATES_CASES = [
+    {'Y': (0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12), 'Z': (6, 7, 8, 10, 11, 12)},
+    {'C': (2,), 'D': (5, 6, 7, 8, 9, 10, 11, 12), 'E': (5,)},
+    {'F': (5, 6, 7, 8, 9, 10, 11, 12)},
+    {'F': (5, 6, 7, 8, 9, 10, 11, 12)},
+    {'Y': (3,), 'Z': (2, 3, 4, 5, 6, 7, 8)},
+    {'C': (4,), 'D': (5, 6, 7, 9, 10, 11), 'E': (1,)},
+    {'F': (6,)},
+    {'F': (6,)},
+    {'Y': (0, 1, 2, 3, 5, 6, 9, 10), 'Z': (6, 7, 8)},
+    {'C': (1,), 'D': (1,), 'E': (5, 6, 7, 8, 9, 10, 11, 12)},
+    {'F': (0, 1, 2, 3)},
+    {'F': (0, 1, 2, 3)},
+    {'Y': (0, 2, 5, 9), 'Z': (8,)},
+    {'C': (6, 10), 'D': (3, 6), 'E': (2, 5)},
+    {'F': (2, 3, 5, 6, 9, 10)},
+    {'F': (2, 3, 5, 6, 9, 10)},
+    {'Y': (0, 1, 2, 3, 4), 'Z': (1, 3, 4, 6, 7, 10, 11)},
+    {'C': (5,), 'D': (0, 1, 2, 3, 5, 6, 9, 10), 'E': (0, 1, 2, 3, 5, 6, 9, 10)},
+    {'F': (5,)},
+    {'F': (5,)},
+    {'Y': (0, 1, 2, 3, 5, 6), 'Z': (11,)},
+    {'C': (0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12), 'D': (4,), 'E': (7, 8)},
+    {'F': (2,)},
+    {'F': (2,)},
+    {'Y': (8,), 'Z': (1, 3, 4, 6, 7, 8)},
+]
+
+PINNED_CLOSURE_CASES = [
+    {'F': (14, 15, 16, 17, 18), 'V': (14, 15), 'x': 14},
+    {'F': (0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18),
+     'V': (2, 5, 9, 14), 'x': 2},
+    {'F': (0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18),
+     'V': (9, 14), 'x': 9},
+    {'F': (3, 6, 10, 15), 'V': (10, 15), 'x': 10},
+    {'F': (1, 3, 6, 10, 15), 'V': (3, 6, 10, 15), 'x': 3},
+    {'F': (5, 6, 7), 'V': (5, 6), 'x': 5},
+    {'F': (0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18),
+     'V': (0, 2, 5, 9, 14), 'x': 0},
+    {'F': (4, 7, 11, 16), 'V': (11, 16), 'x': 11},
+    {'F': (0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18),
+     'V': (9, 14), 'x': 9},
+    {'F': (4, 7, 11, 16), 'V': (11,), 'x': 11},
+    {'F': (0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18),
+     'V': (12, 17), 'x': 12},
+    {'F': (6, 10, 15), 'V': (10,), 'x': 10},
+    {'F': (0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18), 'V': (15,), 'x': 15},
+    {'F': (12, 17), 'V': (12,), 'x': 12},
+    {'F': (0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18), 'V': (0,), 'x': 0},
+    {'F': (2, 5, 9, 14), 'V': (9,), 'x': 9},
+    {'F': (5, 6, 7), 'V': (7,), 'x': 7},
+    {'F': (0, 2, 5, 9, 14), 'V': (2,), 'x': 2},
+    {'F': (0, 2, 5, 9, 14), 'V': (14,), 'x': 14},
+    {'F': (5, 6, 7, 8), 'V': (7,), 'x': 7},
+    {'F': (0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18), 'V': (11,), 'x': 11},
+    {'F': (0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18),
+     'V': (14, 15, 16, 17, 18), 'x': 14},
+    {'F': (11, 16), 'V': (11,), 'x': 11},
+    {'F': (9, 10, 11, 12, 13), 'V': (9, 10, 11, 12), 'x': 9},
+    {'F': (0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18), 'V': (8,), 'x': 8},
+]

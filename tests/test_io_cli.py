@@ -370,6 +370,24 @@ def test_unloadable_labels_refused_at_save(labels, generator, field, tmp_path):
     assert not path.exists()
 
 
+@pytest.mark.parametrize("command", ["analyze", "verify", "oracle", "export"])
+def test_deep_json_nesting_exit_2(command, tmp_path, capsys):
+    """The JSON parser recurses once per level and would end in a traceback."""
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000 + "]" * 100000)
+    extra = ["--dot", str(tmp_path / "deep.dot")] if command == "export" else []
+    assert run([command, str(path), *extra]) == 2
+    assert capsys.readouterr().err == "error: not valid JSON: nested too deeply\n"
+
+
+def test_build_kind_checked_before_the_spec(tmp_path, capsys):
+    """--kind is one generator name, not spliced unchecked into a spec."""
+    out = tmp_path / "x.json"
+    assert run(["build", "--kind", "grid(1", "-o", str(out)]) == 2
+    assert capsys.readouterr().err == "error: unknown generator kind 'grid(1'\n"
+    assert not out.exists()
+
+
 def test_deep_spec_nesting_exit_2(tmp_path, capsys):
     from cubemedian.generators import MAX_SPEC_DEPTH
     deep = "product(" * 2000 + "grid(1,1),grid(1,1)" + ")" * 1999

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 import oracles
 from conftest import MEDIAN_FIXTURES, by_label, draw_product_or_wedge
 from cubemedian import (
+    MedianComplex,
     crossing_signature,
     hull,
     hyperclosure,
@@ -92,6 +93,40 @@ class TestProjectionOracleAgreement:
         rng = SplitMix64(data.draw(st.integers(0, 2**64 - 1)))
         for a in all_convex_subcomplexes(cx):
             assert_matches_oracles(a, rng.choice(a.vertices))
+
+
+class TestPolarTable:
+    """The polar kept once per crossing mask against the AND loop over the
+    mask's classes that each orth call ran before it."""
+
+    @staticmethod
+    def check(cx):
+        fresh = MedianComplex(cx.vertex_count, cx.edges)
+        assert fresh._polars == {}  # filled on first ask, not at construction
+        subs = all_convex_subcomplexes(fresh)
+        for a in subs:
+            x = a.vertices[-1]
+            assert orth(a, x) == oracles.and_loop_orth(a, x)
+        masks = {a.crossing_mask for a in subs}
+        assert set(fresh._polars) == masks
+        for mask in masks:
+            assert fresh._polars[mask] == oracles.and_loop_polar(fresh, mask)
+
+    @pytest.mark.parametrize("name", MEDIAN_FIXTURES)
+    def test_fixtures(self, name, request):
+        self.check(request.getfixturevalue(name))
+
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_random_median(self, data):
+        dim = data.draw(st.integers(1, 6))
+        count = data.draw(st.integers(1, min(10, 1 << dim)))
+        self.check(random_median(dim, count, seed=data.draw(st.integers(0, 2**64 - 1))))
+
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_products_and_wedges(self, data):
+        self.check(draw_product_or_wedge(data))
 
 
 class TestFormulaVsDefinition:
