@@ -229,54 +229,37 @@ def multiplicity(h: Hyperclosure) -> MultiplicityProfile:
                                max_multiplicity=max(counts), histogram=hist)
 
 
-def _containments(h: Hyperclosure):
-    """Yield (j, i) for every pair of members with members[j] strictly inside
-    members[i], j ascending.
-
-    V = (T, a) lies in F = (S, b) iff T & ~S == 0 and a & ~S == b.  If so,
-    each vertex of V has signs a off T, so a & ~S off S, which puts it in
-    F.  Conversely, a class of T outside S has both signs in V and one in
-    F; and once T lies in S, V's vertices show a & ~S off S, which must be
-    F's base b.  Equal masks give equal keys, so strict containment needs
-    S to contain T strictly, and each such member mask S leaves one
-    candidate, (S, a & ~S): one dict lookup.
-    """
-    members = h.members
-    index = {(m.crossing_mask, m.base): i for i, m in enumerate(members)}
-    masks = dict.fromkeys(m.crossing_mask for m in members)
-    above: dict[int, list[int]] = {}
-    for j, v in enumerate(members):
-        t, a = v.crossing_mask, v.base
-        if t not in above:
-            above[t] = [s for s in masks if s != t and t & ~s == 0]
-        for s in above[t]:
-            i = index.get((s, a & ~s))
-            if i is not None:
-                yield j, i
-
-
 def longest_chain(h: Hyperclosure) -> tuple[int, list[ConvexSubcomplex]]:
     """Longest strictly nested chain of members (all share the least member's
     vertices), with a witness chain: the least index wins among equally long
-    predecessors.  One pass over `_containments`: a member strictly inside
-    another is smaller, so it comes first in size order and its length is
-    final when its pairs arrive; each target sees its sources in ascending
-    order and takes one only when it is strictly longer."""
-    members = h.members
-    best_len = [1] * len(members)
-    prev = [-1] * len(members)
-    for j, i in _containments(h):
-        if best_len[j] >= best_len[i]:
-            best_len[i] = best_len[j] + 1
-            prev[i] = j
-    top = max(range(len(members)), key=lambda i: (best_len[i], -i))
-    chain = []
-    i = top
-    while i >= 0:
-        chain.append(members[i])
-        i = prev[i]
-    chain.reverse()
-    return best_len[top], chain
+    predecessors.
+
+    A member's length depends only on its crossing mask, in two steps:
+    - Strictly nested members have strictly nested masks: V = (T, a) lies in
+      F = (S, b) iff T & ~S == 0 and a & ~S == b, so equal masks plus
+      containment give equal keys.
+    - Take member masks T ⊊ S and any member F with mask S.  For any member
+      V with mask T, project(F, V) is a member inside F crossed by exactly
+      T.  So every chain of masks below S is realised inside F.
+    So length[S] = 1 + max(length[T] for member masks T ⊊ S), in popcount
+    order.  The DP over every containment pair (tests/oracles.py keeps it)
+    updates a member only at a strict new maximum, so its predecessor is the
+    least-index member inside it one shorter; the witness walks down the same
+    way from the least-index member of greatest length.
+    """
+    length: dict[int, int] = {}
+    for s in sorted({m.crossing_mask for m in h.members}, key=int.bit_count):
+        # a mask seen before S that S contains is a proper subset of S
+        length[s] = 1 + max((n for t, n in length.items() if t & ~s == 0), default=0)
+    by_len: dict[int, list[ConvexSubcomplex]] = {}
+    for m in h.members:
+        by_len.setdefault(length[m.crossing_mask], []).append(m)
+    top = max(by_len)
+    chain = [by_len[top][0]]
+    for n in range(top - 1, 0, -1):
+        s, b = chain[-1].crossing_mask, chain[-1].base
+        chain.append(next(m for m in by_len[n] if m.crossing_mask & ~s == 0 and m.base & ~s == b))
+    return top, chain[::-1]
 
 
 def clean_container(h: Hyperclosure, f: ConvexSubcomplex, v: ConvexSubcomplex,

@@ -76,7 +76,7 @@ def complex_from_json(text: str, *, run_validate: bool = True) -> MedianComplex:
         raise StructuralError("not valid JSON: nested too deeply") from exc
     if not isinstance(obj, dict) or "vertices" not in obj or "edges" not in obj:
         raise StructuralError('complex file needs "vertices" and "edges"')
-    raw_labels = obj.get("labels") or {}
+    raw_labels = {} if obj.get("labels") is None else obj["labels"]
     if not isinstance(raw_labels, dict):
         raise StructuralError('"labels" must be a map')
     _check_types(obj["vertices"], obj["edges"])

@@ -19,7 +19,7 @@ from .gates import (
     project,
     separators,
 )
-from .hyperclosure import Hyperclosure, _containments, clean_container, hyperclosure
+from .hyperclosure import Hyperclosure, clean_container, hyperclosure
 from .orthocomplement import orth
 from .rng import SplitMix64
 
@@ -191,9 +191,26 @@ def _sound_derivation(closure: Hyperclosure, sides, member) -> bool:
 
 def _orthogonal(cx, s, t) -> bool:
     """True iff every class crossing S crosses every class crossing T; as no
-    class crosses itself, no class then crosses both."""
-    crossing, t_mask = cx.crossing_masks, t.crossing_mask
-    return all(t_mask & ~crossing[i] == 0 for i in _bits(s.crossing_mask))
+    class crosses itself, no class then crosses both.  Crossing is symmetric,
+    so the loop runs over the sparser of the two masks."""
+    a, b = sorted((s.crossing_mask, t.crossing_mask), key=int.bit_count)
+    crossing = cx.crossing_masks
+    return all(b & ~crossing[i] == 0 for i in _bits(a))
+
+
+def _containments(h: Hyperclosure):
+    """Yield (j, i) for every pair of members with members[j] strictly inside
+    members[i], j ascending.  V = (T, a) lies in F = (S, b) iff T & ~S == 0
+    and a & ~S == b, and equal masks give equal keys, so each member mask S
+    strictly above T leaves one candidate, (S, a & ~S): one dict lookup."""
+    index = {(m.crossing_mask, m.base): i for i, m in enumerate(h.members)}
+    masks = dict.fromkeys(t for t, _ in index)
+    above = {t: [s for s in masks if s != t and t & ~s == 0] for t in masks}
+    for j, v in enumerate(h.members):
+        for s in above[v.crossing_mask]:
+            i = index.get((s, v.base & ~s))
+            if i is not None:
+                yield j, i
 
 
 def _clean_container_checks(cx, rng, cases, rec: _Recorder, closure: Hyperclosure):

@@ -46,11 +46,18 @@ method call per raw draw, the rejection bound recomputed per draw and
 `sample` over a copy of the whole population, which preceded the inlined
 step, one bound per n and the sparse sample; and `per_member_maximal`,
 the clean-container maximality check over every member inside F, which
-preceded one member per crossing mask.
+preceded one member per crossing mask; `containment_chain`, the longest
+chain by a DP over every containment pair of members, which preceded one
+pass over the member masks; and `one_sided_orthogonal`, verify's
+orthogonality test looping over the first argument's classes, which
+preceded the loop over the sparser mask.  `lattice_members` is the
+member set and its parallel classes read off the crossing-mask lattice,
+with no search and no vertex bound.
 """
 
 import functools
 import heapq
+import operator
 from collections import deque
 from itertools import combinations
 from typing import Optional
@@ -83,6 +90,7 @@ from cubemedian.hyperclosure import (
     Derivation,
     Hyperclosure,
 )
+from cubemedian.verify import _containments
 
 
 def _from_mask(cx, mask):
@@ -726,6 +734,30 @@ def mask_longest_chain(h):
     return best_len[top], chain
 
 
+def containment_chain(h):
+    """Longest strictly nested chain of members, by a DP over every
+    containment pair, with a witness chain (least index among equally long
+    predecessors).  A member strictly inside another is smaller, so it comes
+    first in size order and its length is final when its pairs arrive; each
+    target sees its sources in ascending order and takes one only when it is
+    strictly longer."""
+    members = h.members
+    best_len = [1] * len(members)
+    prev = [-1] * len(members)
+    for j, i in _containments(h):
+        if best_len[j] >= best_len[i]:
+            best_len[i] = best_len[j] + 1
+            prev[i] = j
+    top = max(range(len(members)), key=lambda i: (best_len[i], -i))
+    chain = []
+    i = top
+    while i >= 0:
+        chain.append(members[i])
+        i = prev[i]
+    chain.reverse()
+    return best_len[top], chain
+
+
 def contained_member_pairs(members):
     """The pairs (F, V) of members with V properly inside F, by all |F|^2
     containment tests, F-major in member order."""
@@ -880,3 +912,42 @@ def per_member_maximal(closure, f, v, u):
 
     return all(crossing_signature(w) <= crossing_signature(u)
                for w in closure.members if w <= f and orthogonal(w))
+
+
+def one_sided_orthogonal(cx, s, t):
+    """True iff every class crossing S crosses every class crossing T, by a
+    loop over the classes crossing S."""
+    crossing, t_mask = cx.crossing_masks, t.crossing_mask
+    return all(t_mask & ~crossing[i] == 0 for i in _bits(s.crossing_mask))
+
+
+def lattice_members(cx):
+    """The hyperclosure read off the crossing-mask lattice: a dict from each
+    mask M of L to the vertex tuples of its full-spread fibres, which are the
+    members crossed by exactly M and form one parallel class.
+
+    L is the AND-closure of {all classes} and the classes' crossing masks,
+    the polars σ⊥ of all class sets σ.  A member is orth(A, a) for some
+    convex A, so its mask is a polar, in L; every M in L is the mask of a
+    nested side projection, and closure under parallelism adds every fibre
+    {v : s_v & ~M == b} on which all of M varies.  A fibre is grouped here
+    from the signs, and its spread is the classes some of its vertices have
+    and some lack.
+    """
+    full = (1 << len(cx.classes)) - 1
+    lattice, frontier = {full}, {full}
+    while frontier:
+        frontier = {m & c for m in frontier for c in cx.crossing_masks} - lattice
+        lattice |= frontier
+    out = {}
+    for mask in lattice:
+        fibres = {}
+        for v, sign in enumerate(cx.signs):
+            fibres.setdefault(sign & ~mask, []).append(v)
+        out[mask] = []
+        for verts in fibres.values():
+            signs = [cx.signs[v] for v in verts]
+            spread = functools.reduce(operator.or_, signs) & ~functools.reduce(operator.and_, signs)
+            if spread == mask:
+                out[mask].append(tuple(verts))
+    return out

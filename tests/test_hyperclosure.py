@@ -1,9 +1,10 @@
 """The hyperclosure: members, grades, limits, agreement with the pairwise
-fixpoint oracle and the graded search over keys, multiplicity, chains and
-clean containers."""
+fixpoint oracle, the graded search over keys and the crossing-mask
+lattice, multiplicity, chains and clean containers."""
 
 import importlib
 
+import networkx as nx
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -12,10 +13,13 @@ from conftest import BENCH_SPECS, MEDIAN_FIXTURES, by_label, draw_product_or_wed
 from oracles import (
     by_sig_parallel_classes,
     contained_member_pairs,
+    containment_chain,
     copies_by_scan,
     fixpoint_hyperclosure,
     graded_bfs_hyperclosure,
+    lattice_members,
     mask_longest_chain,
+    one_sided_orthogonal,
     orth_parallel_copies,
     per_copy_copies_check,
     per_member_maximal,
@@ -51,8 +55,8 @@ from cubemedian import (
     whole_complex,
 )
 from cubemedian import core, gates
-from cubemedian.hyperclosure import _containments
 from cubemedian.rng import SplitMix64
+from cubemedian.verify import _containments
 
 # The fixpoint oracle costs about |F|^2 projections, about a million on the
 # full 6-cube (64 vertices, 729 members), so drawn complexes stop below it.
@@ -496,19 +500,78 @@ def drawn_complexes(test):
 
 
 class TestChainOracleAgreement:
-    """Containment by keys against the vertex-mask chain it replaced: the
-    same length and the same witness, so the least-index tie-break holds."""
+    """The chain over member masks against the DP over every containment
+    pair and the vertex-mask chain before it: the same length and the same
+    witness, so the least-index tie-break holds."""
 
     def check(self, cx, rng=None):
         h = hyperclosure(cx)
         length, chain = longest_chain(h)
-        expected_length, expected_chain = mask_longest_chain(h)
-        assert length == expected_length
-        assert [m.vertices for m in chain] == [m.vertices for m in expected_chain]
+        for oracle in (containment_chain, mask_longest_chain):
+            expected_length, expected_chain = oracle(h)
+            assert length == expected_length
+            assert [m.vertices for m in chain] == [m.vertices for m in expected_chain]
 
     @pytest.mark.parametrize("name", MEDIAN_FIXTURES)
     def test_fixtures(self, name, request):
         self.check(request.getfixturevalue(name))
+
+    @pytest.mark.parametrize("spec", BENCH_SPECS)
+    def test_bench_complexes(self, spec):
+        self.check(generate(parse_spec(spec)))
+
+    test_random_median, test_products_and_wedges = drawn_complexes(check)
+
+
+class TestChainMaskLemma:
+    """The lemma the chain rests on: the members inside a member F, F
+    included, have exactly the member masks inside F's mask, so every chain
+    of masks below F's is realised by members inside F."""
+
+    def check(self, cx, rng=None):
+        members = hyperclosure(cx).members
+        masks = {m.crossing_mask for m in members}
+        inside = {f: {f.crossing_mask} for f in members}
+        for f, v in contained_member_pairs(members):
+            inside[f].add(v.crossing_mask)
+        for f, found in inside.items():
+            assert found == {t for t in masks if t & ~f.crossing_mask == 0}
+
+    @pytest.mark.parametrize("name", MEDIAN_FIXTURES)
+    def test_fixtures(self, name, request):
+        self.check(request.getfixturevalue(name))
+
+    @pytest.mark.parametrize("spec", BENCH_SPECS)
+    def test_bench_complexes(self, spec):
+        self.check(generate(parse_spec(spec)))
+
+    test_random_median, test_products_and_wedges = drawn_complexes(check)
+
+
+class TestLatticeOracle:
+    """The members and parallel classes against the full-spread fibres of the
+    crossing-mask lattice L, with no vertex bound, and the longest chain
+    against the longest chain of masks in L."""
+
+    def check(self, cx, rng=None):
+        h = hyperclosure(cx)
+        lattice = lattice_members(cx)
+        assert ({frozenset(m.vertices for m in group) for group in h.parallel_classes} ==
+                {frozenset(fibres) for fibres in lattice.values()})
+        assert len(h.parallel_classes) == len(lattice)
+        assert {m.vertices for m in h.members} == {f for fs in lattice.values() for f in fs}
+        inclusions = nx.DiGraph((t, s) for s in lattice for t in lattice
+                                if t != s and t & ~s == 0)
+        inclusions.add_nodes_from(lattice)
+        assert longest_chain(h)[0] == nx.dag_longest_path_length(inclusions) + 1
+
+    @pytest.mark.parametrize("name", MEDIAN_FIXTURES)
+    def test_fixtures(self, name, request):
+        self.check(request.getfixturevalue(name))
+
+    @pytest.mark.parametrize("spec", BENCH_SPECS)
+    def test_bench_complexes(self, spec):
+        self.check(generate(parse_spec(spec)))
 
     test_random_median, test_products_and_wedges = drawn_complexes(check)
 
@@ -732,11 +795,11 @@ class TestParallelClass:
 
 
 class TestContainedPairs:
-    """The containments the chain and the clean-container checks read, one
-    key lookup per member and larger parallel class, against the all-pairs
-    containment scan: the same pairs, sources ascending, so the F-major list
-    verify samples from is the scan's list in the same order and every seed
-    draws the same cases."""
+    """The containments verify's clean-container checks read, one key lookup
+    per member and larger member mask, against the all-pairs containment
+    scan: the same pairs, sources ascending, so the F-major list verify
+    samples from is the scan's list in the same order and every seed draws
+    the same cases."""
 
     def check(self, cx, rng=None):
         h = hyperclosure(cx)
@@ -800,6 +863,29 @@ class TestMaximalityPerMask:
         self.check(cx, rng, degenerate=True)
 
     test_random_median, test_products_and_wedges = drawn_complexes(degenerate_check)
+
+
+class TestOrthogonalSparserLoop:
+    """verify's orthogonality test, looping over the sparser crossing mask,
+    against the loop over the first argument's classes, on every ordered
+    pair of members."""
+
+    def check(self, cx, rng=None):
+        members = hyperclosure(cx).members
+        seen = set()
+        for s in members:
+            for t in members:
+                got = verify._orthogonal(cx, s, t)
+                assert got == one_sided_orthogonal(cx, s, t)
+                seen.add(got)
+        return seen
+
+    @pytest.mark.parametrize("name", MEDIAN_FIXTURES)
+    def test_fixtures(self, name, request):
+        seen = self.check(request.getfixturevalue(name))
+        assert seen == ({True} if name == "single_vertex" else {False, True})
+
+    test_random_median, test_products_and_wedges = drawn_complexes(check)
 
 
 class TestCaseStreamPinned:

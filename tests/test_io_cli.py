@@ -341,6 +341,27 @@ def test_label_schema_exit_2(labels, field, tmp_path, capsys):
     assert err.startswith(f"error: {field}") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("labels", [[], [1], 0, 1, False, "", "x"])
+def test_non_map_labels_exit_2(labels, tmp_path, capsys):
+    """Every "labels" value other than an object or null is refused, the
+    falsy ones too."""
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"vertices": 2, "edges": [[0, 1]], "labels": labels}))
+    with pytest.raises(StructuralError, match='^"labels" must be a map$'):
+        load_complex(path)
+    assert run(["analyze", str(path)]) == 2
+    assert capsys.readouterr().err == 'error: "labels" must be a map\n'
+
+
+def test_null_labels_mean_no_labels(tmp_path, capsys):
+    path = tmp_path / "cx.json"
+    path.write_text(json.dumps({"vertices": 2, "edges": [[0, 1]], "labels": None}))
+    cx = load_complex(path)
+    assert cx.labels is None and cx.generator is None
+    assert run(["analyze", str(path)]) == 0
+    assert capsys.readouterr().err == ""
+
+
 @pytest.mark.parametrize("build_args", [
     ["staircase", "--params", "3"],
     ["product", "--params", "grid(1,1)", "box(2)"],
