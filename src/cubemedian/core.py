@@ -160,29 +160,31 @@ class MedianComplex:
     def classes(self) -> tuple["HyperplaneClass", ...]:
         """Wall classes, numbered by least edge.
 
-        One BFS from vertex 0 labels them (Beneteau, Chalopin, Chepoi and
-        Vaxes, arXiv:1907.10398).  The predecessors of a vertex v are its
-        neighbours one step nearer vertex 0.  If v has a single predecessor
-        u, the edge uv opens a new class.  Otherwise each edge uv joins the
-        class of xw, where w is another predecessor of v and x the common
-        predecessor of u and w: in a median graph x = median(u, w, 0) is
-        unique, and uv is opposite xw in the square u-v-w-x.  The signs
-        follow the BFS tree, s(v) = s(u) ^ bit(class(uv)).  The classes are
-        then renumbered by least edge and oriented so that the least
-        endpoint of the least dual edge is on the minus side.
+        Two rules label the edges, and one tail, `_walls_from_labels`, does
+        the rest for both.  The first rule is one BFS from vertex 0
+        (Beneteau, Chalopin, Chepoi and Vaxes, arXiv:1907.10398).  The
+        predecessors of a vertex v are its neighbours one step nearer vertex
+        0.  If v has a single predecessor u, the edge uv opens a new class.
+        Otherwise each edge uv joins the class of xw, where w is another
+        predecessor of v and x the common predecessor of u and w: in a median
+        graph x = median(u, w, 0) is unique, and uv is opposite xw in the
+        square u-v-w-x.  The tail numbers the classes by least edge, sets the
+        signs along the BFS tree, s(v) = s(u) ^ bit(class(uv)), checks that
+        the ends of every edge differ in exactly its own class bit, and
+        orients each class so that the least endpoint of the least dual edge
+        is on the minus side.
 
-        The rule is sound only on median graphs, so the labelling is kept
-        only if it certifies itself: the ends of every edge differ in
-        exactly its own class bit, the signs are injective, and the square
-        condition of `validate` holds with its adjacency lookups.  Then the
-        graph is median (see `validate`) and the labelling is its Djokovic
-        partition.  If the rule finds no unique common predecessor, or the
-        certificate fails, which happens only on non-median input, the
-        classes are built class by class instead: the first edge uv in no
-        class yet starts the next class, one BFS from u and v together
-        splits the vertices into those nearer u (the minus side) and those
-        nearer v, and every edge cut by the split joins the class.  An edge
-        cut by two splits means the relation is not transitive.
+        The BFS rule is sound only on median graphs, so its labelling is kept
+        only if it certifies itself: it passes the tail's edge check, the
+        signs are injective, and the square condition of `validate` holds
+        with its adjacency lookups.  Then the graph is median (see
+        `validate`) and the labelling is its Djokovic partition.  Otherwise,
+        which happens only on non-median input, the second rule labels the
+        edges class by class: the first edge uv in no class yet starts the
+        next class, one BFS from u and v together splits the vertices into
+        those nearer u and those nearer v, and every edge cut by the split
+        joins the class.  An edge cut by two splits means the relation is
+        not transitive.
         """
         return self._walls[0]
 
@@ -286,14 +288,13 @@ class MedianComplex:
 
 def _label_by_bfs(cx: MedianComplex, depth: list[int]
                   ) -> Optional[tuple[tuple["HyperplaneClass", ...], tuple[int, ...]]]:
-    """The one-BFS labelling of `MedianComplex.classes`, with its signs; None
-    where two predecessors of a vertex have no unique common predecessor, or
-    the ends of an edge differ in more than its own class bit."""
+    """The one-BFS rule of `MedianComplex.classes`, through `_walls_from_labels`;
+    None where two predecessors of a vertex have no unique common predecessor,
+    or the ends of an edge differ in more than its own class bit."""
     n, nbrs = cx.vertex_count, cx.neighbors
-    order = sorted(range(n), key=depth.__getitem__)
     preds = [[u for u in nbrs[v] if depth[u] < depth[v]] for v in range(n)]
     opened: dict[tuple[int, int], int] = {}  # (nearer, farther end) -> class, in order of opening
-    for v in order[1:]:
+    for v in sorted(range(n), key=depth.__getitem__)[1:]:
         p = preds[v]
         if len(p) == 1:
             opened[(p[0], v)] = len(opened)
@@ -304,72 +305,68 @@ def _label_by_bfs(cx: MedianComplex, depth: list[int]
             if len(common) != 1:
                 return None
             opened[(u, v)] = opened[(common[0], w)]
-    # renumber by least edge
-    renumber: dict[int, int] = {}
-    dual: list[list[tuple[int, int]]] = []
-    cid_of: dict[tuple[int, int], int] = {}
-    for a, b in cx.edges:
-        key = (a, b) if depth[a] < depth[b] else (b, a)
-        cid = renumber.setdefault(opened[key], len(dual))
-        if cid == len(dual):
-            dual.append([])
-        dual[cid].append((a, b))
-        cid_of[key] = cid
-    # signs relative to vertex 0, then checked on every edge
-    rel = [0] * n
-    for v in order[1:]:
-        u = preds[v][0]
-        rel[v] = rel[u] ^ (1 << cid_of[(u, v)])
-    for (u, v), cid in cid_of.items():
-        if rel[u] ^ rel[v] != 1 << cid:
-            return None
-    # orient: the least endpoint of the least dual edge goes to the minus side
-    flip = 0
-    for cid, edges in enumerate(dual):
-        flip |= rel[edges[0][0]] & (1 << cid)
-    # halfspaces away from vertex 0, by one transposition of the relative signs
-    away = [0] * len(dual)
-    for v, s in enumerate(rel):
-        bit = 1 << v
-        for i in _bits(s):
-            away[i] |= bit
-    full = cx.full_mask
-    classes = []
-    for cid, edges in enumerate(dual):
-        plus = full & ~away[cid] if (flip >> cid) & 1 else away[cid]
-        classes.append(HyperplaneClass(cx, cid, tuple(edges), full & ~plus, plus))
-    return tuple(classes), tuple(s ^ flip for s in rel)
+    return _walls_from_labels(cx, depth, opened)
 
 
 def _classes_by_split(cx: MedianComplex) -> tuple[tuple["HyperplaneClass", ...], tuple[int, ...]]:
-    """The class-by-class rule of `MedianComplex.classes`, with the signs:
-    one two-source BFS and one edge scan per class."""
-    edge_class: dict[tuple[int, int], int] = {}
-    classes = []
+    """The class-by-class rule of `MedianComplex.classes`, through
+    `_walls_from_labels`: one two-source BFS and one edge scan per class.
+    An edge cut by two splits raises, so each edge is cut by its own class's
+    split alone: the signs the tail sets along the BFS tree are the sides
+    of the splits, and its check on every edge passes."""
+    depth = cx._colouring[0]
+    label: dict[tuple[int, int], tuple[int, int]] = {}  # (nearer, farther end) -> first edge
     for u, v in cx.edges:
-        if (u, v) in edge_class:
+        if ((u, v) if depth[u] < depth[v] else (v, u)) in label:
             continue
-        cid = len(classes)
-        near = {u: True, v: False}
+        near: list[Optional[bool]] = [None] * cx.vertex_count
+        near[u], near[v] = True, False
         queue = deque((u, v))
         while queue:
             x = queue.popleft()
             for y in cx.neighbors[x]:
-                if y not in near:
+                if near[y] is None:
                     near[y] = near[x]
                     queue.append(y)
-        minus = _mask_of(w for w, is_near in near.items() if is_near)
-        dual = tuple(e for e in cx.edges if ((minus >> e[0]) ^ (minus >> e[1])) & 1)
-        for a, b in dual:
-            if edge_class.setdefault((a, b), cid) != cid:
-                raise InvariantViolation(
-                    f"wall relation is not transitive: witness edges ({u},{v}), ({a},{b})")
-        classes.append(HyperplaneClass(cx, cid, dual, minus, cx.full_mask & ~minus))
-    signs = [0] * cx.vertex_count
-    for h in classes:
-        for w in _bits(h.side_plus_mask):
-            signs[w] |= 1 << h.class_id
-    return tuple(classes), tuple(signs)
+        for a, b in cx.edges:
+            if near[a] != near[b]:
+                if label.setdefault((a, b) if depth[a] < depth[b] else (b, a), (u, v)) != (u, v):
+                    raise InvariantViolation(
+                        f"wall relation is not transitive: witness edges ({u},{v}), ({a},{b})")
+    return _walls_from_labels(cx, depth, label)
+
+
+def _walls_from_labels(cx: MedianComplex, depth: list[int], label: dict[tuple[int, int], object]
+                       ) -> Optional[tuple[tuple["HyperplaneClass", ...], tuple[int, ...]]]:
+    """The classes and signs of an edge labelling: `label` maps every edge,
+    as (nearer, farther end) from vertex 0, to its class.  The classes are
+    numbered by least edge, and the signs set along the BFS tree of
+    `cx._colouring`, relative to vertex 0; None unless the ends of every
+    edge then differ in exactly its own class bit.  Each class is oriented
+    so that the least endpoint of its least dual edge is on the minus side."""
+    dual: dict[object, list[tuple[int, int]]] = {}  # label -> its edges, least edge first
+    for a, b in cx.edges:
+        dual.setdefault(label[(a, b) if depth[a] < depth[b] else (b, a)], []).append((a, b))
+    bit = {c: 1 << i for i, c in enumerate(dual)}
+    parent = cx._colouring[1]
+    rel = [0] * cx.vertex_count
+    for v in sorted(range(cx.vertex_count), key=depth.__getitem__)[1:]:
+        rel[v] = rel[parent[v]] ^ bit[label[(parent[v], v)]]
+    if any(rel[u] ^ rel[v] != bit[c] for (u, v), c in label.items()):
+        return None
+    # halfspaces away from vertex 0, by one transposition of the relative signs
+    away = [0] * len(dual)
+    for v, s in enumerate(rel):
+        bit_v = 1 << v
+        for i in _bits(s):
+            away[i] |= bit_v
+    full, flip, classes = cx.full_mask, 0, []
+    for i, edges in enumerate(dual.values()):
+        plus = away[i]
+        if (rel[edges[0][0]] >> i) & 1:  # the least end of the least edge goes to the minus side
+            plus, flip = full & ~plus, flip | 1 << i
+        classes.append(HyperplaneClass(cx, i, tuple(edges), full & ~plus, plus))
+    return tuple(classes), tuple(s ^ flip for s in rel)
 
 
 class _Squares(NamedTuple):

@@ -316,8 +316,7 @@ def generate(spec: GeneratorSpec) -> MedianComplex:
     else:  # glued_staircase_ray
         _require(ints and len(params) == 1 and params[0] >= 1,
                  "glued_staircase_ray(n) needs n >= 1")
-        cx = _build_glued_ray(params[0])
-        return _stamp(cx, spec)
+        n, edges, labels = _build_glued_ray(params[0])
 
     cx = MedianComplex(n, edges, labels=labels)
     report = validate(cx)
@@ -334,14 +333,16 @@ def _stamp(cx: MedianComplex, spec: GeneratorSpec) -> MedianComplex:
     return cx
 
 
-def _build_glued_ray(n: int) -> MedianComplex:
-    # path 0..n with staircase(k) wedged at path vertex k, at its (0,0) corner
-    cx = MedianComplex(n + 1, [(k, k + 1) for k in range(n)])
+def _build_glued_ray(n: int):
+    # path 0..n with staircase(k) wedged at path vertex k at its (0,0) corner, its
+    # vertex 0; as `wedge` numbers them, its other vertices follow all before them
+    edges, count = [(k, k + 1) for k in range(n)], n + 1
     for k in range(1, n + 1):
-        st = staircase(k)
-        corner = next(i for i, lab in st.labels.items() if lab == (0, 0))
-        cx = wedge(cx, k, st, corner)
-    return cx
+        m, st_edges, _ = _build_staircase(k)
+        remap = [k, *range(count, count + m - 1)]  # increasing, as k < count
+        edges += [(remap[a], remap[b]) for a, b in st_edges]
+        count += m - 1
+    return count, sorted(edges), None
 
 
 # -- convenience constructors ------------------------------------------------

@@ -256,6 +256,7 @@ def verify_complex(cx: MedianComplex, suite: str = "all", cases: int = 1000,
         raise ValueError(f"seed must be in 0..2^64-1, not {seed}")
     wanted = SUITES if suite == "all" else (suite,)
     violations: list[Violation] = []
+    whole_complex(cx).vertices  # none on an empty complex: the not-median line, as for the closure
     closure = hyperclosure(cx) if {"orth", "closure"} & set(wanted) else None
     for name in wanted:
         rng = SplitMix64(seed * len(SUITES) + SUITES.index(name))

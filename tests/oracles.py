@@ -50,7 +50,13 @@ preceded one member per crossing mask; `containment_chain`, the longest
 chain by a DP over every containment pair of members, which preceded one
 pass over the member masks; and `one_sided_orthogonal`, verify's
 orthogonality test looping over the first argument's classes, which
-preceded the loop over the sparser mask.  `lattice_members` is the
+preceded the loop over the sparser mask; `mask_split_classes`, the
+class-by-class wall rule with halfspaces built one bit at a time, one
+n-bit mask shift per edge and class, and signs read off the plus sides,
+which preceded the split rule's edge labelling through the tail it shares
+with the one-BFS rule; and `wedged_glued_ray`, glued_staircase_ray(n) by n
+validated wedges of validated staircases, which preceded one edge list
+validated once.  `lattice_members` is the
 member set and its parallel classes read off the crossing-mask lattice,
 with no search and no vertex bound.
 """
@@ -64,9 +70,10 @@ from typing import Optional
 
 import networkx as nx
 
-from cubemedian import hull, orth, subcomplex
+from cubemedian import MedianComplex, hull, orth, subcomplex
 from cubemedian.core import (
     ConvexSubcomplex,
+    HyperplaneClass,
     InvariantFailure,
     ValidationReport,
     _bits,
@@ -75,6 +82,7 @@ from cubemedian.core import (
     _odd_cycle_witness,
     whole_complex,
 )
+from cubemedian.generators import staircase, wedge
 from cubemedian.errors import InvariantViolation, ResourceLimitError
 from cubemedian.gates import (
     crossing_signature,
@@ -951,3 +959,45 @@ def lattice_members(cx):
             if spread == mask:
                 out[mask].append(tuple(verts))
     return out
+
+
+def mask_split_classes(cx):
+    """The class-by-class rule of `MedianComplex.classes`, with the signs:
+    one two-source BFS and one edge scan per class."""
+    edge_class: dict[tuple[int, int], int] = {}
+    classes = []
+    for u, v in cx.edges:
+        if (u, v) in edge_class:
+            continue
+        cid = len(classes)
+        near = {u: True, v: False}
+        queue = deque((u, v))
+        while queue:
+            x = queue.popleft()
+            for y in cx.neighbors[x]:
+                if y not in near:
+                    near[y] = near[x]
+                    queue.append(y)
+        minus = _mask_of(w for w, is_near in near.items() if is_near)
+        dual = tuple(e for e in cx.edges if ((minus >> e[0]) ^ (minus >> e[1])) & 1)
+        for a, b in dual:
+            if edge_class.setdefault((a, b), cid) != cid:
+                raise InvariantViolation(
+                    f"wall relation is not transitive: witness edges ({u},{v}), ({a},{b})")
+        classes.append(HyperplaneClass(cx, cid, dual, minus, cx.full_mask & ~minus))
+    signs = [0] * cx.vertex_count
+    for h in classes:
+        for w in _bits(h.side_plus_mask):
+            signs[w] |= 1 << h.class_id
+    return tuple(classes), tuple(signs)
+
+
+def wedged_glued_ray(n):
+    """glued_staircase_ray(n) before its generator stamp, by wedges."""
+    # path 0..n with staircase(k) wedged at path vertex k, at its (0,0) corner
+    cx = MedianComplex(n + 1, [(k, k + 1) for k in range(n)])
+    for k in range(1, n + 1):
+        st = staircase(k)
+        corner = next(i for i, lab in st.labels.items() if lab == (0, 0))
+        cx = wedge(cx, k, st, corner)
+    return cx

@@ -387,6 +387,11 @@ def no_fallback():
     return mock.patch.object(core, "_classes_by_split", fail)
 
 
+WRONG_LABELLING_EDGES = [(0, 1), (0, 5), (0, 11), (1, 2), (1, 3), (2, 4), (2, 6), (2, 11),
+                         (3, 5), (3, 6), (4, 7), (5, 10), (6, 9), (6, 10), (7, 8), (7, 11),
+                         (8, 9), (8, 10), (10, 11)]
+
+
 class TestWallLabelling:
     """The one-BFS labelling against the table oracles, and proof that median
     input never reaches the class-by-class rule."""
@@ -413,9 +418,7 @@ class TestWallLabelling:
         # one bit per edge and are injective, but are not its walls: the
         # square scan rejects them, and the class-by-class rule reports
         # the wall relation
-        cx = MedianComplex(12, [(0, 1), (0, 5), (0, 11), (1, 2), (1, 3), (2, 4), (2, 6),
-                                (2, 11), (3, 5), (3, 6), (4, 7), (5, 10), (6, 9), (6, 10),
-                                (7, 8), (7, 11), (8, 9), (8, 10), (10, 11)])
+        cx = MedianComplex(12, WRONG_LABELLING_EDGES)
         depth = core._two_colour(cx)[0]
         _, signs = core._label_by_bfs(cx, depth)
         assert len(set(signs)) == cx.vertex_count
@@ -434,6 +437,108 @@ class TestWallLabelling:
             copy = relabelled(cx, range(cx.vertex_count))
             assert validate(copy).passed
         assert len(copy.classes) == 1999 and dimension(copy) == 1
+
+
+@st.composite
+def random_bipartite_graphs(draw):
+    """Edges drawn between two colour classes of 1..6 vertices, cut down to the
+    component of vertex 0 and relabelled by a drawn permutation."""
+    left, right = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    pairs = [(a, left + b) for a in range(left) for b in range(right)]
+    cx = component_of_zero(left + right, draw(st.lists(st.sampled_from(pairs), unique=True)))
+    return relabelled(cx, draw(st.permutations(range(cx.vertex_count))))
+
+
+@st.composite
+def holed_grids(draw):
+    """grid(w,h), w,h <= 6, minus a drawn set of vertices other than 0, cut
+    down to the component of vertex 0."""
+    w, h = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    index = {(i, j): i * (h + 1) + j for i in range(w + 1) for j in range(h + 1)}
+    holes = draw(st.sets(st.integers(1, len(index) - 1), max_size=4))
+    edges = [(index[c], index[d]) for c in index for d in ((c[0] + 1, c[1]), (c[0], c[1] + 1))
+             if d in index and index[c] not in holes and index[d] not in holes]
+    return component_of_zero(len(index), edges)
+
+
+def split_outcome(split, cx):
+    """A split rule's class ids, dual edges, sides and signs, or its message."""
+    try:
+        classes, signs = split(cx)
+    except InvariantViolation as exc:
+        return str(exc)
+    return [(h.class_id, h.dual_edges, h.side_minus_mask, h.side_plus_mask)
+            for h in classes], signs
+
+
+class TestSplitRule:
+    """The class-by-class rule, labelling edges for the shared tail, against
+    the rule that built its own halfspaces and signs; and on median input,
+    against the one-BFS labelling."""
+
+    @staticmethod
+    def agrees(cx):
+        got = split_outcome(core._classes_by_split, cx)
+        assert got == split_outcome(oracles.mask_split_classes, cx)
+        return "not transitive" if isinstance(got, str) else "classes"
+
+    @pytest.mark.parametrize("n,edges", [
+        (6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5)]),                  # C6
+        (5, [(0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4)]),                  # K2,3
+        (12, WRONG_LABELLING_EDGES),
+    ])
+    def test_named_graphs(self, n, edges):
+        self.agrees(MedianComplex(n, edges))
+
+    def test_holed_grid(self):
+        g = grid(8, 8)
+        centre = next(v for v, lab in g.labels.items() if lab == (4, 4))
+        cx = MedianComplex(80, [(u - (u > centre), v - (v > centre)) for u, v in g.edges
+                                if centre not in (u, v)])
+        assert not validate(cx).passed
+        self.agrees(cx)
+
+    @settings(max_examples=100, deadline=None)
+    @given(cx=induced_hypercube_subgraphs(4))
+    def test_induced_4cube_subgraphs(self, cx):
+        event(self.agrees(cx))
+
+    @settings(max_examples=100, deadline=None)
+    @given(cx=induced_hypercube_subgraphs(5))
+    def test_induced_5cube_subgraphs(self, cx):
+        event(self.agrees(cx))
+
+    @settings(max_examples=100, deadline=None)
+    @given(cx=random_bipartite_graphs())
+    def test_random_bipartite(self, cx):
+        event(self.agrees(cx))
+
+    @settings(max_examples=60, deadline=None)
+    @given(cx=holed_grids())
+    def test_holed_grids(self, cx):
+        event(self.agrees(cx))
+
+    def test_tail_refuses_an_inconsistent_labelling(self, q2):
+        # one class per edge of a square: the edge off the BFS tree flips three bits
+        cx = relabelled(q2, range(4))
+        depth = cx._colouring[0]
+        label = {(a, b) if depth[a] < depth[b] else (b, a): i for i, (a, b) in enumerate(cx.edges)}
+        assert core._walls_from_labels(cx, depth, label) is None
+
+    @staticmethod
+    def same_as_bfs(cx):
+        bfs = split_outcome(lambda c: core._label_by_bfs(c, c._colouring[0]), cx)
+        assert split_outcome(core._classes_by_split, cx) == bfs
+        assert bfs == split_outcome(lambda c: (c.classes, c.signs), cx)
+
+    @pytest.mark.parametrize("name", MEDIAN_FIXTURES)
+    def test_median_fixtures(self, name, request):
+        self.same_as_bfs(request.getfixturevalue(name))
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_drawn_median(self, data):
+        self.same_as_bfs(draw_median(data))
 
 
 class TestCrossingAndDimension:

@@ -1,11 +1,13 @@
 """Fixture generators: shapes, determinism, spec strings, composition."""
 
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import by_label
-from oracles import PoolSplitMix64, tuple_random_median
+from oracles import PoolSplitMix64, tuple_random_median, wedged_glued_ray
 from cubemedian import (
     GeneratorSpec,
     box,
@@ -22,6 +24,7 @@ from cubemedian import (
     validate,
     wedge,
 )
+from cubemedian import generators
 from cubemedian.generators import _build_random_median
 from cubemedian.rng import SplitMix64
 
@@ -163,6 +166,19 @@ class TestGluedRay:
         # path 0-1-2 plus staircase(1) (4 verts, one shared) plus staircase(2)
         assert g.vertex_count == 3 + 3 + 7
         assert g.validated
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_same_as_wedges(self, n):
+        # one edge list gives what n wedges of validated staircases gave
+        g, wedged = glued_staircase_ray(n), wedged_glued_ray(n)
+        assert (g.vertex_count, g.edges, g.labels) == (
+            wedged.vertex_count, wedged.edges, wedged.labels)
+        assert g.generator == spec_to_string(GeneratorSpec("glued_staircase_ray", (n,)))
+
+    def test_validated_once(self):
+        with mock.patch.object(generators, "validate", wraps=generators.validate) as spy:
+            assert glued_staircase_ray(6).validated
+        assert spy.call_count == 1
 
 
 class TestSpecStrings:

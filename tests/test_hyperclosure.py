@@ -900,6 +900,17 @@ class TestCaseStreamPinned:
         assert gates == PINNED_GATES_CASES
         assert closure == PINNED_CLOSURE_CASES
 
+    def test_orth_cases(self, monkeypatch):
+        # every check records, and no cap cuts the stream short of the member pass
+        check = verify._Recorder.check
+
+        def record_all(rec, ok, invariant, **inputs):
+            check(rec, False, invariant, **inputs)
+
+        monkeypatch.setattr(verify._Recorder, "check", record_all)
+        found = verify.verify_complex(staircase(3), "orth", 40, 7, max_violations=1000)
+        assert [(v.invariant, v.inputs) for v in found] == PINNED_ORTH_CASES
+
 
 # Recorded with the pool-based `sample` and the check of every member inside F.
 PINNED_GATES_CASES = [
@@ -962,4 +973,169 @@ PINNED_CLOSURE_CASES = [
     {'F': (11, 16), 'V': (11,), 'x': 11},
     {'F': (9, 10, 11, 12, 13), 'V': (9, 10, 11, 12), 'x': 9},
     {'F': (0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18), 'V': (8,), 'x': 8},
+]
+
+# Recorded before the wall classes moved to one shared tail; the double-complement
+# entries pin the sample of at most 8 points per member.
+PINNED_ORTH_CASES = [
+    ('triple-complement', {'A': (9,), 'a': 9}),
+    ('contravariance', {'A': (5,), 'B': (5, 6, 7, 8), 'a': 5}),
+    ('triple-complement', {'A': (6, 7, 8, 10, 11, 12), 'a': 6}),
+    ('contravariance',
+     {'A': (2, 3, 4, 5, 6, 7, 9, 10, 11), 'B': (2, 3, 4, 5, 6, 7, 9, 10, 11), 'a': 5}),
+    ('triple-complement', {'A': (5,), 'a': 5}),
+    ('contravariance',
+     {'A': (2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12),
+      'B': (2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12), 'a': 7}),
+    ('triple-complement', {'A': (7, 11), 'a': 7}),
+    ('contravariance', {'A': (10, 11), 'B': (10, 11, 12), 'a': 11}),
+    ('triple-complement', {'A': (11,), 'a': 11}),
+    ('contravariance', {'A': (8,), 'B': (8,), 'a': 8}),
+    ('triple-complement', {'A': (7,), 'a': 7}),
+    ('contravariance', {'A': (8,), 'B': (7, 8), 'a': 8}),
+    ('triple-complement', {'A': (2,), 'a': 2}),
+    ('contravariance', {'A': (1,), 'B': (1,), 'a': 1}),
+    ('triple-complement', {'A': (0, 1, 2, 3, 5, 6), 'a': 3}),
+    ('contravariance', {'A': (8,), 'B': (8,), 'a': 8}),
+    ('triple-complement', {'A': (10,), 'a': 10}),
+    ('contravariance',
+     {'A': (2, 3, 4, 5, 6, 7, 9, 10, 11), 'B': (2, 3, 4, 5, 6, 7, 9, 10, 11), 'a': 3}),
+    ('triple-complement', {'A': (5,), 'a': 5}),
+    ('contravariance', {'A': (2, 3, 4, 5, 6, 7, 8), 'B': (2, 3, 4, 5, 6, 7, 8), 'a': 7}),
+    ('triple-complement', {'A': (5, 6, 7, 8), 'a': 6}),
+    ('contravariance',
+     {'A': (2, 3, 4, 5, 6, 7, 9, 10, 11), 'B': (2, 3, 4, 5, 6, 7, 9, 10, 11), 'a': 6}),
+    ('triple-complement', {'A': (5, 6, 7, 9, 10, 11), 'a': 11}),
+    ('contravariance', {'A': (0,), 'B': (0,), 'a': 0}),
+    ('triple-complement', {'A': (3,), 'a': 3}),
+    ('contravariance', {'A': (3,), 'B': (3,), 'a': 3}),
+    ('triple-complement', {'A': (5, 6, 9, 10), 'a': 5}),
+    ('contravariance', {'A': (7, 8), 'B': (7, 8), 'a': 8}),
+    ('triple-complement', {'A': (8, 12), 'a': 12}),
+    ('contravariance', {'A': (12,), 'B': (12,), 'a': 12}),
+    ('triple-complement', {'A': (0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12), 'a': 8}),
+    ('contravariance',
+     {'A': (3, 4, 6, 7, 8, 10, 11, 12), 'B': (3, 4, 6, 7, 8, 10, 11, 12), 'a': 8}),
+    ('triple-complement', {'A': (0, 1, 2, 3), 'a': 3}),
+    ('contravariance', {'A': (5,), 'B': (5,), 'a': 5}),
+    ('triple-complement', {'A': (1,), 'a': 1}),
+    ('contravariance', {'A': (9,), 'B': (9,), 'a': 9}),
+    ('triple-complement', {'A': (2, 3, 4, 5, 6, 7, 9, 10, 11), 'a': 10}),
+    ('contravariance', {'A': (1, 3, 6, 10), 'B': (1, 3, 6, 10), 'a': 10}),
+    ('triple-complement', {'A': (5, 6, 7, 9, 10, 11), 'a': 7}),
+    ('contravariance', {'A': (9,), 'B': (9,), 'a': 9}),
+    ('triple-complement', {'A': (4,), 'a': 4}),
+    ('contravariance', {'A': (0,), 'B': (0, 1, 2, 3, 5, 6, 9, 10), 'a': 0}),
+    ('triple-complement', {'A': (10,), 'a': 10}),
+    ('contravariance', {'A': (5, 6, 7, 9, 10, 11), 'B': (5, 6, 7, 9, 10, 11), 'a': 11}),
+    ('triple-complement', {'A': (3,), 'a': 3}),
+    ('contravariance', {'A': (10,), 'B': (10,), 'a': 10}),
+    ('triple-complement', {'A': (0, 1, 2, 3), 'a': 1}),
+    ('contravariance', {'A': (4, 7), 'B': (4, 7, 8), 'a': 7}),
+    ('triple-complement', {'A': (5, 6), 'a': 5}),
+    ('contravariance', {'A': (10,), 'B': (10,), 'a': 10}),
+    ('triple-complement', {'A': (6,), 'a': 6}),
+    ('contravariance',
+     {'A': (2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12),
+      'B': (0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12), 'a': 3}),
+    ('triple-complement', {'A': (6, 7, 8), 'a': 6}),
+    ('contravariance', {'A': (6, 7, 10, 11), 'B': (6, 7, 10, 11), 'a': 11}),
+    ('triple-complement', {'A': (0, 1, 2, 3, 4, 5, 6, 7, 9, 10, 11), 'a': 11}),
+    ('contravariance', {'A': (1, 3, 4, 6, 7, 10, 11), 'B': (1, 3, 4, 6, 7, 10, 11), 'a': 4}),
+    ('triple-complement', {'A': (0, 1, 2, 3), 'a': 2}),
+    ('contravariance', {'A': (3, 4, 6, 7, 8), 'B': (2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12), 'a': 6}),
+    ('triple-complement', {'A': (7,), 'a': 7}),
+    ('contravariance', {'A': (11,), 'B': (11,), 'a': 11}),
+    ('triple-complement', {'A': (5,), 'a': 5}),
+    ('contravariance', {'A': (0,), 'B': (0,), 'a': 0}),
+    ('triple-complement', {'A': (2, 3, 4, 5, 6, 7, 8), 'a': 4}),
+    ('contravariance', {'A': (7,), 'B': (7,), 'a': 7}),
+    ('triple-complement', {'A': (10,), 'a': 10}),
+    ('contravariance',
+     {'A': (0, 1, 2, 3, 4, 5, 6, 7, 9, 10, 11), 'B': (0, 1, 2, 3, 4, 5, 6, 7, 9, 10, 11), 'a': 2}),
+    ('triple-complement', {'A': (2, 3, 4, 5, 6, 7, 8), 'a': 5}),
+    ('contravariance', {'A': (6, 7, 8, 10, 11, 12), 'B': (5, 6, 7, 8, 9, 10, 11, 12), 'a': 8}),
+    ('triple-complement', {'A': (3,), 'a': 3}),
+    ('contravariance', {'A': (2, 5, 9), 'B': (2, 5, 9), 'a': 2}),
+    ('triple-complement', {'A': (2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12), 'a': 8}),
+    ('contravariance', {'A': (6,), 'B': (6, 7), 'a': 6}),
+    ('triple-complement', {'A': (11,), 'a': 11}),
+    ('contravariance', {'A': (11,), 'B': (7, 8, 11, 12), 'a': 11}),
+    ('triple-complement', {'A': (5, 6, 9, 10), 'a': 6}),
+    ('contravariance', {'A': (0, 1, 2, 3), 'B': (0, 1, 2, 3), 'a': 3}),
+    ('triple-complement', {'A': (10,), 'a': 10}),
+    ('contravariance', {'A': (2,), 'B': (2,), 'a': 2}),
+    ('triple-complement', {'A': (3, 6), 'a': 6}),
+    ('contravariance', {'A': (6,), 'B': (6,), 'a': 6}),
+    ('double-complement', {'F': (0,), 'x': 0}),
+    ('double-complement', {'F': (1,), 'x': 1}),
+    ('double-complement', {'F': (2,), 'x': 2}),
+    ('double-complement', {'F': (3,), 'x': 3}),
+    ('double-complement', {'F': (4,), 'x': 4}),
+    ('double-complement', {'F': (5,), 'x': 5}),
+    ('double-complement', {'F': (6,), 'x': 6}),
+    ('double-complement', {'F': (7,), 'x': 7}),
+    ('double-complement', {'F': (8,), 'x': 8}),
+    ('double-complement', {'F': (9,), 'x': 9}),
+    ('double-complement', {'F': (10,), 'x': 10}),
+    ('double-complement', {'F': (11,), 'x': 11}),
+    ('double-complement', {'F': (12,), 'x': 12}),
+    ('double-complement', {'F': (0, 1), 'x': 0}),
+    ('double-complement', {'F': (0, 1), 'x': 1}),
+    ('double-complement', {'F': (2, 3), 'x': 2}),
+    ('double-complement', {'F': (2, 3), 'x': 3}),
+    ('double-complement', {'F': (5, 6), 'x': 5}),
+    ('double-complement', {'F': (5, 6), 'x': 6}),
+    ('double-complement', {'F': (5, 9), 'x': 5}),
+    ('double-complement', {'F': (5, 9), 'x': 9}),
+    ('double-complement', {'F': (6, 10), 'x': 6}),
+    ('double-complement', {'F': (6, 10), 'x': 10}),
+    ('double-complement', {'F': (7, 11), 'x': 7}),
+    ('double-complement', {'F': (7, 11), 'x': 11}),
+    ('double-complement', {'F': (8, 12), 'x': 8}),
+    ('double-complement', {'F': (8, 12), 'x': 12}),
+    ('double-complement', {'F': (9, 10), 'x': 9}),
+    ('double-complement', {'F': (9, 10), 'x': 10}),
+    ('double-complement', {'F': (2, 3, 4), 'x': 2}),
+    ('double-complement', {'F': (2, 3, 4), 'x': 3}),
+    ('double-complement', {'F': (2, 3, 4), 'x': 4}),
+    ('double-complement', {'F': (2, 5, 9), 'x': 2}),
+    ('double-complement', {'F': (2, 5, 9), 'x': 5}),
+    ('double-complement', {'F': (2, 5, 9), 'x': 9}),
+    ('double-complement', {'F': (3, 6, 10), 'x': 3}),
+    ('double-complement', {'F': (3, 6, 10), 'x': 6}),
+    ('double-complement', {'F': (3, 6, 10), 'x': 10}),
+    ('double-complement', {'F': (4, 7, 11), 'x': 4}),
+    ('double-complement', {'F': (4, 7, 11), 'x': 7}),
+    ('double-complement', {'F': (4, 7, 11), 'x': 11}),
+    ('double-complement', {'F': (5, 6, 7), 'x': 5}),
+    ('double-complement', {'F': (5, 6, 7), 'x': 6}),
+    ('double-complement', {'F': (5, 6, 7), 'x': 7}),
+    ('double-complement', {'F': (9, 10, 11), 'x': 9}),
+    ('double-complement', {'F': (9, 10, 11), 'x': 10}),
+    ('double-complement', {'F': (9, 10, 11), 'x': 11}),
+    ('double-complement', {'F': (0, 2, 5, 9), 'x': 0}),
+    ('double-complement', {'F': (0, 2, 5, 9), 'x': 2}),
+    ('double-complement', {'F': (0, 2, 5, 9), 'x': 5}),
+    ('double-complement', {'F': (0, 2, 5, 9), 'x': 9}),
+    ('double-complement', {'F': (1, 3, 6, 10), 'x': 1}),
+    ('double-complement', {'F': (1, 3, 6, 10), 'x': 3}),
+    ('double-complement', {'F': (1, 3, 6, 10), 'x': 6}),
+    ('double-complement', {'F': (1, 3, 6, 10), 'x': 10}),
+    ('double-complement', {'F': (5, 6, 7, 8), 'x': 5}),
+    ('double-complement', {'F': (5, 6, 7, 8), 'x': 6}),
+    ('double-complement', {'F': (5, 6, 7, 8), 'x': 7}),
+    ('double-complement', {'F': (5, 6, 7, 8), 'x': 8}),
+    ('double-complement', {'F': (9, 10, 11, 12), 'x': 9}),
+    ('double-complement', {'F': (9, 10, 11, 12), 'x': 10}),
+    ('double-complement', {'F': (9, 10, 11, 12), 'x': 11}),
+    ('double-complement', {'F': (9, 10, 11, 12), 'x': 12}),
+    ('double-complement', {'F': (0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12), 'x': 0}),
+    ('double-complement', {'F': (0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12), 'x': 1}),
+    ('double-complement', {'F': (0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12), 'x': 3}),
+    ('double-complement', {'F': (0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12), 'x': 4}),
+    ('double-complement', {'F': (0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12), 'x': 7}),
+    ('double-complement', {'F': (0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12), 'x': 8}),
+    ('double-complement', {'F': (0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12), 'x': 10}),
+    ('double-complement', {'F': (0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12), 'x': 11}),
 ]

@@ -304,6 +304,21 @@ def test_no_validate_non_median_outcome(name, command, tmp_path, capsys):
         assert (code, err) == (1, f"error: invariant violation: {NON_MEDIAN_ERRORS[name]}\n")
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "--suite", "gates"], ["verify", "--suite", "orth"], ["verify", "--suite", "closure"],
+    ["verify", "--suite", "all"], ["analyze"], ["oracle"]])
+def test_empty_complex_exits_alike(argv, tmp_path, capsys):
+    # without validation every command stops with the not-median line, the
+    # gates suite too; with it, each names the empty complex
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps({"vertices": 0, "edges": []}))
+    command = [argv[0], str(path), *argv[1:]]
+    assert run([*command, "--no-validate"]) == 1
+    assert capsys.readouterr() == ("", f"error: invariant violation: {NON_MEDIAN_ERRORS['c6']}\n")
+    assert run(command) == 1
+    assert capsys.readouterr() == ("", "error: invalid median complex: connected: empty complex\n")
+
+
 @pytest.mark.parametrize("text,field", [
     ('{"vertices": "3", "edges": []}', '"vertices"'),
     ('{"vertices": 2.5, "edges": []}', '"vertices"'),
