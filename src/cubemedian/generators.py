@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import re
 from typing import NamedTuple, Optional, Union
 
 from .core import MedianComplex, validate
@@ -40,8 +41,16 @@ def spec_to_string(spec: GeneratorSpec) -> str:
     return f"{spec.kind}({','.join(parts)})"
 
 
+# what parse_spec reads at its cursor, each after any whitespace: "seed=" is one
+# token, so an argument never backtracks, and _NO_ARG is an empty argument list
+# or the end of the text, where the missing ')' is the error
+_SPACE, _WORD, _INT, _SEED = map(re.compile, (r"\s*", r"\w+", r"\d+", r"seed\s*="))
+_OPEN, _CLOSE, _COMMA, _END, _NO_ARG = map(re.compile, (r"\(", r"\)", ",", r"\Z", r"(?=\)|\Z)"))
+
+
 def parse_spec(text: str) -> GeneratorSpec:
-    """Parse the compact spec form used by the CLI and the label block.
+    """Parse the compact spec form used by the CLI and the label block:
+    `kind(arg,...)`, each arg an integer, `seed=`integer or a nested spec.
 
     Specs nested deeper than MAX_SPEC_DEPTH are rejected with ValueError.
 
@@ -50,84 +59,44 @@ def parse_spec(text: str) -> GeneratorSpec:
     """
     pos = 0
 
-    def skip_ws():
+    def take(token: re.Pattern, expected: str = "") -> Optional[re.Match]:
+        """Skip whitespace, then read the token at the cursor if it is there.
+        If it is not and `expected` names it, that is the error."""
         nonlocal pos
-        while pos < len(text) and text[pos].isspace():
-            pos += 1
+        pos = _SPACE.match(text, pos).end()
+        found = token.match(text, pos)
+        if found:
+            pos = found.end()
+        elif expected:
+            raise ValueError(f"bad generator spec {text!r}: expected {expected} at position {pos}")
+        return found
 
-    def fail(expected: str):
-        raise ValueError(f"bad generator spec {text!r}: expected {expected} at position {pos}")
-
-    def parse_int() -> int:
-        nonlocal pos
-        start = pos
-        while pos < len(text) and text[pos].isdigit():
-            pos += 1
-        if pos == start:
-            fail("an integer")
-        return int(text[start:pos])
-
-    def parse_name() -> str:
-        nonlocal pos
-        start = pos
-        while pos < len(text) and (text[pos].isalnum() or text[pos] == "_"):
-            pos += 1
-        if pos == start:
-            fail("a generator kind")
-        return text[start:pos]
-
-    def parse_node(depth: int) -> GeneratorSpec:
-        nonlocal pos
-        if depth > MAX_SPEC_DEPTH:
+    def node(depth: int) -> GeneratorSpec:
+        kind = take(_WORD, "a generator kind")[0]
+        if depth > MAX_SPEC_DEPTH:  # after the kind: a missing one is named at any depth
             raise ValueError(f"generator spec nests deeper than {MAX_SPEC_DEPTH} levels")
-        skip_ws()
-        name = parse_name()
-        if name not in KINDS:
-            raise ValueError(f"unknown generator kind {name!r}")
-        skip_ws()
-        if pos >= len(text) or text[pos] != "(":
-            fail("'('")
-        pos += 1
+        if kind not in KINDS:
+            raise ValueError(f"unknown generator kind {kind!r}")
+        take(_OPEN, "'('")
         params: list[Param] = []
         seed = None
-
-        def parse_arg():
-            nonlocal pos, seed
-            if text[pos].isdigit():
-                params.append(parse_int())
-                return
-            word_start = pos
-            word = parse_name()
-            skip_ws()
-            if word == "seed" and pos < len(text) and text[pos] == "=":
-                pos += 1
-                skip_ws()
+        more = not take(_NO_ARG)
+        while more:
+            if digits := take(_INT):
+                params.append(int(digits[0]))
+            elif take(_SEED):
                 if seed is not None:
                     raise ValueError(f"duplicate seed in {text!r}")
-                seed = parse_int()
+                seed = int(take(_INT, "an integer")[0])
             else:
-                pos = word_start
-                params.append(parse_node(depth + 1))
+                params.append(node(depth + 1))
+            more = take(_COMMA)
+        take(_CLOSE, "')'")
+        return GeneratorSpec(kind, tuple(params), seed)
 
-        skip_ws()
-        if pos < len(text) and text[pos] != ")":
-            parse_arg()
-            skip_ws()
-            while pos < len(text) and text[pos] == ",":
-                pos += 1
-                skip_ws()
-                parse_arg()
-                skip_ws()
-        if pos >= len(text) or text[pos] != ")":
-            fail("')'")
-        pos += 1
-        return GeneratorSpec(name, tuple(params), seed)
-
-    node = parse_node(1)
-    skip_ws()
-    if pos != len(text):
-        fail("end of spec")
-    return node
+    spec = node(1)
+    take(_END, "end of spec")
+    return spec
 
 
 # -- kind builders ----------------------------------------------------------
@@ -135,7 +104,7 @@ def parse_spec(text: str) -> GeneratorSpec:
 
 def _build_box(lengths: tuple[int, ...]):
     ranges = [range(side + 1) for side in lengths]
-    coords = sorted(itertools.product(*ranges))
+    coords = list(itertools.product(*ranges))
     index = {c: i for i, c in enumerate(coords)}
     edges = []
     for c in coords:
@@ -277,8 +246,10 @@ def generate(spec: GeneratorSpec) -> MedianComplex:
     _require(kind in KINDS, f"unknown generator kind {kind!r}")
     if seed is not None:
         _require(kind in _RANDOM_KINDS, f"{kind} does not take a seed")
+        # type, not isinstance: a bool would be recorded as True, which parse_spec refuses
+        _require(type(seed) is int, "seed must be an integer")
         _require(0 <= seed < (1 << 64), "seed must fit in 64 bits")
-    ints = all(isinstance(p, int) for p in params)
+    ints = all(type(p) is int for p in params)
 
     if kind == "grid":
         _require(ints and len(params) == 2 and min(params) >= 0, "grid(w,h) needs w,h >= 0")
@@ -309,7 +280,7 @@ def generate(spec: GeneratorSpec) -> MedianComplex:
     elif kind == "wedge":
         _require(len(params) == 4 and isinstance(params[0], GeneratorSpec)
                  and isinstance(params[2], GeneratorSpec)
-                 and isinstance(params[1], int) and isinstance(params[3], int),
+                 and type(params[1]) is int and type(params[3]) is int,
                  "wedge needs (spec, vertex, spec, vertex)")
         cx = wedge(generate(params[0]), params[1], generate(params[2]), params[3])
         return _stamp(cx, spec)

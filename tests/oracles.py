@@ -56,7 +56,9 @@ n-bit mask shift per edge and class, and signs read off the plus sides,
 which preceded the split rule's edge labelling through the tail it shares
 with the one-BFS rule; and `wedged_glued_ray`, glued_staircase_ray(n) by n
 validated wedges of validated staircases, which preceded one edge list
-validated once.  `lattice_members` is the
+validated once; and `char_parse_spec`, the spec parser that walked the
+text one character at a time, which preceded the compiled token patterns
+of `parse_spec`.  `lattice_members` is the
 member set and its parallel classes read off the crossing-mask lattice,
 with no search and no vertex bound.
 """
@@ -82,7 +84,14 @@ from cubemedian.core import (
     _odd_cycle_witness,
     whole_complex,
 )
-from cubemedian.generators import staircase, wedge
+from cubemedian.generators import (
+    KINDS,
+    MAX_SPEC_DEPTH,
+    GeneratorSpec,
+    Param,
+    staircase,
+    wedge,
+)
 from cubemedian.errors import InvariantViolation, ResourceLimitError
 from cubemedian.gates import (
     crossing_signature,
@@ -1001,3 +1010,91 @@ def wedged_glued_ray(n):
         corner = next(i for i, lab in st.labels.items() if lab == (0, 0))
         cx = wedge(cx, k, st, corner)
     return cx
+
+
+def char_parse_spec(text: str) -> GeneratorSpec:
+    """Parse the compact spec form used by the CLI and the label block.
+
+    Specs nested deeper than MAX_SPEC_DEPTH are rejected with ValueError.
+    A spec cut short after a comma raises IndexError.
+    """
+    pos = 0
+
+    def skip_ws():
+        nonlocal pos
+        while pos < len(text) and text[pos].isspace():
+            pos += 1
+
+    def fail(expected: str):
+        raise ValueError(f"bad generator spec {text!r}: expected {expected} at position {pos}")
+
+    def parse_int() -> int:
+        nonlocal pos
+        start = pos
+        while pos < len(text) and text[pos].isdigit():
+            pos += 1
+        if pos == start:
+            fail("an integer")
+        return int(text[start:pos])
+
+    def parse_name() -> str:
+        nonlocal pos
+        start = pos
+        while pos < len(text) and (text[pos].isalnum() or text[pos] == "_"):
+            pos += 1
+        if pos == start:
+            fail("a generator kind")
+        return text[start:pos]
+
+    def parse_node(depth: int) -> GeneratorSpec:
+        nonlocal pos
+        if depth > MAX_SPEC_DEPTH:
+            raise ValueError(f"generator spec nests deeper than {MAX_SPEC_DEPTH} levels")
+        skip_ws()
+        name = parse_name()
+        if name not in KINDS:
+            raise ValueError(f"unknown generator kind {name!r}")
+        skip_ws()
+        if pos >= len(text) or text[pos] != "(":
+            fail("'('")
+        pos += 1
+        params: list[Param] = []
+        seed = None
+
+        def parse_arg():
+            nonlocal pos, seed
+            if text[pos].isdigit():
+                params.append(parse_int())
+                return
+            word_start = pos
+            word = parse_name()
+            skip_ws()
+            if word == "seed" and pos < len(text) and text[pos] == "=":
+                pos += 1
+                skip_ws()
+                if seed is not None:
+                    raise ValueError(f"duplicate seed in {text!r}")
+                seed = parse_int()
+            else:
+                pos = word_start
+                params.append(parse_node(depth + 1))
+
+        skip_ws()
+        if pos < len(text) and text[pos] != ")":
+            parse_arg()
+            skip_ws()
+            while pos < len(text) and text[pos] == ",":
+                pos += 1
+                skip_ws()
+                parse_arg()
+                skip_ws()
+        if pos >= len(text) or text[pos] != ")":
+            fail("')'")
+        pos += 1
+        return GeneratorSpec(name, tuple(params), seed)
+
+    node = parse_node(1)
+    skip_ws()
+    if pos != len(text):
+        fail("end of spec")
+    return node

@@ -3,11 +3,11 @@
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import by_label
-from oracles import PoolSplitMix64, tuple_random_median, wedged_glued_ray
+from oracles import PoolSplitMix64, char_parse_spec, tuple_random_median, wedged_glued_ray
 from cubemedian import (
     GeneratorSpec,
     box,
@@ -25,8 +25,40 @@ from cubemedian import (
     wedge,
 )
 from cubemedian import generators
-from cubemedian.generators import _build_random_median
+from cubemedian.generators import KINDS, MAX_SPEC_DEPTH, _build_random_median
 from cubemedian.rng import SplitMix64
+
+
+# spec trees of every kind, with integer, nested and seed arguments that the
+# grammar reads, whether or not `generate` would build them
+SPEC_TREES = st.recursive(
+    st.builds(GeneratorSpec, st.sampled_from(KINDS),
+              st.lists(st.integers(0, 10**6), max_size=3).map(tuple),
+              st.none() | st.integers(0, 2**64 - 1)),
+    lambda inner: st.builds(GeneratorSpec, st.sampled_from(KINDS),
+                            st.lists(st.integers(0, 99) | inner, max_size=4).map(tuple),
+                            st.none() | st.integers(0, 99)),
+    max_leaves=5)
+
+# "٣" is a Unicode decimal digit that both parsers read as 3
+SPEC_TOKENS = KINDS + ("seed",) + tuple("0123456789") + (
+    "٣", "(", ")", ",", "=", " ", "\t", "x", "_")
+SPEC_SOUP = st.lists(st.sampled_from(SPEC_TOKENS), max_size=16).map("".join)
+
+
+@st.composite
+def near_specs(draw):
+    """A printed spec tree with a few tokens spliced in, sometimes cut short."""
+    text = spec_to_string(draw(SPEC_TREES))
+    for _ in range(draw(st.integers(0, 2))):
+        at = draw(st.integers(0, len(text)))
+        text = text[:at] + draw(st.sampled_from(SPEC_TOKENS)) + text[at:]
+    return text[:draw(st.none() | st.integers(0, len(text)))]
+
+
+NEAR_SPECS = near_specs()
+
+Q2_SPEC = GeneratorSpec("grid", (1, 1))
 
 
 def count_squares(cx):
@@ -197,16 +229,34 @@ class TestSpecStrings:
     def test_whitespace_tolerated(self):
         assert parse_spec(" product( grid(1, 1), box(2) ) ") == \
             parse_spec("product(grid(1,1),box(2))")
+        assert parse_spec("tree( 5 ,seed\t= 2 )") == parse_spec("tree(5,seed=2)")
 
     def test_bad_specs_rejected(self):
         for text in ("frobnicate(2)", "grid(2", "grid 2", "grid(2,,3)",
-                     "tree(5,seed=1,seed=2)", "grid(1,1)x"):
+                     "tree(5,seed=1,seed=2)", "grid(1,1)x",
+                     "grid(1,", " tree(23,", "product(grid(1,1),"):
             with pytest.raises(ValueError):
                 parse_spec(text)
 
     def test_generate_records_spec(self):
         cx = generate(parse_spec("product(box(2),box(2))"))
         assert cx.generator == "product(box(2),box(2))"
+
+    @pytest.mark.parametrize("build", [
+        lambda: generate(GeneratorSpec("grid", (True, 1))),
+        lambda: tree(5, seed=True),
+        lambda: generate(GeneratorSpec("wedge", (Q2_SPEC, False, Q2_SPEC, 0))),
+    ], ids=["grid-parameter", "tree-seed", "wedge-vertex"])
+    def test_bool_parameters_refused(self, build):
+        # a bool is an int to isinstance, and would be recorded as True or
+        # False, a spec that parse_spec refuses
+        with pytest.raises(ValueError):
+            build()
+
+    @settings(max_examples=200, deadline=None)
+    @given(spec=SPEC_TREES)
+    def test_printed_spec_parses_back(self, spec):
+        assert parse_spec(spec_to_string(spec)) == spec
 
     def test_seed_only_for_random_kinds(self):
         with pytest.raises(ValueError):
@@ -224,6 +274,52 @@ class TestSpecStrings:
             a = generate(parse_spec(text))
             b = generate(parse_spec(text))
             assert complex_to_json(a) == complex_to_json(b)
+
+
+class TestParseSpecOracle:
+    """The parser on compiled token patterns against the one that walked the
+    text one character at a time: the same spec, or the same message."""
+
+    @staticmethod
+    def check(text):
+        try:
+            expected = char_parse_spec(text)
+        except IndexError:  # cut short after a comma
+            message = f"bad generator spec {text!r}: expected a generator kind at position {len(text)}"
+        except ValueError as exc:
+            message = str(exc)
+        else:
+            assert parse_spec(text) == expected
+            return
+        with pytest.raises(ValueError) as exc:
+            parse_spec(text)
+        assert str(exc.value) == message
+
+    @settings(max_examples=2000, deadline=None)
+    @given(text=SPEC_SOUP)
+    @example(text="grid(1,")
+    @example(text=" tree(23,")
+    @example(text="product(grid(1,1),")
+    @example(text="grid(" * MAX_SPEC_DEPTH + "(")
+    @example(text="grid(" * MAX_SPEC_DEPTH + "x")
+    def test_same_spec_or_message(self, text):
+        self.check(text)
+
+    @settings(max_examples=300, deadline=None)
+    @given(text=NEAR_SPECS)
+    def test_same_spec_or_message_near_the_grammar(self, text):
+        self.check(text)
+
+    @settings(max_examples=200, deadline=None)
+    @given(text=SPEC_SOUP, data=st.data())
+    def test_digits_int_refuses(self, text, data):
+        # str.isdigit accepts these and int refuses them: the old parser read
+        # them as an integer and the new one as a word, and both refuse
+        at = data.draw(st.integers(0, len(text)))
+        text = text[:at] + data.draw(st.sampled_from("²³¹①⁹")) + text[at:]
+        for parse in (char_parse_spec, parse_spec):
+            with pytest.raises(ValueError):
+                parse(text)
 
 
 class TestSplitMix64:

@@ -14,6 +14,7 @@ import cubemedian
 from cubemedian import hull, save_complex, staircase
 from cubemedian.cli import SUITE_CHOICES, build_parser
 from cubemedian.errors import DEFAULT_MAX_GRADE, DEFAULT_MAX_MEMBERS, DEFAULT_ORACLE_BOUND
+from cubemedian.generators import KINDS
 from cubemedian.verify import SUITES
 
 SRC = str(Path(cubemedian.__file__).parents[1])
@@ -131,6 +132,12 @@ class TestLayersRun:
 class TestParser:
     def test_suite_choices_are_verify_suites(self):
         assert SUITE_CHOICES == ("all",) + SUITES
+
+    def test_kind_help_names_the_generator_kinds(self):
+        # written out in cli.py so that the parser loads no `generators`
+        sub = next(a for a in build_parser()._actions if a.dest == "command")
+        kind = next(a for a in sub.choices["build"]._actions if a.dest == "kind")
+        assert kind.help == f"generator kind ({', '.join(KINDS)})"
 
     def test_defaults_are_the_library_constants(self):
         parser = build_parser()
