@@ -125,8 +125,6 @@ def _cmd_verify(args) -> int:
             print(f"  complex: {args.file}")
             print(f"  reproduce: --suite {args.suite} --cases {args.cases} --seed {args.seed}")
             print(f"  inputs: {v.inputs}")
-            if v.message:
-                print(f"  detail: {v.message}")
         print(f"{len(violations)} violation(s)")
         return EXIT_VIOLATION
     print(f"verify ok: suite={args.suite} cases={args.cases} seed={args.seed}")

@@ -79,13 +79,6 @@ def _bits(mask: int):
         mask ^= low
 
 
-def _mask_of(vertices: Iterable[int]) -> int:
-    m = 0
-    for v in vertices:
-        m |= 1 << v
-    return m
-
-
 def _two_colour(cx: "MedianComplex", source: int = 0
                 ) -> tuple[list[int], list[int], Optional[tuple[int, int]]]:
     """BFS 2-colouring from `source`: depths (-1 if unreachable; the colour
@@ -280,11 +273,6 @@ class MedianComplex:
         itself."""
         return self._squares.crossing
 
-    @_lazy
-    def crossing(self) -> tuple[frozenset[int], ...]:
-        """crossing[i] is the set of class ids whose wall crosses wall i."""
-        return tuple(frozenset(_bits(m)) for m in self.crossing_masks)
-
 
 def _label_by_bfs(cx: MedianComplex, depth: list[int]
                   ) -> Optional[tuple[tuple["HyperplaneClass", ...], tuple[int, ...]]]:
@@ -446,14 +434,6 @@ class HyperplaneClass(_Frozen):
         free = cx.crossing_masks[self.class_id]
         return tuple(ConvexSubcomplex(cx, free, cx.signs[e] & ~free) for e in self.dual_edges[0])
 
-    @property
-    def comb_minus(self) -> frozenset[int]:
-        return frozenset(self.comb_sides[0].vertices)
-
-    @property
-    def comb_plus(self) -> frozenset[int]:
-        return frozenset(self.comb_sides[1].vertices)
-
 
 class ConvexSubcomplex(_Frozen):
     """A convex subcomplex, keyed by the wall classes that cross it and its
@@ -466,7 +446,7 @@ class ConvexSubcomplex(_Frozen):
     by dict.setdefault, so two threads building it get one object): equality
     is identity, and the hash is on the two ints alone.  The key cannot be
     rebound; its ascending vertex tuple is filtered from the signs on first
-    read unless `parallel_class` set it, and its bitmask built on first read.
+    read unless `parallel_class` set it.
     """
 
     def __new__(cls, parent: MedianComplex, crossing_mask: int, base: int) -> "ConvexSubcomplex":
@@ -500,10 +480,6 @@ class ConvexSubcomplex(_Frozen):
         if not verts:
             raise InvariantViolation(_NOT_MEDIAN)
         return verts
-
-    @_lazy
-    def mask(self) -> int:
-        return _mask_of(self.vertices)
 
     def __len__(self) -> int:
         return len(self.vertices)

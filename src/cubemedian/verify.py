@@ -27,16 +27,14 @@ SUITES = ("gates", "orth", "closure")
 
 
 class Violation:
-    def __init__(self, suite: str, invariant: str, inputs: Optional[dict] = None,
-                 message: str = ""):
+    def __init__(self, suite: str, invariant: str, inputs: Optional[dict] = None):
         self.suite = suite
         self.invariant = invariant
         self.inputs = {} if inputs is None else inputs
-        self.message = message
 
     def __repr__(self) -> str:
         return (f"Violation(suite={self.suite!r}, invariant={self.invariant!r}, "
-                f"inputs={self.inputs!r}, message={self.message!r})")
+                f"inputs={self.inputs!r})")
 
 
 class _Recorder:

@@ -79,7 +79,6 @@ from cubemedian.core import (
     InvariantFailure,
     ValidationReport,
     _bits,
-    _mask_of,
     _max_clique,
     _odd_cycle_witness,
     whole_complex,
@@ -112,6 +111,14 @@ from cubemedian.verify import _containments
 
 def _from_mask(cx, mask):
     return subcomplex(cx, _bits(mask))
+
+
+def vertex_mask(vertices):
+    """The bitmask with bit v set for each vertex v."""
+    m = 0
+    for v in vertices:
+        m |= 1 << v
+    return m
 
 
 def nx_graph(cx):
@@ -238,8 +245,9 @@ def orth_by_definition(a_sub, basepoint):
     cx = a_sub.parent
     sig = {h.class_id for h in cx.classes
            if any(u in a_sub and v in a_sub for u, v in h.dual_edges)}
+    pairs = crossing_pairs_by_squares(cx)
     perp = {h.class_id for h in cx.classes
-            if h.class_id not in sig and sig <= cx.crossing[h.class_id]}
+            if all((min(h.class_id, i), max(h.class_id, i)) in pairs for i in sig)}
     verts = [b for b in range(cx.vertex_count)
              if separating_classes(cx, basepoint, b) <= perp]
     return subcomplex(cx, verts)
@@ -295,7 +303,7 @@ def projection_orth(a, basepoint):
     result = cx.full_mask
     for cid in sig:
         for side_mask in comb_ends_masks(classes[cid]):
-            result &= project(y, _from_mask(cx, side_mask)).mask
+            result &= vertex_mask(project(y, _from_mask(cx, side_mask)).vertices)
     return _from_mask(cx, result)
 
 
@@ -579,7 +587,7 @@ def quadrant_crossing_masks(cx):
 
 def neighbour_square_dimension(cx):
     """Size of the largest cube, via the largest square-spanning edge set at a vertex."""
-    nbr_masks = [_mask_of(a) for a in cx.neighbors]
+    nbr_masks = [vertex_mask(a) for a in cx.neighbors]
     best = 0
     for v in range(cx.vertex_count):
         nbrs = cx.neighbors[v]
@@ -731,14 +739,15 @@ def mask_longest_chain(h):
     """Longest strictly nested chain of members, by vertex-mask containment,
     with a witness chain (least index among equally long predecessors)."""
     members = h.members  # already sorted by size
+    masks = [vertex_mask(m.vertices) for m in members]
     best_len = [1] * len(members)
     prev = [-1] * len(members)
     for i, m in enumerate(members):
-        mi = m.mask
+        mi = masks[i]
         for j in range(i):
             if len(members[j]) >= len(m):
                 break
-            if members[j].mask & ~mi == 0 and best_len[j] + 1 > best_len[i]:
+            if masks[j] & ~mi == 0 and best_len[j] + 1 > best_len[i]:
                 best_len[i] = best_len[j] + 1
                 prev[i] = j
     top = max(range(len(members)), key=lambda i: (best_len[i], -i))
@@ -919,13 +928,13 @@ class PoolSplitMix64:
 
 def per_member_maximal(closure, f, v, u):
     """True iff every member W inside F (F itself included) that is
-    orthogonal to V, by the crossing sets of their classes, is parallel
+    orthogonal to V, by the 4-cycles of their classes, is parallel
     into U."""
-    crossing = closure.complex.crossing
+    pairs = crossing_pairs_by_squares(closure.complex)
     sig_v = crossing_signature(v)
 
     def orthogonal(w):
-        return all(b in crossing[a] for a in crossing_signature(w) for b in sig_v)
+        return all((min(a, b), max(a, b)) in pairs for a in crossing_signature(w) for b in sig_v)
 
     return all(crossing_signature(w) <= crossing_signature(u)
                for w in closure.members if w <= f and orthogonal(w))
@@ -987,7 +996,7 @@ def mask_split_classes(cx):
                 if y not in near:
                     near[y] = near[x]
                     queue.append(y)
-        minus = _mask_of(w for w, is_near in near.items() if is_near)
+        minus = vertex_mask(w for w, is_near in near.items() if is_near)
         dual = tuple(e for e in cx.edges if ((minus >> e[0]) ^ (minus >> e[1])) & 1)
         for a, b in dual:
             if edge_class.setdefault((a, b), cid) != cid:

@@ -215,7 +215,7 @@ class TestNonMedianStopsAtTheFirstSide:
                     1, "", f"error: invariant violation: {NOT_MEDIAN}\n")
         for h in classes:
             for read in (lambda: comb_side(h, -1), lambda: comb_side(h, 1),
-                         lambda: carrier(h), lambda: h.comb_minus):
+                         lambda: carrier(h)):
                 with pytest.raises(InvariantViolation, match=re.escape(NOT_MEDIAN)):
                     read()
         try:
@@ -327,8 +327,8 @@ def assert_walls_match_oracles(cx):
     assert [(h.side_minus_mask, h.side_plus_mask) for h in cx.classes] == sides
     for h in cx.classes:
         ends = sum((1 << u) | (1 << v) for u, v in h.dual_edges)
-        assert tuple(s.mask for s in h.comb_sides) == (ends & h.side_minus_mask,
-                                                       ends & h.side_plus_mask)
+        assert tuple(oracles.vertex_mask(s.vertices) for s in h.comb_sides) == (
+            ends & h.side_minus_mask, ends & h.side_plus_mask)
     assert cx.signs == tuple(sum(1 << i for i, (_, plus) in enumerate(sides) if (plus >> v) & 1)
                              for v in range(cx.vertex_count))
 
@@ -684,9 +684,9 @@ class TestConvexity:
     def test_comb_sides_convex(self, q2, p3, st2, st3, box222, rm451):
         for cx in (q2, p3, st2, st3, box222, rm451):
             for h in theta_classes(cx):
-                for side in (sorted(h.comb_minus), sorted(h.comb_plus)):
-                    assert is_convex(cx, side)
-                    assert oracles.nx_is_convex(cx, side)
+                for side in h.comb_sides:
+                    assert is_convex(cx, side.vertices)
+                    assert oracles.nx_is_convex(cx, side.vertices)
 
 
 class TestHull:
@@ -763,8 +763,8 @@ class TestRelabelingInvariance:
         cyc = MedianComplex(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
         assert validate(cyc).passed
         for h in theta_classes(cyc):
-            assert is_convex(cyc, h.comb_minus)
-            assert is_convex(cyc, h.comb_plus)
+            for side in h.comb_sides:
+                assert is_convex(cyc, side.vertices)
 
     def test_permuted_fixtures(self, q2, st2, rm451, tree8):
         from cubemedian import hyperclosure, oracle_hyperclosure
@@ -772,8 +772,8 @@ class TestRelabelingInvariance:
             for seed in (1, 2, 3):
                 cx = permuted(base, seed)
                 for h in theta_classes(cx):
-                    assert is_convex(cx, h.comb_minus)
-                    assert is_convex(cx, h.comb_plus)
+                    for side in h.comb_sides:
+                        assert is_convex(cx, side.vertices)
                 closure = hyperclosure(cx)
                 assert oracle_hyperclosure(cx) == closure.member_set
                 assert len(closure) == len(hyperclosure(base))
@@ -798,7 +798,7 @@ class TestSubcomplex:
     def test_key_is_immutable_and_hashed_by_its_ints(self, q2):
         s = subcomplex(q2, [0, 1])
         key = (s.crossing_mask, s.base)
-        assert s.vertices == (0, 1) and s.mask == 0b11
+        assert s.vertices == (0, 1)
         for name in ("crossing_mask", "base", "parent"):
             with pytest.raises(AttributeError):
                 setattr(s, name, 0)

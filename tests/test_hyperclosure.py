@@ -23,6 +23,7 @@ from oracles import (
     orth_parallel_copies,
     per_copy_copies_check,
     per_member_maximal,
+    vertex_mask,
 )
 from cubemedian import (
     ConvexSubcomplex,
@@ -456,28 +457,29 @@ class TestCleanContainer:
         from cubemedian import gate
         for cx in (q2, p3, st2, rm451):
             h = hyperclosure(cx)
-            crossing = cx.crossing
+            crossing = cx.crossing_masks
+            mask = {m: vertex_mask(m.vertices) for m in h.members}
             for f in h.members:
                 for v in h.members:
-                    if v == f or v.mask & ~f.mask:
+                    if v == f or mask[v] & ~mask[f]:
                         continue
                     x = v.vertices[0]
                     u = clean_container(h, f, v, x)
                     sig_u, sig_v = crossing_signature(u), crossing_signature(v)
                     assert u in h.member_set
                     assert not sig_u & sig_v
-                    assert all(b in crossing[a] for a in sig_u for b in sig_v)
+                    assert all(crossing[a] >> b & 1 for a in sig_u for b in sig_v)
                     region = hull(cx, v.vertices + u.vertices)
-                    assert region.mask & ~f.mask == 0
+                    assert vertex_mask(region.vertices) & ~mask[f] == 0
                     coords = {(gate(v, w), gate(u, w)) for w in region.vertices}
                     assert len(coords) == len(region) == len(v) * len(u)
                     for w in h.members:
-                        if w.mask & ~f.mask:
+                        if mask[w] & ~mask[f]:
                             continue
                         sig_w = crossing_signature(w)
                         if sig_w & sig_v:
                             continue
-                        if all(b in crossing[a] for a in sig_w for b in sig_v):
+                        if all(crossing[a] >> b & 1 for a in sig_w for b in sig_v):
                             assert parallel_into(w, u)
 
 
@@ -606,8 +608,9 @@ class TestCanonicalKeys:
             made += parallel_copies(a)
         closure = hyperclosure(cx)
         members = closure.members
+        mask = {m: vertex_mask(m.vertices) for m in members}
         for f in members:
-            inside = [v for v in members if v != f and v.mask & ~f.mask == 0]
+            inside = [v for v in members if v != f and mask[v] & ~mask[f] == 0]
             if inside:
                 v = rng.choice(inside)
                 made.append(clean_container(closure, f, v, rng.choice(v.vertices)))

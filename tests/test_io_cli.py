@@ -218,13 +218,37 @@ class TestCli:
         from cubemedian import Violation
 
         def fake_verify(cx, suite="all", cases=1000, seed=0):
-            return [Violation("gates", "gate-crossing-law", {"Y": (0, 1)}, "boom")]
+            return [Violation("gates", "gate-crossing-law", {"Y": (0, 1)})]
 
         monkeypatch.setattr("cubemedian.verify.verify_complex", fake_verify)
         assert run(["verify", st4_file, "--cases", "5", "--seed", "9"]) == 1
         out = capsys.readouterr().out
         assert st4_file in out and "gate-crossing-law" in out
         assert "--seed 9" in out and "(0, 1)" in out
+
+    def test_verify_violation_report_pinned(self, tmp_path, capsys, monkeypatch):
+        # a parallelism test that always fails forces the report; four lines
+        # per violation, then the count
+        monkeypatch.setattr("cubemedian.verify.is_parallel", lambda s, t: False)
+        path = str(tmp_path / "st2.json")
+        save_complex(staircase(2), path)
+        assert run(["verify", path, "--suite", "gates", "--cases", "2", "--seed", "1"]) == 1
+        found = [
+            ("symmetric-parallelism", "{'Y': (1, 3, 4, 6, 7), 'Z': (2, 3, 5, 6)}"),
+            ("projection-currying", "{'C': (0, 1, 2, 3, 5, 6), 'D': (4, 7), 'E': (3, 4)}"),
+            ("copies-parallel", "{'F': (3, 4, 6, 7)}"),
+            ("copies-complete", "{'F': (3, 4, 6, 7)}"),
+            ("symmetric-parallelism", "{'Y': (2, 5), 'Z': (1,)}"),
+            ("projection-currying", "{'C': (2, 3, 4, 5, 6, 7), 'D': (0, 1, 2, 3, 4, 5, 6, 7), "
+                                    "'E': (0, 1, 2, 3, 4, 5, 6, 7)}"),
+            ("copies-parallel", "{'F': (2, 3, 5, 6)}"),
+            ("copies-complete", "{'F': (2, 3, 5, 6)}"),
+        ]
+        assert capsys.readouterr() == ("".join(
+            f"violation: gates/{invariant}\n"
+            f"  complex: {path}\n"
+            f"  reproduce: --suite gates --cases 2 --seed 1\n"
+            f"  inputs: {inputs}\n" for invariant, inputs in found) + "8 violation(s)\n", "")
 
     @pytest.mark.parametrize("flag,value,message", [
         ("--cases", "-5", "cases must be nonnegative, not -5"),

@@ -7,6 +7,7 @@ glued rays and random relabelings.
 
 import pytest
 
+from oracles import vertex_mask
 from cubemedian import (
     MedianComplex,
     box,
@@ -83,12 +84,11 @@ class TestSeparatorSemantics:
                 k = 1 + rng.randrange(min(3, cx.vertex_count))
                 f = hull(cx, rng.sample(range(cx.vertex_count), k))
                 f2 = rng.choice(parallel_copies(f))
+                fm, f2m = vertex_mask(f.vertices), vertex_mask(f2.vertices)
                 by_sides = {
                     h.class_id for h in classes
-                    if (f.mask & ~h.side_minus_mask == 0 and
-                        f2.mask & ~h.side_plus_mask == 0) or
-                       (f.mask & ~h.side_plus_mask == 0 and
-                        f2.mask & ~h.side_minus_mask == 0)}
+                    if (fm & ~h.side_minus_mask == 0 and f2m & ~h.side_plus_mask == 0) or
+                       (fm & ~h.side_plus_mask == 0 and f2m & ~h.side_minus_mask == 0)}
                 assert separators(f, f2) == by_sides
 
 
