@@ -2,10 +2,22 @@
 
 Each suite draws cases from splitmix64, so a (complex, suite, cases, seed)
 quadruple is a complete reproduction of any reported violation.
+
+`cases` counts draws, not evaluations.  Every check of the gates and orth
+suites is a pure function of its input keys, and a complex holds one
+object per key, so a suite run evaluates each check once per distinct
+input and replays the verdict when a draw repeats that input: the
+recomputed key per key, the convexity of a projection per key, the copy
+list of F and its verdicts per F, and the product checks per (F, F2).
+Each case still draws every value and records every verdict in order, so
+the violations, their order and the cap are those of evaluating every
+case.  The tables are keyed by the full inputs, never by a crossing mask,
+and live for one suite run.
 """
 
 from __future__ import annotations
 
+import functools
 from typing import Optional
 
 from .core import ConvexSubcomplex, MedianComplex, _bits, hull, is_convex, whole_complex
@@ -78,55 +90,81 @@ def _product_bijection_ok(region, left, right) -> bool:
             len(region) == len(left) * len(right))
 
 
+def _copies_verdicts(f, kept: dict[int, list[ConvexSubcomplex]]):
+    """parallel_copies(F) with its verdicts: contains-self, copies-parallel,
+    copies-complete, and the indices of the false copies.  F's list is
+    replaced by the one kept for its crossing mask while the two compare
+    equal, so a suite run holds one list per mask, not one per F."""
+    copies = parallel_copies(f)
+    last = kept.get(f.crossing_mask)
+    if last == copies:
+        copies = last
+    else:
+        kept[f.crossing_mask] = copies
+    perp = orth(f, f.vertices[0])
+    is_copy = _true_copies(f, copies, perp)
+    false = tuple(i for i, ok in enumerate(is_copy) if not ok)
+    complete = len({c2.base for c2, ok in zip(copies, is_copy) if ok}) == len(perp)
+    return copies, f in copies, not false, complete, false
+
+
+def _product_verdicts(f, f2) -> tuple[bool, bool]:
+    """The parallel-product checks of F and a true copy F2: the signature of
+    hull(F ∪ F2), and its gate bijection onto F × the bridge."""
+    region = hull(f.parent, f.vertices + f2.vertices)
+    seps = separators(f, f2)
+    signature = (crossing_signature(region) == crossing_signature(f) | seps and
+                 not crossing_signature(f) & seps)
+    return signature, _product_bijection_ok(region, f, parallel_bridge(f, f2))
+
+
 def _gates_suite(cx, rng, cases, rec: _Recorder):
+    recomputed = functools.cache(_recomputed)
+    convex = functools.cache(lambda s: is_convex(cx, s.vertices))
+    kept: dict[int, list[ConvexSubcomplex]] = {}
+    copies_of = functools.cache(lambda f: _copies_verdicts(f, kept))
+    products = functools.cache(_product_verdicts)
     for _ in range(cases):
         if rec.full:
             return
         y = _random_convex(cx, rng)
         z = _random_convex(cx, rng)
         img = project(y, z)
-        key = _recomputed(img)
+        key = recomputed(img)
         rec.check(key == img and key.crossing_mask == y.crossing_mask & z.crossing_mask,
                   "gate-crossing-law", Y=y, Z=z)
-        rec.check(is_convex(cx, img.vertices), "projection-convex", Y=y, Z=z)
-        rec.check(is_parallel(key, _recomputed(project(z, y))), "symmetric-parallelism", Y=y, Z=z)
+        rec.check(convex(img), "projection-convex", Y=y, Z=z)
+        rec.check(is_parallel(key, recomputed(project(z, y))), "symmetric-parallelism", Y=y, Z=z)
 
         c, d, e = (_random_convex(cx, rng) for _ in range(3))
-        p1, p2, p3 = (_recomputed(p) for p in (project(project(c, d), e),
-                                               project(c, project(d, e)),
-                                               project(c, project(e, d))))
+        p1, p2, p3 = (recomputed(p) for p in (project(project(c, d), e),
+                                              project(c, project(d, e)),
+                                              project(c, project(e, d))))
         rec.check(is_parallel(p1, p2) and is_parallel(p2, p3), "projection-currying",
                   C=c, D=d, E=e)
 
         f = _random_convex(cx, rng)
-        copies = parallel_copies(f)
-        rec.check(f in copies, "copies-contain-self", F=f)
-        perp = orth(f, f.vertices[0])
-        is_copy = _true_copies(f, copies, perp)
-        rec.check(all(is_copy), "copies-parallel", F=f)
-        rec.check(len({c2.base for c2, ok in zip(copies, is_copy) if ok}) == len(perp),
-                  "copies-complete", F=f)
+        copies, has_self, parallel, complete, false = copies_of(f)
+        rec.check(has_self, "copies-contain-self", F=f)
+        rec.check(parallel, "copies-parallel", F=f)
+        rec.check(complete, "copies-complete", F=f)
         i = rng.randrange(len(copies))  # as rng.choice(copies) draws
-        if not is_copy[i]:
+        if i in false:
             continue  # a false copy spans no product with F
         f2 = copies[i]
-        region = hull(cx, f.vertices + f2.vertices)
-        seps = separators(f, f2)
-        rec.check(crossing_signature(region) == crossing_signature(f) | seps and
-                  not crossing_signature(f) & seps,
-                  "parallel-product-signature", F=f, F2=f2)
-        bridge = parallel_bridge(f, f2)
-        rec.check(_product_bijection_ok(region, f, bridge),
-                  "parallel-product-bijection", F=f, F2=f2)
+        signature, bijection = products(f, f2)
+        rec.check(signature, "parallel-product-signature", F=f, F2=f2)
+        rec.check(bijection, "parallel-product-bijection", F=f, F2=f2)
 
 
 def _orth_suite(cx, rng, cases, rec: _Recorder, closure: Hyperclosure):
+    recomputed = functools.cache(_recomputed)
     for _ in range(cases):
         if rec.full:
             return
         a_sub = _random_convex(cx, rng)
         a = rng.choice(a_sub.vertices)
-        o1 = _recomputed(orth(a_sub, a))
+        o1 = recomputed(orth(a_sub, a))
         o3 = orth(orth(o1, a), a)
         rec.check(o3 == o1, "triple-complement", A=a_sub, a=a)
 
@@ -134,7 +172,7 @@ def _orth_suite(cx, rng, cases, rec: _Recorder, closure: Hyperclosure):
         inner = hull(cx, rng.sample(b_sub.vertices,
                                     1 + rng.randrange(len(b_sub))))
         x = rng.choice(inner.vertices)
-        rec.check(_recomputed(orth(b_sub, x)) <= _recomputed(orth(inner, x)),
+        rec.check(recomputed(orth(b_sub, x)) <= recomputed(orth(inner, x)),
                   "contravariance", A=inner, B=b_sub, a=x)
 
     for member in closure.members:

@@ -58,7 +58,10 @@ with the one-BFS rule; and `wedged_glued_ray`, glued_staircase_ray(n) by n
 validated wedges of validated staircases, which preceded one edge list
 validated once; and `char_parse_spec`, the spec parser that walked the
 text one character at a time, which preceded the compiled token patterns
-of `parse_spec`.  `lattice_members` is the
+of `parse_spec`; and `per_case_gates_suite` and `per_case_orth_suite`,
+verify's gates and orth suites evaluating every check on every case,
+which preceded one evaluation per distinct input with the verdict
+replayed for repeated draws.  `lattice_members` is the
 member set and its parallel classes read off the crossing-mask lattice,
 with no search and no vertex bound.
 """
@@ -106,6 +109,7 @@ from cubemedian.hyperclosure import (
     Derivation,
     Hyperclosure,
 )
+from cubemedian import verify
 from cubemedian.verify import _containments
 
 
@@ -1107,3 +1111,80 @@ def char_parse_spec(text: str) -> GeneratorSpec:
     if pos != len(text):
         fail("end of spec")
     return node
+
+
+def per_case_gates_suite(cx, rng, cases, rec):
+    """verify's gates suite with every check evaluated on every case.  It
+    reads each library function through the `verify` module, so a test that
+    patches one there patches it here too."""
+    v = verify
+    for _ in range(cases):
+        if rec.full:
+            return
+        y = v._random_convex(cx, rng)
+        z = v._random_convex(cx, rng)
+        img = v.project(y, z)
+        key = v._recomputed(img)
+        rec.check(key == img and key.crossing_mask == y.crossing_mask & z.crossing_mask,
+                  "gate-crossing-law", Y=y, Z=z)
+        rec.check(v.is_convex(cx, img.vertices), "projection-convex", Y=y, Z=z)
+        rec.check(v.is_parallel(key, v._recomputed(v.project(z, y))),
+                  "symmetric-parallelism", Y=y, Z=z)
+
+        c, d, e = (v._random_convex(cx, rng) for _ in range(3))
+        p1, p2, p3 = (v._recomputed(p) for p in (v.project(v.project(c, d), e),
+                                                 v.project(c, v.project(d, e)),
+                                                 v.project(c, v.project(e, d))))
+        rec.check(v.is_parallel(p1, p2) and v.is_parallel(p2, p3), "projection-currying",
+                  C=c, D=d, E=e)
+
+        f = v._random_convex(cx, rng)
+        copies = v.parallel_copies(f)
+        rec.check(f in copies, "copies-contain-self", F=f)
+        perp = v.orth(f, f.vertices[0])
+        is_copy = v._true_copies(f, copies, perp)
+        rec.check(all(is_copy), "copies-parallel", F=f)
+        rec.check(len({c2.base for c2, ok in zip(copies, is_copy) if ok}) == len(perp),
+                  "copies-complete", F=f)
+        i = rng.randrange(len(copies))
+        if not is_copy[i]:
+            continue
+        f2 = copies[i]
+        region = v.hull(cx, f.vertices + f2.vertices)
+        seps = v.separators(f, f2)
+        rec.check(v.crossing_signature(region) == v.crossing_signature(f) | seps and
+                  not v.crossing_signature(f) & seps,
+                  "parallel-product-signature", F=f, F2=f2)
+        bridge = v.parallel_bridge(f, f2)
+        rec.check(v._product_bijection_ok(region, f, bridge),
+                  "parallel-product-bijection", F=f, F2=f2)
+
+
+def per_case_orth_suite(cx, rng, cases, rec, closure):
+    """verify's orth suite with every check evaluated on every case, read
+    through the `verify` module as `per_case_gates_suite` is."""
+    v = verify
+    for _ in range(cases):
+        if rec.full:
+            return
+        a_sub = v._random_convex(cx, rng)
+        a = rng.choice(a_sub.vertices)
+        o1 = v._recomputed(v.orth(a_sub, a))
+        o3 = v.orth(v.orth(o1, a), a)
+        rec.check(o3 == o1, "triple-complement", A=a_sub, a=a)
+
+        b_sub = v._random_convex(cx, rng)
+        inner = v.hull(cx, rng.sample(b_sub.vertices, 1 + rng.randrange(len(b_sub))))
+        x = rng.choice(inner.vertices)
+        rec.check(v._recomputed(v.orth(b_sub, x)) <= v._recomputed(v.orth(inner, x)),
+                  "contravariance", A=inner, B=b_sub, a=x)
+
+    for member in closure.members:
+        if rec.full:
+            return
+        points = member.vertices
+        if len(points) > 8:
+            points = tuple(sorted(rng.sample(points, 8)))
+        for x in points:
+            rec.check(v.orth(v.orth(member, x), x) == member, "double-complement",
+                      F=member, x=x)

@@ -22,6 +22,8 @@ from oracles import (
     one_sided_orthogonal,
     orth_parallel_copies,
     per_copy_copies_check,
+    per_case_gates_suite,
+    per_case_orth_suite,
     per_member_maximal,
     vertex_mask,
 )
@@ -889,6 +891,89 @@ class TestOrthogonalSparserLoop:
         assert seen == ({True} if name == "single_vertex" else {False, True})
 
     test_random_median, test_products_and_wedges = drawn_complexes(check)
+
+
+def forced_failures(mp):
+    """Checks that fail on some inputs only, each verdict a function of the
+    check's own inputs, so a replayed verdict is the one a rerun would give."""
+    mp.setattr(verify, "project", first_vertex_key)
+    mp.setattr(verify, "is_convex", lambda cx, vertices: sum(vertices) % 3 != 1)
+    mp.setattr(verify, "is_parallel", lambda s, t: (
+        s.crossing_mask == t.crossing_mask and (s.base + 2 * t.base) % 5 != 3))
+    mp.setattr(verify, "_product_bijection_ok", lambda region, left, right: (
+        region.base + left.base + 3 * right.base + right.crossing_mask) % 4 != 1)
+    honest_copies, honest_orth = verify.parallel_copies, verify.orth
+    # copy lists that differ between keys of one crossing mask
+    mp.setattr(verify, "parallel_copies", lambda f: [
+        c for c in honest_copies(f) if c == f or (c.base + f.base) % 7 != 2])
+    mp.setattr(verify, "orth", lambda a, x: (
+        honest_orth(a, x) if (a.base + x) % 6 != 5 else hull(a.parent, [x])))
+
+
+def per_case_violations(cx, suite, cases, seed, cap):
+    """verify_complex with the per-case gates and orth suites."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(verify, "_gates_suite", per_case_gates_suite)
+        mp.setattr(verify, "_orth_suite", per_case_orth_suite)
+        return verify.verify_complex(cx, suite, cases, seed, max_violations=cap)
+
+
+class TestReplayedVerdicts:
+    """verify evaluates each gates and orth check once per distinct input
+    and replays the verdict when a draw repeats it: the same violations, in
+    the same order and under any cap, as the suites that evaluate every
+    check on every case, with checks forced to fail on some inputs."""
+
+    def check(self, cx, rng, cases=300):
+        seed = rng.randrange(1 << 16)
+        with pytest.MonkeyPatch.context() as mp:
+            forced_failures(mp)
+            found = set()
+            for suite, cap in [("gates", 10**6), ("orth", 10**6), ("all", 10**6),
+                               ("all", 1), ("all", 2), ("all", 7)]:
+                want = [(v.suite, v.invariant, v.inputs)
+                        for v in per_case_violations(cx, suite, cases, seed, cap)]
+                got = [(v.suite, v.invariant, v.inputs) for v in verify.verify_complex(
+                    cx, suite, cases, seed, max_violations=cap)]
+                assert got == want
+                found |= {invariant for _, invariant, _ in got}
+        return found
+
+    @pytest.mark.parametrize("name", MEDIAN_FIXTURES)
+    def test_fixtures(self, name, request):
+        found = self.check(request.getfixturevalue(name), SplitMix64(17))
+        if name in ("st3", "box222", "rm451"):
+            # the forced failures reach every kind of gates and orth check
+            assert {"gate-crossing-law", "projection-convex", "symmetric-parallelism",
+                    "projection-currying", "copies-parallel", "copies-complete",
+                    "parallel-product-bijection", "triple-complement", "contravariance",
+                    "double-complement"} <= found
+
+    test_random_median, test_products_and_wedges = drawn_complexes(
+        lambda self, cx, rng: self.check(cx, rng, cases=60))
+
+    def test_each_distinct_input_is_evaluated_once(self, monkeypatch):
+        """On staircase(6), 1000 gates cases draw each F and each projection
+        many times; parallel_copies and is_convex run once per distinct
+        input, and replaying makes no key the per-case suite does not."""
+        honest_copies, honest_convex = verify.parallel_copies, verify.is_convex
+        calls = []
+        monkeypatch.setattr(verify, "parallel_copies",
+                            lambda f: calls.append(("F", f.vertices)) or honest_copies(f))
+        monkeypatch.setattr(verify, "is_convex", lambda cx, vertices: calls.append(
+            ("convex", tuple(vertices))) or honest_convex(cx, vertices))
+        oracle_cx, cx = staircase(6), staircase(6)
+        assert per_case_violations(oracle_cx, "gates", 1000, 1, 25) == []
+        per_case = calls[:]
+        calls.clear()
+        assert verify.verify_complex(cx, "gates", 1000, 1) == []
+        for kind in ("F", "convex"):
+            drawn = [x for k, x in per_case if k == kind]
+            evaluated = [x for k, x in calls if k == kind]
+            assert len(drawn) == 1000
+            assert len(evaluated) == len(set(drawn)) < len(drawn)
+            assert set(evaluated) == set(drawn)
+        assert set(cx._keys) == set(oracle_cx._keys)
 
 
 class TestCaseStreamPinned:
