@@ -8,8 +8,10 @@ bit for bit).  Randomized kinds draw from splitmix64 only.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
+import operator
 import re
 from typing import NamedTuple, Optional, Union
 
@@ -156,36 +158,58 @@ def _build_tree(n: int, seed: int):
 
 def _build_random_median(dim: int, count: int, seed: int):
     """Random words of dim bits (bit i is coordinate i) closed under majority,
-    numbered in coordinate-tuple order.  Points a, w are adjacent iff none
-    lies between them: a ^ w is inclusion-minimal among the a ^ x."""
+    numbered in coordinate-tuple order, coordinate 0 first.  Points a, w are
+    adjacent iff no other word lies between them.
+
+    Closure.  A subset of {0,1}^dim is closed under majority iff it is the
+    set of words whose projection onto every pair of coordinates i <= j
+    occurs in it (Schaefer, STOC 1978).  Every subset of {0,1}^2 is closed
+    under majority, and majority acts coordinatewise, so the closure of the
+    points has their pair projections: it is the set of words that pass
+    every pair test against the points.  The pairs (i, j) with x_j = b show
+    x_i = 0 unless bit i is in the AND of the points on side b of j, and
+    x_i = 1 only if it is in their OR; the diagonal i = j allows x_j = b
+    only if some point has it.  The projection of the closure onto
+    coordinates 0..j is the closure of the points' projection, so a prefix
+    that passes every test among its own coordinates extends to a word:
+    placing one coordinate at a time never dead-ends, and placing 0 before
+    1 keeps the words in coordinate-tuple order.
+
+    Edges.  Coordinates whose cuts of the closure are equal or complementary
+    form a group, and these are the coordinates i, k where the points show
+    only two of the patterns of (x_i, x_k), the equal or the complementary
+    ones: again the closure has the points' pair projections.  A word is
+    constant on a group up to complement, so two words one group apart have
+    no word between them.  If a and w differ in coordinates i and k of
+    different groups, some point y shows (w_i, a_k) or (a_i, w_k), and
+    majority(a, w, y) lies between a and w and equals neither.  So the
+    edges are the words one group apart; constant coordinates form no group.
+    """
     rng = SplitMix64(seed)
     points: set[int] = set()
     while len(points) < count:
         points.add(rng.randrange(1 << dim))
-    # close under majority; each round only needs triples touching a point
-    # added in the previous round
-    frontier = set(points)
-    while frontier:
-        pts = list(points)
-        new = set()
-        for a in frontier:
-            for b in pts:
-                both, either = a & b, a | b
-                new.update({both | (c & either) for c in pts})
-        new -= points
-        points |= new
-        frontier = new
-    verts = sorted(points, key=lambda w: [(w >> i) & 1 for i in range(dim)])
-    index = {w: i for i, w in enumerate(verts)}
-    edges = []
-    for a in verts:
-        minimal: list[int] = []
-        for d in sorted((a ^ w for w in verts if w != a), key=int.bit_count):
-            if all(m & ~d for m in minimal):
-                minimal.append(d)
-        edges.extend((index[a], index[a ^ d]) for d in minimal if index[a] < index[a ^ d])
-    labels = {i: tuple((w >> j) & 1 for j in range(dim)) for i, w in enumerate(verts)}
-    return len(verts), sorted(edges), labels
+    words = [0]
+    for j in range(dim):
+        low, tests = (1 << j) - 1, []
+        for b in (0, 1):
+            side = [p for p in points if p >> j & 1 == b]
+            if side:  # the diagonal test: a value no point takes is no word's
+                ones = functools.reduce(operator.and_, side) & low
+                zeros = low & ~functools.reduce(operator.or_, side)
+                tests.append((b << j, ones | zeros, ones))
+        words = [w | bit for w in words for bit, care, ones in tests if w & care == ones]
+    pts = list(points)
+    groups: dict[tuple[int, ...], int] = {}
+    for i in range(dim):
+        cut = tuple((p ^ pts[0]) >> i & 1 for p in pts)
+        if any(cut):
+            groups[cut] = groups.get(cut, 0) | 1 << i
+    index = {w: v for v, w in enumerate(words)}
+    edges = [(v, index[w ^ g]) for w, v in index.items() for g in groups.values()
+             if index.get(w ^ g, -1) > v]
+    labels = {v: tuple(w >> i & 1 for i in range(dim)) for v, w in enumerate(words)}
+    return len(words), sorted(edges), labels
 
 
 def product(x1: MedianComplex, x2: MedianComplex) -> MedianComplex:
@@ -267,8 +291,8 @@ def generate(spec: GeneratorSpec) -> MedianComplex:
     elif kind == "random_median":
         _require(ints and len(params) == 2, "random_median(dim, count) needs two ints")
         dim, count = params
-        # the majority closure can approach 2^dim points and scans every new
-        # point against all pairs of points, so the dimension is kept small
+        # the closure can have up to 2^dim vertices, and no size limit is
+        # checked before it is built, so the dimension is kept small
         _require(1 <= dim <= 8, "random_median dimension must be in 1..8")
         _require(1 <= count <= (1 << dim), "random_median count must be in 1..2^dim")
         n, edges, labels = _build_random_median(dim, count, seed or 0)

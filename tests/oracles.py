@@ -21,7 +21,9 @@ vertices, which preceded the projection by key arithmetic;
 `mask_longest_chain`, the chain by vertex-mask containment, which
 preceded containment by keys; `tuple_random_median`, the random median
 generator on coordinate tuples with its triple scans, which preceded the
-generator on sign words; `contained_member_pairs`, the all-pairs
+generator on sign words; `majority_random_median`, that generator on sign
+words with its majority fixpoint and its edges by minimal XORs, which
+preceded the words built from the points' pair projections; `contained_member_pairs`, the all-pairs
 containment scan that preceded the containment lookups by key; and
 `derivation_witness`, the compact witness built along a member's
 derivation, which preceded the double complement in `witness_compact`;
@@ -868,6 +870,41 @@ def tuple_random_median(dim, count, seed):
     return len(verts), sorted(edges), {i: p for p, i in index.items()}
 
 
+def majority_random_median(dim: int, count: int, seed: int):
+    """The random median builder on sign words: majority closure by scanning
+    every frontier point against all pairs of points, and for each point the
+    edges to the words w where a ^ w is inclusion-minimal among the a ^ x,
+    none lying between.  Returns (vertex count, edges, labels)."""
+    rng = SplitMix64(seed)
+    points: set[int] = set()
+    while len(points) < count:
+        points.add(rng.randrange(1 << dim))
+    # close under majority; each round only needs triples touching a point
+    # added in the previous round
+    frontier = set(points)
+    while frontier:
+        pts = list(points)
+        new = set()
+        for a in frontier:
+            for b in pts:
+                both, either = a & b, a | b
+                new.update({both | (c & either) for c in pts})
+        new -= points
+        points |= new
+        frontier = new
+    verts = sorted(points, key=lambda w: [(w >> i) & 1 for i in range(dim)])
+    index = {w: i for i, w in enumerate(verts)}
+    edges = []
+    for a in verts:
+        minimal: list[int] = []
+        for d in sorted((a ^ w for w in verts if w != a), key=int.bit_count):
+            if all(m & ~d for m in minimal):
+                minimal.append(d)
+        edges.extend((index[a], index[a ^ d]) for d in minimal if index[a] < index[a ^ d])
+    labels = {i: tuple((w >> j) & 1 for j in range(dim)) for i, w in enumerate(verts)}
+    return len(verts), sorted(edges), labels
+
+
 def and_loop_polar(cx, mask):
     """σ⊥ for σ = mask: the AND of the crossing masks of the classes of σ,
     every class for σ empty."""
@@ -930,11 +967,11 @@ class PoolSplitMix64:
         return pool[:k]
 
 
-def per_member_maximal(closure, f, v, u):
+def per_member_maximal(closure, f, v, u, pairs):
     """True iff every member W inside F (F itself included) that is
     orthogonal to V, by the 4-cycles of their classes, is parallel
-    into U."""
-    pairs = crossing_pairs_by_squares(closure.complex)
+    into U.  `pairs` is `crossing_pairs_by_squares(closure.complex)`,
+    passed in so that one scan serves every pair checked on a complex."""
     sig_v = crossing_signature(v)
 
     def orthogonal(w):

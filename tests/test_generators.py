@@ -7,7 +7,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import by_label
-from oracles import PoolSplitMix64, char_parse_spec, tuple_random_median, wedged_glued_ray
+from oracles import (
+    PoolSplitMix64,
+    char_parse_spec,
+    majority_random_median,
+    tuple_random_median,
+    wedged_glued_ray,
+)
 from cubemedian import (
     GeneratorSpec,
     box,
@@ -180,8 +186,25 @@ class TestRandomMedian:
             random_median(3, 9)
 
 
+class TestRandomMedianMajorityOracle:
+    """The builder from the points' pair projections against the majority
+    fixpoint on sign words it replaced: the same vertices in the same order,
+    edges and labels for every dimension the cap allows."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(args=st.integers(1, 8).flatmap(lambda dim: st.tuples(
+        st.just(dim), st.integers(1, 1 << dim), st.integers(0, 2**64 - 1))))
+    @example(args=(1, 1, 0))  # one point 1: the diagonal pair test keeps coordinate 0 constant
+    @example(args=(1, 1, 2))  # one point 0
+    @example(args=(8, 256, 1))
+    @example(args=(8, 10, 1))
+    def test_same_vertices_edges_and_labels(self, args):
+        assert _build_random_median(*args) == majority_random_median(*args)
+
+
 class TestRandomMedianOracle:
-    """The builder on sign words against the tuple builder it replaced."""
+    """The builder from pair projections against the tuple builder with its
+    triple scans, two replacements back."""
 
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())
@@ -263,7 +286,8 @@ class TestSpecStrings:
             generate(GeneratorSpec("grid", (2, 2), seed=1))
 
     def test_parameter_bounds(self):
-        for text in ("staircase(0)", "tree(0)", "random_median(0,1)"):
+        for text in ("staircase(0)", "tree(0)", "random_median(0,1)",
+                     "random_median(9,1)", "random_median(2,5)"):
             with pytest.raises(ValueError):
                 generate(parse_spec(text))
 

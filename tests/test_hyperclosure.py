@@ -15,6 +15,7 @@ from oracles import (
     contained_member_pairs,
     containment_chain,
     copies_by_scan,
+    crossing_pairs_by_squares,
     fixpoint_hyperclosure,
     graded_bfs_hyperclosure,
     lattice_members,
@@ -850,9 +851,10 @@ class TestMaximalityPerMask:
         got = [(v.inputs["F"], v.inputs["V"]) for v in found
                if v.invariant == "clean-container-maximality"]
         want = []
+        pairs = crossing_pairs_by_squares(cx)
         for f, v in contained_member_pairs(closure.members):
             u = v if degenerate else clean_container(closure, f, v, v.vertices[0])
-            if not per_member_maximal(closure, f, v, u):
+            if not per_member_maximal(closure, f, v, u, pairs):
                 want.append((f.vertices, v.vertices))
         assert sorted(got) == sorted(want)
         return want
