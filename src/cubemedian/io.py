@@ -9,7 +9,7 @@ the spec string of a generated complex.
 from __future__ import annotations
 
 import json
-from pathlib import Path
+import os
 from typing import Union
 
 from .core import MedianComplex, validate
@@ -91,12 +91,16 @@ def complex_from_json(text: str, *, run_validate: bool = True) -> MedianComplex:
     return cx
 
 
-def save_complex(cx: MedianComplex, path: Union[str, Path]) -> None:
-    Path(path).write_text(complex_to_json(cx))
+def save_complex(cx: MedianComplex, path: Union[str, os.PathLike]) -> None:
+    text = complex_to_json(cx)
+    with open(os.fspath(path), "w") as fh:  # fspath: an int is no file descriptor here
+        fh.write(text)
 
 
-def load_complex(path: Union[str, Path], *, run_validate: bool = True) -> MedianComplex:
-    return complex_from_json(Path(path).read_text(), run_validate=run_validate)
+def load_complex(path: Union[str, os.PathLike], *, run_validate: bool = True) -> MedianComplex:
+    with open(os.fspath(path)) as fh:
+        text = fh.read()
+    return complex_from_json(text, run_validate=run_validate)
 
 
 def to_dot(cx: MedianComplex, name: str = "mediancomplex") -> str:

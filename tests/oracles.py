@@ -63,11 +63,14 @@ text one character at a time, which preceded the compiled token patterns
 of `parse_spec`; and `per_case_gates_suite` and `per_case_orth_suite`,
 verify's gates and orth suites evaluating every check on every case,
 which preceded one evaluation per distinct input with the verdict
-replayed for repeated draws.  `lattice_members` is the
+replayed for repeated draws; and `argparse_parser`, the CLI's argparse
+parser, which preceded the command table read by `cli.parse_args`.
+`lattice_members` is the
 member set and its parallel classes read off the crossing-mask lattice,
 with no search and no vertex bound.
 """
 
+import argparse
 import functools
 import heapq
 import operator
@@ -78,6 +81,8 @@ from typing import Optional
 import networkx as nx
 
 from cubemedian import MedianComplex, hull, orth, subcomplex
+from cubemedian._version import __version__
+from cubemedian.cli import SUITE_CHOICES
 from cubemedian.core import (
     ConvexSubcomplex,
     HyperplaneClass,
@@ -96,7 +101,7 @@ from cubemedian.generators import (
     staircase,
     wedge,
 )
-from cubemedian.errors import InvariantViolation, ResourceLimitError
+from cubemedian.errors import DEFAULT_ORACLE_BOUND, InvariantViolation, ResourceLimitError
 from cubemedian.gates import (
     crossing_signature,
     is_parallel,
@@ -1225,3 +1230,49 @@ def per_case_orth_suite(cx, rng, cases, rec, closure):
         for x in points:
             rec.check(v.orth(v.orth(member, x), x) == member, "double-complement",
                       F=member, x=x)
+
+
+def argparse_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="cubemedian",
+        description="Analyze finite CAT(0) cube complexes given as median graphs.")
+    parser.add_argument("--version", action="version", version=__version__)
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p = sub.add_parser("build", help="generate a complex and write it to a file")
+    p.add_argument("--kind", required=True,
+                   help="generator kind (grid, box, tree, product, staircase, "
+                        "wedge, glued_staircase_ray, random_median)")
+    p.add_argument("--params", nargs="*", default=[],
+                   help="kind parameters: integers, or nested specs like 'grid(1,1)'")
+    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("-o", "--output", required=True)
+
+    p = sub.add_parser("analyze", help="run the hyperclosure pipeline on a complex file")
+    p.add_argument("file")
+    p.add_argument("--max-members", type=int, default=DEFAULT_MAX_MEMBERS)
+    p.add_argument("--max-grade", type=int, default=DEFAULT_MAX_GRADE)
+    p.add_argument("--with-oracle", action="store_true")
+    p.add_argument("--oracle-bound", type=int, default=DEFAULT_ORACLE_BOUND)
+    p.add_argument("--no-validate", action="store_true")
+    p.add_argument("-o", "--output", default=None, help="report file (default: stdout)")
+
+    p = sub.add_parser("verify", help="run randomized invariant suites")
+    p.add_argument("file")
+    p.add_argument("--suite", choices=SUITE_CHOICES, default="all")
+    p.add_argument("--cases", type=int, default=1000)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--no-validate", action="store_true")
+
+    p = sub.add_parser("oracle", help="diff the hyperclosure against the brute-force oracle")
+    p.add_argument("file")
+    p.add_argument("--max-members", type=int, default=DEFAULT_MAX_MEMBERS)
+    p.add_argument("--max-grade", type=int, default=DEFAULT_MAX_GRADE)
+    p.add_argument("--oracle-bound", type=int, default=DEFAULT_ORACLE_BOUND)
+    p.add_argument("--no-validate", action="store_true")
+
+    p = sub.add_parser("export", help="write a DOT file with class-colored edges")
+    p.add_argument("file")
+    p.add_argument("--dot", required=True)
+    p.add_argument("--no-validate", action="store_true")
+    return parser

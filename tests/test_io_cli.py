@@ -50,6 +50,13 @@ class TestComplexFiles:
         cx = complex_from_json(text, run_validate=False)
         assert not cx.validated
 
+    def test_path_must_be_path_like(self, st2):
+        # an int is refused, not taken for a file descriptor
+        with pytest.raises(TypeError):
+            load_complex(0)
+        with pytest.raises(TypeError):
+            save_complex(st2, 1)
+
     def test_malformed_rejected(self):
         with pytest.raises(StructuralError):
             complex_from_json("not json")
@@ -162,10 +169,27 @@ class TestCli:
         assert run(["export", st4_file, "--dot", dot]) == 0
         assert Path(dot).read_text().startswith("graph")
 
-    def test_usage_error_exit_2(self, capsys):
-        assert run(["frobnicate"]) == 2
+    def test_usage_error_exit_2(self, st4_file, capsys):
         assert run(["build", "--kind", "staircase", "--params", "0",
                     "-o", "/tmp/x.json"]) == 2
+        capsys.readouterr()
+        for argv in ([], ["frobnicate"], ["analyze"], ["build", "-o", "x.json"],
+                     ["build", "--kind", "grid"], ["export", st4_file],
+                     ["analyze", st4_file, "-o"], ["verify", st4_file, "--cases", "abc"],
+                     ["verify", st4_file, "--suite", "nope"], ["analyze", st4_file, "--bogus"],
+                     ["analyze", st4_file, "--max-grade"], ["analyze", st4_file, "a\nb"]):
+            assert run(argv) == 2, argv
+            out, err = capsys.readouterr()
+            lines = err.splitlines()
+            assert out == "" and len(lines) == 2, (argv, out, err)
+            assert lines[0].startswith("usage: cubemedian"), (argv, err)
+            assert lines[1].startswith("cubemedian: error: "), (argv, err)
+        for argv in (["-h"], ["--help"], ["--version"],
+                     *([command, "--help"] for command in ("build", "analyze", "verify", "oracle",
+                                                           "export"))):
+            assert run(argv) == 0, argv
+            out, err = capsys.readouterr()
+            assert out and err == "", (argv, out, err)
 
     def test_resource_limit_exit_3(self, st4_file, capsys):
         assert run(["analyze", st4_file, "--max-members", "5"]) == 3
@@ -267,13 +291,15 @@ class TestCli:
 def test_runs_without_site_packages(tmp_path):
     # the library promises the standard library only: `python -S` leaves
     # site-packages, where hypothesis and networkx live, off sys.path; and
-    # start-up stays lean: no dataclasses, whose import pulls in inspect
+    # start-up stays lean: no dataclasses, whose import pulls in inspect,
+    # and no argparse, whose first parser loads gettext and locale
     path = tmp_path / "st2.json"
     save_complex(staircase(2), path)
     src = str(Path(cubemedian.__file__).parents[1])
     code = (f"import sys; sys.path.insert(0, {src!r}); import cubemedian.cli; "
             f"rc = cubemedian.cli.run(['analyze', {str(path)!r}]); "
-            "heavy = sorted({'dataclasses', 'inspect'} & sys.modules.keys()); "
+            "heavy = sorted({'dataclasses', 'inspect', 'argparse', 'gettext', 'locale', 'shutil', "
+            "'pathlib'} & sys.modules.keys()); "
             "assert not heavy, f'imported {heavy}'; sys.exit(rc)")
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     proc = subprocess.run([sys.executable, "-S", "-c", code], env=env,
@@ -301,6 +327,15 @@ def test_no_validate_non_median_exits_cleanly(name, command, tmp_path, capsys):
     assert run([command, str(path), "--no-validate", *extra.get(command, [])]) in (0, 1)
     err = capsys.readouterr().err
     assert "Traceback" not in err and err.count("\n") <= 1
+
+
+def test_failed_export_keeps_the_dot_file(tmp_path, capsys):
+    # the DOT text is computed before the file is opened for writing
+    path, dot = tmp_path / "k3.json", tmp_path / "out.dot"
+    path.write_text(json.dumps(NON_MEDIAN["k3"]))
+    dot.write_bytes(b"precious\n")
+    assert run(["export", str(path), "--dot", str(dot), "--no-validate"]) == 1
+    assert dot.read_bytes() == b"precious\n"
 
 
 NON_MEDIAN_ERRORS = {

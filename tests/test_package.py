@@ -1,6 +1,8 @@
 """The package surface: lazily run submodules, public names, the layers each
 CLI command runs, and first reads from several threads."""
 
+import contextlib
+import io
 import os
 import pickle
 import subprocess
@@ -9,13 +11,18 @@ import textwrap
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import cubemedian
 from cubemedian import hull, save_complex, staircase
-from cubemedian.cli import SUITE_CHOICES, build_parser
+from cubemedian.cli import (COMMANDS, FLAG, HELP, LIST, REQUIRED, SUITE_CHOICES, VERSION,
+                            UsageError, parse_args)
 from cubemedian.errors import DEFAULT_MAX_GRADE, DEFAULT_MAX_MEMBERS, DEFAULT_ORACLE_BOUND
 from cubemedian.generators import KINDS
 from cubemedian.verify import SUITES
+
+from oracles import argparse_parser
 
 SRC = str(Path(cubemedian.__file__).parents[1])
 
@@ -129,22 +136,113 @@ class TestLayersRun:
         assert out == f"{code}\n{ran}\n"
 
 
+# Words that argv draws for the parser comparison.  argparse versions
+# disagree on two forms, which are left out: a value joined to -h (up to
+# 3.12 `-hx` is -h then -x, as the table's parser reads it; 3.13 prints
+# help) and "--" joined as a value (up to 3.12 `--kind=--` gives [];
+# 3.13 and the table's parser give "--").
+INTS = st.sampled_from(["0", "7", "-1", "-12", "+3", "1_0", "2000"])
+WORDS = st.sampled_from(["abc", "1.5", "-2.5", "-1x", "", "-", "nope", "f.json", "out.dot",
+                         "grid(1,1)", *SUITE_CHOICES])
+VALUES = INTS | WORDS
+
+
+def prefixes(flag):
+    """flag, or for a long one any prefix of it of three or more characters."""
+    return st.integers(3, len(flag)).map(lambda k: flag[:k]) if flag[1] == "-" else st.just(flag)
+
+
+def given_value(option):
+    """The words giving option a value of its kind: as `flag value`, `flag=value`
+    or `-ovalue`, with any flag prefix; a list option takes up to three values."""
+    flags, kind, _, _ = option
+    flag = st.sampled_from(flags).flatmap(prefixes)
+    if kind is FLAG:
+        return flag.map(lambda f: [f])
+    value = INTS if kind is int else st.sampled_from(kind) if type(kind) is tuple else WORDS
+    if kind is LIST:
+        return st.tuples(flag, st.lists(value, max_size=3)).map(lambda t: [t[0], *t[1]])
+    return st.one_of(st.tuples(flag, value).map(list), st.tuples(flag, value).map(
+        lambda t: ["=".join(t)] if t[0][1] == "-" else ["".join(t)]))
+
+
+@st.composite
+def argvs(draw):
+    """A command or none, often with its positional and required options,
+    and up to five more words, most often put last: options of the command
+    with values of their kinds, and any words of the vocabulary, namely
+    flags of the command or the program, unknown ones, prefixes of long
+    flags, `=` forms, `-ovalue`, values, command names and `--`."""
+    name = draw(st.sampled_from([None, *COMMANDS]))
+    argv = [] if name is None else [name]
+    options = (HELP, VERSION, *COMMANDS[name][3]) if name else (HELP, VERSION)
+    flags = st.sampled_from([f for option in options for f in option[0]] + ["--bogus", "-x"])
+    word = st.one_of(st.sampled_from([*COMMANDS, "frobnicate", "--"]), flags.flatmap(prefixes),
+                     st.tuples(flags.filter(lambda f: f != "-h").flatmap(prefixes),
+                               VALUES).map("=".join),
+                     VALUES.map("-o".__add__), VALUES)
+    words = word.map(lambda w: [w]) | st.tuples(flags.flatmap(prefixes), VALUES).map(list)
+    if name is not None:
+        _, _, positional, own = COMMANDS[name]
+        words = st.one_of(words, *map(given_value, own))
+        if draw(st.booleans()):
+            argv += [positional] * bool(positional)
+            argv += [w for o in own if o[2] is REQUIRED for w in (o[0][0], "x")]
+    for more in draw(st.lists(words, max_size=5)):
+        i = draw(st.integers(0, len(argv)) | st.just(len(argv)))
+        argv[i:i] = more
+    return argv
+
+
+ARGPARSE = argparse_parser()
+
+
+def argparse_outcome(parser, argv):
+    """The namespace argparse reads, or its exit code with the first words of
+    its stdout: help's usage line or the version."""
+    out = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            return vars(parser.parse_args(argv))
+    except SystemExit as exc:
+        return exc.code, out.getvalue().split()[:3]
+
+
+def table_outcome(argv):
+    try:
+        command, args = parse_args(argv)
+    except UsageError:
+        return 2, []
+    if command is None:
+        return 0, args.split()[:3]
+    return dict(vars(args), command=command)
+
+
 class TestParser:
     def test_suite_choices_are_verify_suites(self):
         assert SUITE_CHOICES == ("all",) + SUITES
 
     def test_kind_help_names_the_generator_kinds(self):
         # written out in cli.py so that the parser loads no `generators`
-        sub = next(a for a in build_parser()._actions if a.dest == "command")
-        kind = next(a for a in sub.choices["build"]._actions if a.dest == "kind")
-        assert kind.help == f"generator kind ({', '.join(KINDS)})"
+        kind = next(option for option in COMMANDS["build"][3] if option[0] == ("--kind",))
+        assert kind[3] == f"generator kind ({', '.join(KINDS)})"
 
     def test_defaults_are_the_library_constants(self):
-        parser = build_parser()
         for command in ("analyze", "oracle"):
-            args = parser.parse_args([command, "f.json"])
+            _, args = parse_args([command, "f.json"])
             assert (args.max_members, args.max_grade, args.oracle_bound) == (
                 DEFAULT_MAX_MEMBERS, DEFAULT_MAX_GRADE, DEFAULT_ORACLE_BOUND)
+
+    @settings(max_examples=400, deadline=None)
+    @given(argv=argvs())
+    @example(argv=["analyze", "f.json", "--max-grade=-1", "--with", "-o", "r.json"])
+    @example(argv=["build", "--kind", "grid", "--params", "1", "-2", "--seed", "-1", "-ob.json"])
+    @example(argv=["verify", "--su=orth", "--", "f.json"])
+    @example(argv=["verify", "f.json", "--s", "1"])
+    @example(argv=["export", "f.json", "--no-validate", "--", "--dot", "g.dot"])
+    @example(argv=["oracle", "-", "--max-members", "-0"])
+    def test_agrees_with_argparse(self, argv):
+        assert table_outcome(argv) == argparse_outcome(ARGPARSE, argv)
 
 
 # Eight threads start together right after `import cubemedian`.  "names"
