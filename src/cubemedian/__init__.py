@@ -7,7 +7,9 @@ attribute read (an import of it reads one), and the public names below
 resolve on first use.  Loads run one at a time under one package lock, so
 a thread that reads a module another thread is loading waits for the
 whole module.  Registered modules are never set as package attributes, so
-`cubemedian.hyperclosure` stays the function of that name.
+`cubemedian.hyperclosure` stays the function of that name.  The private
+modules `_nonmedian` and `_helptext` are not registered: the code that
+needs them imports them where it runs.
 """
 
 import importlib.util
@@ -22,27 +24,28 @@ _EXPORTS = {
     "analysis": ("AnalysisReport", "analyze", "report_from_json", "report_to_json"),
     "core": (
         "ConvexSubcomplex", "HyperplaneClass", "InvariantFailure", "MedianComplex",
-        "ValidationReport", "all_convex_subcomplexes", "dimension", "hull", "interval",
-        "is_convex", "median", "subcomplex", "theta_classes", "validate", "whole_complex",
+        "ValidationReport", "dimension", "hull", "theta_classes", "validate",
+        "whole_complex",
     ),
     "errors": ("InvariantViolation", "ResourceLimitError", "StructuralError",
                "ValidationError"),
     "gates": (
         "ProductRegion", "carrier", "comb_side", "crosses", "crossing_signature", "gate",
-        "is_parallel", "parallel_bridge", "parallel_copies", "parallel_into",
-        "product_region", "project", "separators", "set_distance",
+        "interval", "is_convex", "is_parallel", "median", "parallel_bridge",
+        "parallel_copies", "parallel_into", "product_region", "project", "separators",
+        "set_distance", "subcomplex",
     ),
     "generators": (
         "GeneratorSpec", "box", "generate", "glued_staircase_ray", "grid", "parse_spec",
         "product", "random_median", "spec_to_string", "staircase", "tree", "wedge",
     ),
     "hyperclosure": (
-        "Derivation", "Hyperclosure", "MultiplicityProfile", "clean_container",
-        "grades_report", "hyperclosure", "longest_chain", "multiplicity",
-        "oracle_hyperclosure",
+        "Derivation", "Hyperclosure", "MultiplicityProfile", "grades_report",
+        "hyperclosure", "longest_chain", "multiplicity",
     ),
     "io": ("complex_from_json", "complex_to_json", "load_complex", "save_complex", "to_dot"),
-    "orthocomplement": ("orth", "witness_compact"),
+    "orthocomplement": ("all_convex_subcomplexes", "clean_container", "oracle_hyperclosure",
+                        "orth", "witness_compact"),
     "rng": (),
     "verify": ("Violation", "verify_complex"),
 }

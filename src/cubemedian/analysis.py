@@ -2,7 +2,7 @@
 
 Reports are deterministic (no timestamps, fixed field order) so identical
 inputs produce byte-identical files; `oracle_agrees` is present exactly
-when the oracle ran.
+when the oracle ran.  `analyze` imports the oracle only when it runs it.
 """
 
 from __future__ import annotations
@@ -12,16 +12,8 @@ from typing import Optional
 
 from ._version import __version__
 from .core import MedianComplex, dimension, theta_classes
-from .hyperclosure import (
-    DEFAULT_MAX_GRADE,
-    DEFAULT_MAX_MEMBERS,
-    DEFAULT_ORACLE_BOUND,
-    grades_report,
-    hyperclosure,
-    longest_chain,
-    multiplicity,
-    oracle_hyperclosure,
-)
+from .errors import DEFAULT_MAX_GRADE, DEFAULT_MAX_MEMBERS, DEFAULT_ORACLE_BOUND
+from .hyperclosure import grades_report, hyperclosure, longest_chain, multiplicity
 
 
 class AnalysisReport:
@@ -50,6 +42,8 @@ def analyze(cx: MedianComplex, *, max_members: int = DEFAULT_MAX_MEMBERS,
     chain_len, chain = longest_chain(closure)
     oracle_agrees = None
     if with_oracle:
+        from .orthocomplement import oracle_hyperclosure
+
         oracle = oracle_hyperclosure(cx, max_vertices=oracle_bound)
         oracle_agrees = oracle == closure.member_set
     return AnalysisReport(

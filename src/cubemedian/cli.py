@@ -9,11 +9,13 @@ argparse's language: `--opt value` and `--opt=value`, a unique prefix of
 a long option, `-o value` and `-ovalue`, negative numbers as values,
 `--params` taking the values up to the next option, options before or
 after the positional, and `--` ending the options.  `-h` or `--help`, for
-the program or a command, prints help made from the same table.  The CLI
-does not use argparse itself because importing it, building a first
-parser (which loads `gettext` and `locale`) and the commands' parsers
-cost about 5 ms of each process's start-up; `tests/oracles.py` keeps the
-argparse parser as the reference that `parse_args` must agree with.
+the program or a command, prints help made from the same table, and a
+refused argv its usage line; `_helptext` makes both and is imported only
+then.  The CLI does not use argparse itself because importing it,
+building a first parser (which loads `gettext` and `locale`) and the
+commands' parsers cost about 5 ms of each process's start-up;
+`tests/oracles.py` keeps the argparse parser as the reference that
+`parse_args` must agree with.
 
 Each command imports its layers inside its `_cmd_*` function, because a
 CLI process runs one command and most of its start-up is compiling the
@@ -99,8 +101,9 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    from .hyperclosure import hyperclosure, oracle_hyperclosure
+    from .hyperclosure import hyperclosure
     from .io import load_complex
+    from .orthocomplement import oracle_hyperclosure
 
     cx = load_complex(args.file, run_validate=not args.no_validate)
     closure = hyperclosure(cx, max_members=args.max_members, max_grade=args.max_grade)
@@ -304,7 +307,9 @@ def _parse(name, argv: list[str], extras: list[str]):
                                      f"{value!r} (choose from {', '.join(map(repr, kind))})")
                 values[dest] = value
             if asks_help:
-                return None, _help(name)
+                from ._helptext import _help
+
+                return None, _help(sys.modules[__name__], name)
             if option is VERSION:
                 return None, __version__ + "\n"
         missing = [positional] if values.get(positional) is REQUIRED else []
@@ -315,44 +320,11 @@ def _parse(name, argv: list[str], extras: list[str]):
             raise UsageError(f"unrecognized arguments: {' '.join(extras)}")
         return name, SimpleNamespace(**values)
     except UsageError as exc:
-        exc.usage = exc.usage or _usage(name)
+        if not exc.usage:
+            from ._helptext import _usage
+
+            exc.usage = _usage(sys.modules[__name__], name)
         raise
-
-
-def _spelled(option, flag: str) -> str:
-    """flag followed by the word standing for its value."""
-    kind = option[1]
-    if kind is FLAG:
-        return flag
-    word = "{" + ",".join(kind) + "}" if type(kind) is tuple else _dest(option).upper()
-    return f"{flag} [{word} ...]" if kind is LIST else f"{flag} {word}"
-
-
-def _usage(name) -> str:
-    _, _, positional, options = COMMANDS[name] if name else PROGRAM
-    words = ["usage: cubemedian", name or "", "[-h]"]
-    for option in options:
-        word = _spelled(option, option[0][0])
-        words.append(word if option[2] is REQUIRED else f"[{word}]")
-    words.append(positional or "" if name else f"{{{','.join(COMMANDS)}}} ...")
-    return " ".join(word for word in words if word)
-
-
-def _help(name) -> str:
-    _, title, positional, options = COMMANDS[name] if name else PROGRAM
-    if name is None:
-        rows = [(command, entry[1]) for command, entry in COMMANDS.items()]
-    else:
-        rows = [(positional, "the complex file")] if positional else []
-    rows.append(("-h, --help", HELP[3]))
-    for option in options:
-        flags, kind, default, text = option
-        if kind is not FLAG and default not in (None, REQUIRED, []):
-            text += f" (default: {default})"
-        rows.append((", ".join((*flags[:-1], _spelled(option, flags[-1]))), text))
-    width = max(len(left) for left, _ in rows) + 2
-    return "\n".join([_usage(name), "", title, "",
-                      *(f"  {left:{width}}{right}" for left, right in rows)]) + "\n"
 
 
 def run(argv: list[str]) -> int:

@@ -7,14 +7,17 @@ set into two halfspaces.  A vertex is fixed by the side of each wall it
 lies on, so it is stored as its sign vector: an int with bit i set when the
 vertex is on the plus side of class i.  The sign vectors embed the graph
 isometrically in a hypercube, and distance, interval, median, hull and
-convexity are bit expressions over them.
+convexity are bit expressions over them (`median`, `interval`,
+`is_convex` and `subcomplex` are in `gates`, next to the gate maps).
 
 One BFS from vertex 0 labels the classes and the sign vectors, and one
 pass over the pairs of neighbours of every vertex (the square condition)
 certifies that labelling, proves the graph median and finds the squares,
 which give the crossing walls.  No step loops over all vertices or all
 edges once per class, except the class-by-class rule that non-median
-input falls back to (see `MedianComplex.classes`).
+input falls back to (see `MedianComplex.classes`).  That rule and the
+witnesses of failed checks live in `_nonmedian`, imported only when
+they run, so a process given a median graph does not compile them.
 
 A convex set is the set of all vertices that agree with it on the classes
 where its signs are constant; the other classes are the ones crossing it.
@@ -211,6 +214,8 @@ class MedianComplex:
                 squares = _scan_squares(self, classes, signs, by_sign)
                 if squares.gap is None and squares.non_adjacent is None:
                     return classes, signs, squares, by_sign
+        from ._nonmedian import _classes_by_split
+
         return (*_classes_by_split(self), None, None)
 
     @_lazy
@@ -294,34 +299,6 @@ def _label_by_bfs(cx: MedianComplex, depth: list[int]
                 return None
             opened[(u, v)] = opened[(common[0], w)]
     return _walls_from_labels(cx, depth, opened)
-
-
-def _classes_by_split(cx: MedianComplex) -> tuple[tuple["HyperplaneClass", ...], tuple[int, ...]]:
-    """The class-by-class rule of `MedianComplex.classes`, through
-    `_walls_from_labels`: one two-source BFS and one edge scan per class.
-    An edge cut by two splits raises, so each edge is cut by its own class's
-    split alone: the signs the tail sets along the BFS tree are the sides
-    of the splits, and its check on every edge passes."""
-    depth = cx._colouring[0]
-    label: dict[tuple[int, int], tuple[int, int]] = {}  # (nearer, farther end) -> first edge
-    for u, v in cx.edges:
-        if ((u, v) if depth[u] < depth[v] else (v, u)) in label:
-            continue
-        near: list[Optional[bool]] = [None] * cx.vertex_count
-        near[u], near[v] = True, False
-        queue = deque((u, v))
-        while queue:
-            x = queue.popleft()
-            for y in cx.neighbors[x]:
-                if near[y] is None:
-                    near[y] = near[x]
-                    queue.append(y)
-        for a, b in cx.edges:
-            if near[a] != near[b]:
-                if label.setdefault((a, b) if depth[a] < depth[b] else (b, a), (u, v)) != (u, v):
-                    raise InvariantViolation(
-                        f"wall relation is not transitive: witness edges ({u},{v}), ({a},{b})")
-    return _walls_from_labels(cx, depth, label)
 
 
 def _walls_from_labels(cx: MedianComplex, depth: list[int], label: dict[tuple[int, int], object]
@@ -499,18 +476,6 @@ def _same_parent(s: ConvexSubcomplex, t: ConvexSubcomplex) -> None:
         raise ValueError("subcomplexes belong to different complexes")
 
 
-def subcomplex(parent: MedianComplex, vertices: Iterable[int]) -> ConvexSubcomplex:
-    """The convex subcomplex on the given vertices; raises ValueError unless
-    they form a nonempty convex set."""
-    verts = tuple(sorted(set(vertices)))
-    if not verts:
-        raise ValueError("subcomplex must be nonempty")
-    s = hull(parent, verts)
-    if s.vertices != verts:
-        raise ValueError(f"vertex set {verts} is not convex")
-    return s
-
-
 def whole_complex(cx: MedianComplex) -> ConvexSubcomplex:
     return ConvexSubcomplex(cx, (1 << len(cx.classes)) - 1, 0)
 
@@ -535,36 +500,6 @@ class ValidationReport:
         return "invalid median complex: " + "; ".join(lines)
 
 
-def _odd_cycle_witness(cx: MedianComplex, color: list[int], parent: list[int],
-                       u: int, v: int) -> list[int]:
-    path_u, path_v = [u], [v]
-    while parent[path_u[-1]] >= 0:
-        path_u.append(parent[path_u[-1]])
-    while parent[path_v[-1]] >= 0:
-        path_v.append(parent[path_v[-1]])
-    while len(path_u) > 1 and len(path_v) > 1 and path_u[-2] == path_v[-2]:
-        path_u.pop()
-        path_v.pop()
-    return path_u + path_v[::-1][1:]
-
-
-def _gap_failure(cx: MedianComplex, triple: tuple[int, int, int]) -> InvariantFailure:
-    """The gap triple with no median, or, on classes not checked for
-    transitivity, a pair whose BFS distance is not its wall count: a triple
-    with a median (three distances summing to half the perimeter) has one,
-    or that median would carry the missing majority signs."""
-    rows = [_two_colour(cx, u)[0] for u in triple]
-    perimeter = sum(rows[i][triple[i - 1]] for i in range(3))
-    if any(2 * sum(dists) == perimeter for dists in zip(*rows)):
-        for u, row in zip(triple, rows):
-            for w, d in enumerate(row):
-                walls = (cx.signs[u] ^ cx.signs[w]).bit_count()
-                if d != walls:
-                    return InvariantFailure("partial-cube", f"vertices {min(u, w)} and {max(u, w)} "
-                                            f"are {d} edges but {walls} walls apart")
-    return InvariantFailure("unique-median", "triple ({},{},{}) has medians []".format(*triple))
-
-
 def validate(cx: MedianComplex) -> ValidationReport:
     """Check the median-graph invariants, reporting every failure with a witness.
 
@@ -584,9 +519,10 @@ def validate(cx: MedianComplex) -> ValidationReport:
     one AND of two halfspace masks, per pair of neighbours: sum of deg(z)^2
     in all.  A vertex z^i^j not adjacent to z^i (say) is reported as a
     pair one wall apart but not adjacent; a missing z^i^j as the triple
-    (z^i, z^j, w), whose majority it is (but see `_gap_failure`).  The
-    labelling of `MedianComplex.classes` passed this scan when it was kept,
-    so on a median graph `validate` costs that labelling, whose BFS it reads.
+    (z^i, z^j, w), whose majority it is (but see
+    `_nonmedian._gap_failure`).  The labelling of `MedianComplex.classes`
+    passed this scan when it was kept, so on a median graph `validate`
+    costs that labelling, whose BFS it reads.
 
     Why this is equivalent to the graph being median.  Let the sign vectors
     be injective, every edge flip exactly one bit, the graph be connected
@@ -634,6 +570,8 @@ def validate(cx: MedianComplex) -> ValidationReport:
         failures.append(InvariantFailure(
             "connected", f"vertex {depth.index(-1)} unreachable from vertex 0"))
     if odd is not None:
+        from ._nonmedian import _odd_cycle_witness
+
         cycle = _odd_cycle_witness(cx, depth, parent, *odd)
         failures.append(InvariantFailure("bipartite", f"odd cycle {cycle}"))
     if failures:
@@ -650,6 +588,8 @@ def validate(cx: MedianComplex) -> ValidationReport:
             "partial-cube",
             "vertices {} and {} are one wall apart but not adjacent".format(*squares.non_adjacent)))
     if squares.gap is not None:
+        from ._nonmedian import _gap_failure
+
         failures.append(_gap_failure(cx, squares.gap))
 
     report = ValidationReport(not failures, failures)
@@ -660,39 +600,9 @@ def validate(cx: MedianComplex) -> ValidationReport:
 # -- base operations -------------------------------------------------------
 
 
-def median(cx: MedianComplex, x: int, y: int, z: int) -> int:
-    """The vertex whose signs are the bitwise majority of those of x, y, z.
-
-    >>> from cubemedian.generators import grid
-    >>> median(grid(1, 1), 0, 1, 2)
-    0
-    """
-    if not all(0 <= v < cx.vertex_count for v in (x, y, z)):
-        raise ValueError("vertex index out of range")
-    a, b, c = cx.signs[x], cx.signs[y], cx.signs[z]
-    m = cx.by_sign.get((a & b) | (a & c) | (b & c))
-    if m is None:
-        raise InvariantViolation(f"triple ({x},{y},{z}) has no median")
-    return m
-
-
-def interval(cx: MedianComplex, x: int, y: int) -> frozenset[int]:
-    """I(x,y) = {v : d(x,v)+d(v,y) = d(x,y)}: the vertices that agree with x
-    and y where those two agree, which is hull({x, y})."""
-    return frozenset(hull(cx, (x, y)).vertices)
-
-
 def theta_classes(cx: MedianComplex) -> tuple[HyperplaneClass, ...]:
     """Wall classes under the Djokovic relation, canonically numbered."""
     return cx.classes
-
-
-def is_convex(cx: MedianComplex, vertices: Iterable[int]) -> bool:
-    """True iff the set equals its hull."""
-    verts = tuple(sorted(set(vertices)))
-    if not verts:
-        raise ValueError("is_convex requires a nonempty vertex set")
-    return hull(cx, verts).vertices == verts
 
 
 def hull(cx: MedianComplex, vertices: Iterable[int]) -> ConvexSubcomplex:
@@ -734,26 +644,3 @@ def dimension(cx: MedianComplex) -> int:
     """Size of the largest cube: the largest set of pairwise crossing walls,
     since pairwise crossing hyperplanes span a cube (Sageev)."""
     return _max_clique(cx.crossing_masks, len(cx.classes))
-
-
-def all_convex_subcomplexes(cx: MedianComplex) -> list[ConvexSubcomplex]:
-    """Every convex subcomplex, as the closure of singletons under hull-insertion.
-
-    Every convex set C is reached: grow from a singleton of C by repeatedly
-    hulling in one more vertex of C; all intermediate hulls stay inside C.
-    A hull is kept as its crossing classes and its signs on the others.
-    """
-    signs = cx.signs
-    seen = {(0, s) for s in signs}
-    queue = deque(seen)
-    while queue:
-        free, base = queue.popleft()
-        for s in signs:
-            grown = free | (s ^ base)
-            if grown != free:
-                key = (grown, base & ~grown)
-                if key not in seen:
-                    seen.add(key)
-                    queue.append(key)
-    subs = [ConvexSubcomplex(cx, free, base) for free, base in seen]
-    return sorted(subs, key=lambda s: (len(s.vertices), s.vertices))

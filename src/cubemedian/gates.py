@@ -9,11 +9,29 @@ crossing masks agree, and a projection is crossed exactly by the classes
 crossing both factors.  Gates and projections keep a vertex's signs on the
 classes crossing the target and take the target's signs on the others, so
 each is one bit expression over keys and sign vectors.
+
+The queries on vertices and vertex sets live here too: the median of
+three vertices, which is the gate of one in the interval of the other two,
+intervals, convexity and the convex subcomplex on a vertex set, each read
+from `hull`.  The hyperclosure pipeline works on keys and calls none of
+them, so `analyze`, `build` and `export`, which do not load this module,
+do not compile them.
 """
 
 from __future__ import annotations
 
-from .core import ConvexSubcomplex, HyperplaneClass, _bits, _Frozen, _same_parent, hull
+from typing import Iterable
+
+from .core import (
+    ConvexSubcomplex,
+    HyperplaneClass,
+    MedianComplex,
+    _bits,
+    _Frozen,
+    _same_parent,
+    hull,
+)
+from .errors import InvariantViolation
 from .orthocomplement import orth
 
 
@@ -131,3 +149,48 @@ def product_region(a: ConvexSubcomplex, basepoint: int) -> ProductRegion:
 def parallel_copies(a: ConvexSubcomplex) -> list[ConvexSubcomplex]:
     """The full parallelism class of A: every key crossed by A's classes, by least vertex."""
     return list(a.parent.parallel_class(a.crossing_mask))
+
+
+# -- vertex-set queries --------------------------------------------------
+
+
+def median(cx: MedianComplex, x: int, y: int, z: int) -> int:
+    """The vertex whose signs are the bitwise majority of those of x, y, z.
+
+    >>> from cubemedian.generators import grid
+    >>> median(grid(1, 1), 0, 1, 2)
+    0
+    """
+    if not all(0 <= v < cx.vertex_count for v in (x, y, z)):
+        raise ValueError("vertex index out of range")
+    a, b, c = cx.signs[x], cx.signs[y], cx.signs[z]
+    m = cx.by_sign.get((a & b) | (a & c) | (b & c))
+    if m is None:
+        raise InvariantViolation(f"triple ({x},{y},{z}) has no median")
+    return m
+
+
+def interval(cx: MedianComplex, x: int, y: int) -> frozenset[int]:
+    """I(x,y) = {v : d(x,v)+d(v,y) = d(x,y)}: the vertices that agree with x
+    and y where those two agree, which is hull({x, y})."""
+    return frozenset(hull(cx, (x, y)).vertices)
+
+
+def is_convex(cx: MedianComplex, vertices: Iterable[int]) -> bool:
+    """True iff the set equals its hull."""
+    verts = tuple(sorted(set(vertices)))
+    if not verts:
+        raise ValueError("is_convex requires a nonempty vertex set")
+    return hull(cx, verts).vertices == verts
+
+
+def subcomplex(parent: MedianComplex, vertices: Iterable[int]) -> ConvexSubcomplex:
+    """The convex subcomplex on the given vertices; raises ValueError unless
+    they form a nonempty convex set."""
+    verts = tuple(sorted(set(vertices)))
+    if not verts:
+        raise ValueError("subcomplex must be nonempty")
+    s = hull(parent, verts)
+    if s.vertices != verts:
+        raise ValueError(f"vertex set {verts} is not convex")
+    return s

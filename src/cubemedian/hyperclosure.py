@@ -8,9 +8,10 @@ nested projection of combinatorial hyperplanes), deduplicating by key
 (crossing mask, base).  Grades record the least number of nested
 hyperplane-side projections producing each member (grade 0: the whole
 complex; grade 1: combinatorial hyperplanes), and every member carries one
-derivation in that normal form.  An independent brute-force oracle
-recovers the same family as the set of orthogonal complements of convex
-subcomplexes at their basepoints.
+derivation in that normal form.  An independent brute-force oracle,
+`orthocomplement.oracle_hyperclosure`, recovers the same family as the set
+of orthogonal complements of convex subcomplexes at their basepoints; this
+module does not import it, so `analyze` compiles it only when it runs it.
 """
 
 from __future__ import annotations
@@ -18,15 +19,8 @@ from __future__ import annotations
 from collections import Counter
 from typing import NamedTuple, Optional
 
-from .core import ConvexSubcomplex, MedianComplex, _lazy, all_convex_subcomplexes
-from .errors import (
-    DEFAULT_MAX_GRADE,
-    DEFAULT_MAX_MEMBERS,
-    DEFAULT_ORACLE_BOUND,
-    InvariantViolation,
-    ResourceLimitError,
-)
-from .orthocomplement import orth
+from .core import ConvexSubcomplex, MedianComplex, _lazy
+from .errors import DEFAULT_MAX_GRADE, DEFAULT_MAX_MEMBERS, InvariantViolation, ResourceLimitError
 
 
 class Derivation(NamedTuple):
@@ -194,22 +188,6 @@ def hyperclosure(cx: MedianComplex, *, max_members: int = DEFAULT_MAX_MEMBERS,
         parallel_classes=classes)
 
 
-def oracle_hyperclosure(cx: MedianComplex, *,
-                        max_vertices: int = DEFAULT_ORACLE_BOUND) -> frozenset[ConvexSubcomplex]:
-    """Brute-force oracle: orthogonal complements of every convex subcomplex
-    at every basepoint.  Guarded by a vertex bound; independent of the
-    graded projection search."""
-    if cx.vertex_count > max_vertices:
-        raise ResourceLimitError(
-            "oracle_vertex_bound",
-            f"oracle limited to {max_vertices} vertices, complex has {cx.vertex_count}")
-    out: set[ConvexSubcomplex] = set()
-    for c in all_convex_subcomplexes(cx):
-        for x in c.vertices:
-            out.add(orth(c, x))
-    return frozenset(out)
-
-
 class MultiplicityProfile(NamedTuple):
     """How many members pass through each vertex; max_multiplicity is the
     factor-system bound witness."""
@@ -260,30 +238,6 @@ def longest_chain(h: Hyperclosure) -> tuple[int, list[ConvexSubcomplex]]:
         s, b = chain[-1].crossing_mask, chain[-1].base
         chain.append(next(m for m in by_len[n] if m.crossing_mask & ~s == 0 and m.base & ~s == b))
     return top, chain[::-1]
-
-
-def clean_container(h: Hyperclosure, f: ConvexSubcomplex, v: ConvexSubcomplex,
-                    x: int) -> ConvexSubcomplex:
-    """The maximal member orthogonal to V inside F: orth(V, x) ∩ F.
-
-    V must be a member properly contained in the member F, with x in V.
-    The result is a member; V × result embeds in F, and any member of F
-    whose signature is disjoint from and crossing V's is parallel into it.
-
-    Both sets hold x, and two convex sets P, Q through x meet in a convex
-    set crossed exactly by the classes crossing both: if class i crosses
-    P and Q, the gate g of x in i's halfspace not holding x lies on a
-    geodesic from x to every vertex of that halfspace, so in P and in Q,
-    and i separates x from g.  So the key is (that AND, x's signs off it).
-    """
-    if f not in h.member_set or v not in h.member_set:
-        raise ValueError("clean_container arguments must be hyperclosure members")
-    if v == f or not v <= f:
-        raise ValueError("V must be properly contained in F")
-    if x not in v:
-        raise ValueError(f"basepoint {x} is not in V")
-    free = orth(v, x).crossing_mask & f.crossing_mask
-    return ConvexSubcomplex(h.complex, free, h.complex.signs[x] & ~free)
 
 
 def grades_report(h: Hyperclosure) -> dict[int, int]:

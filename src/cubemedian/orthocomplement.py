@@ -12,11 +12,27 @@ taking it once.  witness_compact uses this to invert the construction:
 every hyperclosure member F is the orthogonal complement of a compact
 (here: any) convex subcomplex, and the double complement orth(orth(F, x), x)
 gives F back exactly when F is one.
+
+The paper's other description of the hyperclosure (Hagen–Susse,
+arXiv:1609.01313) is the set of orthogonal complements of all convex
+subcomplexes at their points.  `oracle_hyperclosure` computes it by brute
+force from `all_convex_subcomplexes`, independently of the graded
+projection search in `hyperclosure`, and `clean_container` takes one
+complement inside a member.  Both are built on `orth`, so they live here
+with `all_convex_subcomplexes`, which only the oracle calls: `analyze`
+imports this module only when it runs the oracle.
 """
 
 from __future__ import annotations
 
-from .core import ConvexSubcomplex, _bits
+from collections import deque
+from typing import TYPE_CHECKING
+
+from .core import ConvexSubcomplex, MedianComplex, _bits
+from .errors import DEFAULT_ORACLE_BOUND, ResourceLimitError
+
+if TYPE_CHECKING:
+    from .hyperclosure import Hyperclosure
 
 
 def orth(a: ConvexSubcomplex, basepoint: int) -> ConvexSubcomplex:
@@ -79,3 +95,66 @@ def witness_compact(f: ConvexSubcomplex) -> tuple[ConvexSubcomplex, int]:
     if orth(c, x) != f:
         raise ValueError(f"{f.vertices} is not a hyperclosure member")
     return c, x
+
+
+def clean_container(h: Hyperclosure, f: ConvexSubcomplex, v: ConvexSubcomplex,
+                    x: int) -> ConvexSubcomplex:
+    """The maximal member orthogonal to V inside F: orth(V, x) ∩ F.
+
+    V must be a member properly contained in the member F, with x in V.
+    The result is a member; V × result embeds in F, and any member of F
+    whose signature is disjoint from and crossing V's is parallel into it.
+
+    Both sets hold x, and two convex sets P, Q through x meet in a convex
+    set crossed exactly by the classes crossing both: if class i crosses
+    P and Q, the gate g of x in i's halfspace not holding x lies on a
+    geodesic from x to every vertex of that halfspace, so in P and in Q,
+    and i separates x from g.  So the key is (that AND, x's signs off it).
+    """
+    if f not in h.member_set or v not in h.member_set:
+        raise ValueError("clean_container arguments must be hyperclosure members")
+    if v == f or not v <= f:
+        raise ValueError("V must be properly contained in F")
+    if x not in v:
+        raise ValueError(f"basepoint {x} is not in V")
+    free = orth(v, x).crossing_mask & f.crossing_mask
+    return ConvexSubcomplex(h.complex, free, h.complex.signs[x] & ~free)
+
+
+def all_convex_subcomplexes(cx: MedianComplex) -> list[ConvexSubcomplex]:
+    """Every convex subcomplex, as the closure of singletons under hull-insertion.
+
+    Every convex set C is reached: grow from a singleton of C by repeatedly
+    hulling in one more vertex of C; all intermediate hulls stay inside C.
+    A hull is kept as its crossing classes and its signs on the others.
+    """
+    signs = cx.signs
+    seen = {(0, s) for s in signs}
+    queue = deque(seen)
+    while queue:
+        free, base = queue.popleft()
+        for s in signs:
+            grown = free | (s ^ base)
+            if grown != free:
+                key = (grown, base & ~grown)
+                if key not in seen:
+                    seen.add(key)
+                    queue.append(key)
+    subs = [ConvexSubcomplex(cx, free, base) for free, base in seen]
+    return sorted(subs, key=lambda s: (len(s.vertices), s.vertices))
+
+
+def oracle_hyperclosure(cx: MedianComplex, *,
+                        max_vertices: int = DEFAULT_ORACLE_BOUND) -> frozenset[ConvexSubcomplex]:
+    """Brute-force oracle: orthogonal complements of every convex subcomplex
+    at every basepoint.  Guarded by a vertex bound; independent of the
+    graded projection search."""
+    if cx.vertex_count > max_vertices:
+        raise ResourceLimitError(
+            "oracle_vertex_bound",
+            f"oracle limited to {max_vertices} vertices, complex has {cx.vertex_count}")
+    out: set[ConvexSubcomplex] = set()
+    for c in all_convex_subcomplexes(cx):
+        for x in c.vertices:
+            out.add(orth(c, x))
+    return frozenset(out)

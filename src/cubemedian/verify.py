@@ -20,10 +20,11 @@ from __future__ import annotations
 import functools
 from typing import Optional
 
-from .core import ConvexSubcomplex, MedianComplex, _bits, hull, is_convex, whole_complex
+from .core import ConvexSubcomplex, MedianComplex, _bits, hull, whole_complex
 from .gates import (
     crossing_signature,
     gate,
+    is_convex,
     is_parallel,
     parallel_bridge,
     parallel_copies,
@@ -31,8 +32,8 @@ from .gates import (
     project,
     separators,
 )
-from .hyperclosure import Hyperclosure, clean_container, hyperclosure
-from .orthocomplement import orth
+from .hyperclosure import Hyperclosure, hyperclosure
+from .orthocomplement import clean_container, orth
 from .rng import SplitMix64
 
 SUITES = ("gates", "orth", "closure")

@@ -81,6 +81,7 @@ from typing import Optional
 import networkx as nx
 
 from cubemedian import MedianComplex, hull, orth, subcomplex
+from cubemedian._nonmedian import _odd_cycle_witness
 from cubemedian._version import __version__
 from cubemedian.cli import SUITE_CHOICES
 from cubemedian.core import (
@@ -90,7 +91,6 @@ from cubemedian.core import (
     ValidationReport,
     _bits,
     _max_clique,
-    _odd_cycle_witness,
     whole_complex,
 )
 from cubemedian.generators import (

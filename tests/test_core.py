@@ -37,7 +37,7 @@ from cubemedian import (
     validate,
     whole_complex,
 )
-from cubemedian import carrier, comb_side, core
+from cubemedian import _nonmedian, carrier, comb_side, core
 from cubemedian.cli import run
 from cubemedian.generators import generate, parse_spec
 from cubemedian.io import save_complex
@@ -381,10 +381,11 @@ class TestOneCertificate:
 
 
 def no_fallback():
-    """Make the class-by-class rule of MedianComplex.classes raise."""
+    """Make the class-by-class rule of MedianComplex.classes raise, where
+    `core` looks it up when the one-BFS labelling does not certify itself."""
     def fail(cx):
         raise AssertionError("class-by-class rule used")
-    return mock.patch.object(core, "_classes_by_split", fail)
+    return mock.patch.object(_nonmedian, "_classes_by_split", fail)
 
 
 WRONG_LABELLING_EDGES = [(0, 1), (0, 5), (0, 11), (1, 2), (1, 3), (2, 4), (2, 6), (2, 11),
@@ -427,8 +428,9 @@ class TestWallLabelling:
         assert not oracles.table_validate(cx).passed
 
     def test_fallback_is_what_the_patch_removes(self, c6):
-        # the patched helper is really the path non-median input takes
-        with no_fallback(), pytest.raises(AssertionError):
+        # the patched helper is really the path non-median input takes, so
+        # the tests under no_fallback() cannot pass without the patch acting
+        with no_fallback(), pytest.raises(AssertionError, match="class-by-class rule used"):
             validate(relabelled(c6, range(6)))
 
     def test_tree_2000(self):
@@ -478,7 +480,7 @@ class TestSplitRule:
 
     @staticmethod
     def agrees(cx):
-        got = split_outcome(core._classes_by_split, cx)
+        got = split_outcome(_nonmedian._classes_by_split, cx)
         assert got == split_outcome(oracles.mask_split_classes, cx)
         return "not transitive" if isinstance(got, str) else "classes"
 
@@ -528,7 +530,7 @@ class TestSplitRule:
     @staticmethod
     def same_as_bfs(cx):
         bfs = split_outcome(lambda c: core._label_by_bfs(c, c._colouring[0]), cx)
-        assert split_outcome(core._classes_by_split, cx) == bfs
+        assert split_outcome(_nonmedian._classes_by_split, cx) == bfs
         assert bfs == split_outcome(lambda c: (c.classes, c.signs), cx)
 
     @pytest.mark.parametrize("name", MEDIAN_FIXTURES)

@@ -3,13 +3,14 @@ import re
 from pathlib import Path
 
 import cubemedian.core
+import cubemedian.gates
 import cubemedian.generators
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def test_docstring_examples():
-    for module in (cubemedian.core, cubemedian.generators):
+    for module in (cubemedian.core, cubemedian.gates, cubemedian.generators):
         failures, _ = doctest.testmod(module)
         assert failures == 0, module.__name__
 

@@ -18,7 +18,7 @@ from cubemedian import (
     whole_complex,
     witness_compact,
 )
-from cubemedian.core import all_convex_subcomplexes
+from cubemedian.orthocomplement import all_convex_subcomplexes
 from cubemedian.rng import SplitMix64
 
 

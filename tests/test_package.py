@@ -111,9 +111,9 @@ class TestLayersRun:
         (["build", "--kind", "grid", "--params", "2", "2", "-o", "{tmp}/b.json"],
          ["core", "errors", "generators", "io", "rng"]),
         (["analyze", "{tmp}/st.json"],
-         ["analysis", "core", "errors", "hyperclosure", "io", "orthocomplement"]),
+         ["analysis", "core", "errors", "hyperclosure", "io"]),
         (["analyze", "{tmp}/st.json", "--max-members", "1"],  # refused: exit 3
-         ["analysis", "core", "errors", "hyperclosure", "io", "orthocomplement"]),
+         ["analysis", "core", "errors", "hyperclosure", "io"]),
         (["export", "{tmp}/st.json", "--dot", "{tmp}/st.dot"],
          ["core", "errors", "io"]),
         (["verify", "{tmp}/st.json", "--cases", "5"],
@@ -121,6 +121,8 @@ class TestLayersRun:
           "verify"]),
         (["oracle", "{tmp}/st.json"],
          ["core", "errors", "hyperclosure", "io", "orthocomplement"]),
+        (["analyze", "{tmp}/st.json", "--with-oracle"],
+         ["analysis", "core", "errors", "hyperclosure", "io", "orthocomplement"]),
     ])
     def test_each_command_runs_only_its_layers(self, argv, ran, tmp_path):
         save_complex(staircase(2), tmp_path / "st.json")
@@ -134,6 +136,29 @@ class TestLayersRun:
         """, *(a.format(tmp=tmp_path) for a in argv))
         code = 3 if "--max-members" in argv else 0
         assert out == f"{code}\n{ran}\n"
+
+    @pytest.mark.parametrize("argv,code,loaded", [
+        (["analyze", "{tmp}/st.json"], 0, []),
+        (["analyze", "{tmp}/c6.json"], 1, ["_nonmedian"]),  # a missing median
+        (["analyze", "{tmp}/k3.json"], 1, ["_nonmedian"]),  # an odd cycle
+        (["--help"], 0, ["_helptext"]),
+        (["frobnicate"], 2, ["_helptext"]),
+    ])
+    def test_private_modules_load_only_off_the_median_path(self, argv, code, loaded, tmp_path,
+                                                            c6, k3):
+        for name, cx in (("st", staircase(2)), ("c6", c6), ("k3", k3)):
+            save_complex(cx, tmp_path / f"{name}.json")
+        out = fresh("""
+            import contextlib, io, sys
+            import cubemedian.cli
+            with contextlib.redirect_stdout(io.StringIO()), \\
+                    contextlib.redirect_stderr(io.StringIO()):
+                code = cubemedian.cli.run(sys.argv[1:])
+            print(code)
+            print(sorted(name for name in ("_helptext", "_nonmedian")
+                         if f"cubemedian.{name}" in sys.modules))
+        """, *(a.format(tmp=tmp_path) for a in argv))
+        assert out == f"{code}\n{loaded}\n"
 
 
 # Words that argv draws for the parser comparison.  argparse versions
