@@ -35,7 +35,6 @@ from .errors import (
     DEFAULT_ORACLE_BOUND,
     InvariantViolation,
     ResourceLimitError,
-    StructuralError,
     ValidationError,
 )
 
@@ -348,10 +347,7 @@ def run(argv: list[str]) -> int:
     except InvariantViolation as exc:
         print(f"error: invariant violation: {exc}", file=sys.stderr)
         return EXIT_VIOLATION
-    except (StructuralError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:
+    except (ValueError, OSError) as exc:  # StructuralError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -19,6 +19,9 @@ input falls back to (see `MedianComplex.classes`).  That rule and the
 witnesses of failed checks live in `_nonmedian`, imported only when
 they run, so a process given a median graph does not compile them.
 
+`validate` reports; `_validated`, the one gate that raises
+ValidationError, passes every complex that `io` loads or `generators` builds.
+
 A convex set is the set of all vertices that agree with it on the classes
 where its signs are constant; the other classes are the ones crossing it.
 So a convex subcomplex is keyed by two ints, its crossing mask and its
@@ -38,7 +41,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
-from .errors import InvariantViolation, StructuralError
+from .errors import InvariantViolation, StructuralError, ValidationError
 
 # raised where a wall arithmetic that holds only on median graphs finds no vertex
 _NOT_MEDIAN = "no vertex has the required signs (the graph is not median)"
@@ -595,6 +598,14 @@ def validate(cx: MedianComplex) -> ValidationReport:
     report = ValidationReport(not failures, failures)
     cx.validated = report.passed
     return report
+
+
+def _validated(cx: MedianComplex) -> MedianComplex:
+    """cx if `validate` passes it; otherwise ValidationError with the report."""
+    report = validate(cx)
+    if not report.passed:
+        raise ValidationError(report)
+    return cx
 
 
 # -- base operations -------------------------------------------------------

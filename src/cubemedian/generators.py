@@ -1,9 +1,10 @@
 """Deterministic constructors for the fixture families.
 
-Every generated complex is validated before it is returned, carries
-coordinate labels where the construction has natural coordinates, and
-records its canonical spec string (identical spec, identical complex,
-bit for bit).  Randomized kinds draw from splitmix64 only.
+Every generated complex, and each node of a nested spec, passes the gate
+`core._validated` before it is returned, carries coordinate labels where
+the construction has natural coordinates, and records its canonical spec
+string (identical spec, identical complex, bit for bit).  Randomized
+kinds draw from splitmix64 only.
 """
 
 from __future__ import annotations
@@ -15,8 +16,7 @@ import operator
 import re
 from typing import NamedTuple, Optional, Union
 
-from .core import MedianComplex, validate
-from .errors import InvariantViolation, ValidationError
+from .core import MedianComplex, _validated
 from .rng import SplitMix64
 
 KINDS = ("grid", "box", "tree", "product", "staircase", "wedge",
@@ -228,11 +228,7 @@ def product(x1: MedianComplex, x2: MedianComplex) -> MedianComplex:
         if all(isinstance(l, tuple) for l in l1.values()) and \
                 all(isinstance(l, tuple) for l in l2.values()):
             labels = {u * n2 + v: l1[u] + l2[v] for u in range(n1) for v in range(n2)}
-    cx = MedianComplex(n1 * n2, sorted(edges), labels=labels)
-    report = validate(cx)
-    if not report.passed:
-        raise ValidationError(report)
-    return cx
+    return _validated(MedianComplex(n1 * n2, sorted(edges), labels=labels))
 
 
 def wedge(x1: MedianComplex, v1: int, x2: MedianComplex, v2: int) -> MedianComplex:
@@ -252,11 +248,7 @@ def wedge(x1: MedianComplex, v1: int, x2: MedianComplex, v2: int) -> MedianCompl
     for u, w in x2.edges:
         a, b = remap[u], remap[w]
         edges.append((min(a, b), max(a, b)))
-    cx = MedianComplex(nxt, sorted(edges))
-    report = validate(cx)
-    if not report.passed:
-        raise ValidationError(report)
-    return cx
+    return _validated(MedianComplex(nxt, sorted(edges)))
 
 
 def _require(cond: bool, message: str):
@@ -275,55 +267,43 @@ def generate(spec: GeneratorSpec) -> MedianComplex:
         _require(0 <= seed < (1 << 64), "seed must fit in 64 bits")
     ints = all(type(p) is int for p in params)
 
-    if kind == "grid":
-        _require(ints and len(params) == 2 and min(params) >= 0, "grid(w,h) needs w,h >= 0")
-        n, edges, labels = _build_box(params)
-    elif kind == "box":
-        _require(ints and len(params) >= 1 and min(params) >= 0,
-                 "box(d1,...,dk) needs k >= 1 path lengths >= 0")
-        n, edges, labels = _build_box(params)
-    elif kind == "tree":
-        _require(ints and len(params) == 1 and params[0] >= 1, "tree(n) needs n >= 1")
-        n, edges, labels = _build_tree(params[0], seed or 0)
-    elif kind == "staircase":
-        _require(ints and len(params) == 1 and params[0] >= 1, "staircase(n) needs n >= 1")
-        n, edges, labels = _build_staircase(params[0])
-    elif kind == "random_median":
-        _require(ints and len(params) == 2, "random_median(dim, count) needs two ints")
-        dim, count = params
-        # the closure can have up to 2^dim vertices, and no size limit is
-        # checked before it is built, so the dimension is kept small
-        _require(1 <= dim <= 8, "random_median dimension must be in 1..8")
-        _require(1 <= count <= (1 << dim), "random_median count must be in 1..2^dim")
-        n, edges, labels = _build_random_median(dim, count, seed or 0)
-    elif kind == "product":
+    if kind == "product":
         _require(len(params) == 2 and all(isinstance(p, GeneratorSpec) for p in params),
                  "product needs two sub-specs")
         cx = product(generate(params[0]), generate(params[1]))
-        return _stamp(cx, spec)
     elif kind == "wedge":
         _require(len(params) == 4 and isinstance(params[0], GeneratorSpec)
                  and isinstance(params[2], GeneratorSpec)
                  and type(params[1]) is int and type(params[3]) is int,
                  "wedge needs (spec, vertex, spec, vertex)")
         cx = wedge(generate(params[0]), params[1], generate(params[2]), params[3])
-        return _stamp(cx, spec)
-    else:  # glued_staircase_ray
-        _require(ints and len(params) == 1 and params[0] >= 1,
-                 "glued_staircase_ray(n) needs n >= 1")
-        n, edges, labels = _build_glued_ray(params[0])
-
-    cx = MedianComplex(n, edges, labels=labels)
-    report = validate(cx)
-    if not report.passed:
-        if kind == "random_median":
-            raise InvariantViolation(
-                f"random_median produced an invalid complex: {report.summary()}")
-        raise ValidationError(report)
-    return _stamp(cx, spec)
-
-
-def _stamp(cx: MedianComplex, spec: GeneratorSpec) -> MedianComplex:
+    else:  # a leaf kind; product and wedge validate what they glue
+        if kind == "grid":
+            _require(ints and len(params) == 2 and min(params) >= 0, "grid(w,h) needs w,h >= 0")
+            n, edges, labels = _build_box(params)
+        elif kind == "box":
+            _require(ints and len(params) >= 1 and min(params) >= 0,
+                     "box(d1,...,dk) needs k >= 1 path lengths >= 0")
+            n, edges, labels = _build_box(params)
+        elif kind == "tree":
+            _require(ints and len(params) == 1 and params[0] >= 1, "tree(n) needs n >= 1")
+            n, edges, labels = _build_tree(params[0], seed or 0)
+        elif kind == "staircase":
+            _require(ints and len(params) == 1 and params[0] >= 1, "staircase(n) needs n >= 1")
+            n, edges, labels = _build_staircase(params[0])
+        elif kind == "random_median":
+            _require(ints and len(params) == 2, "random_median(dim, count) needs two ints")
+            dim, count = params
+            # the closure can have up to 2^dim vertices, and no size limit is
+            # checked before it is built, so the dimension is kept small
+            _require(1 <= dim <= 8, "random_median dimension must be in 1..8")
+            _require(1 <= count <= (1 << dim), "random_median count must be in 1..2^dim")
+            n, edges, labels = _build_random_median(dim, count, seed or 0)
+        else:  # glued_staircase_ray
+            _require(ints and len(params) == 1 and params[0] >= 1,
+                     "glued_staircase_ray(n) needs n >= 1")
+            n, edges, labels = _build_glued_ray(params[0])
+        cx = _validated(MedianComplex(n, edges, labels=labels))
     cx.generator = spec_to_string(spec)
     return cx
 

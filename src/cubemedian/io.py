@@ -3,7 +3,8 @@
 File format: {"vertices": n, "edges": [[u,v],...], "labels": {...}}.
 Label keys are vertex indices 0..n-1 and label values arrays of integers
 (coordinates); the reserved "generator" key inside the label block records
-the spec string of a generated complex.
+the spec string of a generated complex.  A loaded complex passes the gate
+`core._validated` unless the caller asks for no validation.
 """
 
 from __future__ import annotations
@@ -12,8 +13,8 @@ import json
 import os
 from typing import Union
 
-from .core import MedianComplex, validate
-from .errors import StructuralError, ValidationError
+from .core import MedianComplex, _validated
+from .errors import StructuralError
 
 # qualitative palette, cycled over wall classes
 PALETTE = (
@@ -84,11 +85,7 @@ def complex_from_json(text: str, *, run_validate: bool = True) -> MedianComplex:
               for key, value in raw_labels.items() if key != "generator"}
     cx = MedianComplex(obj["vertices"], [tuple(e) for e in obj["edges"]], labels=labels or None,
                        generator=_checked_generator(raw_labels.get("generator")))
-    if run_validate:
-        report = validate(cx)
-        if not report.passed:
-            raise ValidationError(report)
-    return cx
+    return _validated(cx) if run_validate else cx
 
 
 def save_complex(cx: MedianComplex, path: Union[str, os.PathLike]) -> None:

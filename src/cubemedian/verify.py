@@ -12,7 +12,8 @@ list of F and its verdicts per F, and the product checks per (F, F2).
 Each case still draws every value and records every verdict in order, so
 the violations, their order and the cap are those of evaluating every
 case.  The tables are keyed by the full inputs, never by a crossing mask,
-and live for one suite run.
+and live for one suite run.  The violation that fills the cap ends the
+run: `_Recorder.check` raises there, and no later check or suite runs.
 """
 
 from __future__ import annotations
@@ -50,6 +51,10 @@ class Violation:
                 f"inputs={self.inputs!r})")
 
 
+class _CapReached(Exception):
+    """Raised by `_Recorder.check` at the violation that fills the cap."""
+
+
 class _Recorder:
     def __init__(self, suite: str, out: list[Violation], cap: int):
         self.suite = suite
@@ -57,14 +62,12 @@ class _Recorder:
         self.cap = cap
 
     def check(self, ok: bool, invariant: str, **inputs) -> None:
-        if not ok and not self.full:
+        if not ok:
             self.out.append(Violation(self.suite, invariant, {
                 name: v.vertices if isinstance(v, ConvexSubcomplex) else v
                 for name, v in inputs.items()}))
-
-    @property
-    def full(self) -> bool:
-        return len(self.out) >= self.cap
+            if len(self.out) >= self.cap:
+                raise _CapReached
 
 
 def _random_convex(cx: MedianComplex, rng: SplitMix64):
@@ -126,8 +129,6 @@ def _gates_suite(cx, rng, cases, rec: _Recorder):
     copies_of = functools.cache(lambda f: _copies_verdicts(f, kept))
     products = functools.cache(_product_verdicts)
     for _ in range(cases):
-        if rec.full:
-            return
         y = _random_convex(cx, rng)
         z = _random_convex(cx, rng)
         img = project(y, z)
@@ -161,8 +162,6 @@ def _gates_suite(cx, rng, cases, rec: _Recorder):
 def _orth_suite(cx, rng, cases, rec: _Recorder, closure: Hyperclosure):
     recomputed = functools.cache(_recomputed)
     for _ in range(cases):
-        if rec.full:
-            return
         a_sub = _random_convex(cx, rng)
         a = rng.choice(a_sub.vertices)
         o1 = recomputed(orth(a_sub, a))
@@ -177,8 +176,6 @@ def _orth_suite(cx, rng, cases, rec: _Recorder, closure: Hyperclosure):
                   "contravariance", A=inner, B=b_sub, a=x)
 
     for member in closure.members:
-        if rec.full:
-            return
         points = member.vertices
         if len(points) > 8:
             points = tuple(sorted(rng.sample(points, 8)))
@@ -193,8 +190,6 @@ def _closure_suite(cx, rng, cases, rec: _Recorder, closure: Hyperclosure):
     sides = {(h.class_id, sign): hull(cx, [v for e in h.dual_edges for v in e if (side >> v) & 1])
              for h in cx.classes for sign, side in ((-1, h.side_minus_mask), (1, h.side_plus_mask))}
     for _ in range(cases):
-        if rec.full:
-            return
         f = rng.choice(members)
         f2 = rng.choice(members)
         rec.check(project(f, f2) in member_set, "projection-closure", F=f, F2=f2)
@@ -204,8 +199,6 @@ def _closure_suite(cx, rng, cases, rec: _Recorder, closure: Hyperclosure):
 
     first_of_class: dict[int, ConvexSubcomplex] = {}  # a class's members share one copy list
     for member in members:
-        if rec.full:
-            return
         if first_of_class.setdefault(member.crossing_mask, member) is member:
             rec.check(all(c in member_set for c in parallel_copies(member)),
                       "parallelism-closure", F=member)
@@ -262,8 +255,6 @@ def _clean_container_checks(cx, rng, cases, rec: _Recorder, closure: Hyperclosur
     # _orthogonal(W, V) and in parallel_into(W, U)), so one W per mask decides it
     one_per_mask: dict[ConvexSubcomplex, list[ConvexSubcomplex]] = {}
     for f, v in pairs:
-        if rec.full:
-            return
         x = v.vertices[0]
         u = clean_container(closure, f, v, x)
         rec.check(u == _recomputed(u) and u in closure.member_set,
@@ -295,13 +286,16 @@ def verify_complex(cx: MedianComplex, suite: str = "all", cases: int = 1000,
     violations: list[Violation] = []
     whole_complex(cx).vertices  # none on an empty complex: the not-median line, as for the closure
     closure = hyperclosure(cx) if {"orth", "closure"} & set(wanted) else None
-    for name in wanted:
-        rng = SplitMix64(seed * len(SUITES) + SUITES.index(name))
-        rec = _Recorder(name, violations, max_violations)
-        if name == "gates":
-            _gates_suite(cx, rng, cases, rec)
-        elif name == "orth":
-            _orth_suite(cx, rng, cases, rec, closure)
-        else:
-            _closure_suite(cx, rng, cases, rec, closure)
+    try:
+        for name in wanted:
+            rng = SplitMix64(seed * len(SUITES) + SUITES.index(name))
+            rec = _Recorder(name, violations, max_violations)
+            if name == "gates":
+                _gates_suite(cx, rng, cases, rec)
+            elif name == "orth":
+                _orth_suite(cx, rng, cases, rec, closure)
+            else:
+                _closure_suite(cx, rng, cases, rec, closure)
+    except _CapReached:  # the run ends at the violation that fills the cap
+        pass
     return violations

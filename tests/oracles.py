@@ -1161,8 +1161,6 @@ def per_case_gates_suite(cx, rng, cases, rec):
     patches one there patches it here too."""
     v = verify
     for _ in range(cases):
-        if rec.full:
-            return
         y = v._random_convex(cx, rng)
         z = v._random_convex(cx, rng)
         img = v.project(y, z)
@@ -1207,8 +1205,6 @@ def per_case_orth_suite(cx, rng, cases, rec, closure):
     through the `verify` module as `per_case_gates_suite` is."""
     v = verify
     for _ in range(cases):
-        if rec.full:
-            return
         a_sub = v._random_convex(cx, rng)
         a = rng.choice(a_sub.vertices)
         o1 = v._recomputed(v.orth(a_sub, a))
@@ -1222,8 +1218,6 @@ def per_case_orth_suite(cx, rng, cases, rec, closure):
                   "contravariance", A=inner, B=b_sub, a=x)
 
     for member in closure.members:
-        if rec.full:
-            return
         points = member.vertices
         if len(points) > 8:
             points = tuple(sorted(rng.sample(points, 8)))

@@ -16,13 +16,16 @@ from oracles import (
 )
 from cubemedian import (
     GeneratorSpec,
+    ValidationError,
     box,
     generate,
     glued_staircase_ray,
     grid,
+    load_complex,
     parse_spec,
     product,
     random_median,
+    save_complex,
     spec_to_string,
     staircase,
     theta_classes,
@@ -30,7 +33,7 @@ from cubemedian import (
     validate,
     wedge,
 )
-from cubemedian import generators
+from cubemedian import core
 from cubemedian.generators import KINDS, MAX_SPEC_DEPTH, _build_random_median
 from cubemedian.rng import SplitMix64
 
@@ -230,10 +233,34 @@ class TestGluedRay:
             wedged.vertex_count, wedged.edges, wedged.labels)
         assert g.generator == spec_to_string(GeneratorSpec("glued_staircase_ray", (n,)))
 
-    def test_validated_once(self):
-        with mock.patch.object(generators, "validate", wraps=generators.validate) as spy:
-            assert glued_staircase_ray(6).validated
-        assert spy.call_count == 1
+
+class TestValidationGate:
+    """Every complex built or loaded passes `core._validated`, which looks
+    `validate` up in `core`."""
+
+    @pytest.mark.parametrize("build, calls", [
+        (lambda path: glued_staircase_ray(6), 1),
+        # each node of a nested spec is validated
+        (lambda path: generate(parse_spec("product(grid(1,1),box(2))")), 3),
+        (lambda path: generate(parse_spec("wedge(box(2),0,tree(3,seed=1),0)")), 3),
+        (load_complex, 1),
+        (lambda path: load_complex(path, run_validate=False), 0),
+    ], ids=["glued_ray", "product_spec", "wedge_spec", "load", "load_unvalidated"])
+    def test_validated_once(self, build, calls, tmp_path):
+        path = tmp_path / "grid.json"
+        save_complex(grid(1, 1), path)
+        with mock.patch.object(core, "validate", wraps=core.validate) as spy:
+            assert build(path).validated == (calls > 0)
+        assert spy.call_count == calls
+
+    @pytest.mark.parametrize("glue, summary", [
+        (lambda c6: product(c6, box(1)), "triple (2,6,10) has medians []"),
+        (lambda c6: wedge(c6, 0, box(1), 0), "triple (1,3,5) has medians []"),
+    ], ids=["product", "wedge"])
+    def test_glued_non_median_is_refused(self, glue, summary, c6):
+        with pytest.raises(ValidationError) as raised:
+            glue(c6)
+        assert raised.value.report.summary() == f"invalid median complex: unique-median: {summary}"
 
 
 class TestSpecStrings:

@@ -649,6 +649,20 @@ class TestCanonicalKeys:
         assert len(uncapped) > 11
         assert run(cap) == uncapped[:cap]
 
+    def test_verify_ends_the_run_at_the_violation_cap(self, monkeypatch):
+        """The violation that fills the cap ends the run: no later suite is
+        entered, where a check at its loop head would enter and return."""
+        monkeypatch.setattr(verify, "project", first_vertex_key)
+
+        def entered(*args):
+            pytest.fail("a suite was entered after the cap was filled")
+
+        monkeypatch.setattr(verify, "_orth_suite", entered)
+        monkeypatch.setattr(verify, "_closure_suite", entered)
+        found = verify.verify_complex(staircase(4), suite="all", cases=200, seed=1,
+                                      max_violations=1)
+        assert [(v.suite, v.invariant) for v in found] == [("gates", "symmetric-parallelism")]
+
     @pytest.mark.parametrize("cap", [0, -1])
     def test_verify_refuses_a_cap_below_one(self, cap, p3):
         # a cap of 0 would return [] before any check: "0 violations" hiding "0 checks"
