@@ -61,6 +61,14 @@ code=0; "${cli[@]}" build --kind product --params 'grid(1,1' 'box(2)' -o bad.jso
 "${cli[@]}" build --kind random_median --params 8 256 --seed 1 -o rm8.json > rm8.out
 grep -q '256 vertices, 1024 edges' rm8.out \
   || { cat rm8.out; echo "build random_median(8,256,seed=1): not 256 vertices, 1024 edges"; exit 1; }
+# the splitmix64 stream, pinned on every Python: seeded builds against the digests
+# of the files that the one-output-per-step generator wrote
+"${cli[@]}" build --kind tree --params 300 --seed 1 -o tree300.json > /dev/null
+"${cli[@]}" build --kind random_median --params 6 10 --seed 3 -o rm610.json > /dev/null
+sha256sum -c --quiet <<'DIGESTS' || { echo "seeded builds: the splitmix64 stream moved"; exit 1; }
+3a21eb9064ee808828f479e0180043be80feec53687a09b4bfca90d25407d73d  tree300.json
+b550c6a91571d37a6120a792fdf88c5c9c3b1e239c2308cf9bc7719fb83587c2  rm610.json
+DIGESTS
 "${cli[@]}" build --kind staircase --params 4 -o st4.json
 expect 'verify ok: suite=closure cases=50 seed=1' "${cli[@]}" verify st4.json --suite closure --cases 50 --seed 1
 # one suite at a time at the bench's case count

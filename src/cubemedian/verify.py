@@ -1,7 +1,11 @@
 """Randomized invariant suites over a complex.
 
 Each suite draws cases from splitmix64, so a (complex, suite, cases, seed)
-quadruple is a complete reproduction of any reported violation.
+quadruple is a complete reproduction of any reported violation.  A random
+convex subcomplex is keyed straight from its draws: `_sampled_hull` draws
+the vertices `SplitMix64.sample` would, by the same partial Fisher-Yates
+in the same order, and folds their signs into (crossing_mask, base) as
+`hull` does, so the stream and the keys are those of hull(sample(...)).
 
 `cases` counts draws, not evaluations.  Every check of the gates and orth
 suites is a pure function of its input keys, and a complex holds one
@@ -70,9 +74,26 @@ class _Recorder:
                 raise _CapReached
 
 
-def _random_convex(cx: MedianComplex, rng: SplitMix64):
+def _random_convex(cx: MedianComplex, rng: SplitMix64) -> ConvexSubcomplex:
     k = min(rng.choice((1, 1, 2, 2, 3)), cx.vertex_count)
-    return hull(cx, rng.sample(range(cx.vertex_count), k))
+    return _sampled_hull(cx, rng, range(cx.vertex_count), k)
+
+
+def _sampled_hull(cx: MedianComplex, rng: SplitMix64, seq, k: int) -> ConvexSubcomplex:
+    """hull(cx, rng.sample(seq, k)) for vertices seq of cx and 1 <= k <= len(seq),
+    drawn as `SplitMix64.sample` draws (its partial Fisher-Yates, over the
+    indices of seq) and keyed as the draws come: each vertex's signs are
+    folded into the crossing mask, with none of hull's copy and range scans,
+    which drawn vertices pass."""
+    signs, n = cx.signs, len(seq)
+    j = rng.randrange(n)
+    s0, free = signs[seq[j]], 0
+    moved = {j: 0}  # slot -> the index a swap put there
+    for i in range(1, k):
+        j = i + rng.randrange(n - i)
+        free |= signs[seq[moved.get(j, j)]] ^ s0
+        moved[j] = moved.get(i, i)
+    return ConvexSubcomplex(cx, free, s0 & ~free)
 
 
 def _recomputed(s):
@@ -169,8 +190,7 @@ def _orth_suite(cx, rng, cases, rec: _Recorder, closure: Hyperclosure):
         rec.check(o3 == o1, "triple-complement", A=a_sub, a=a)
 
         b_sub = _random_convex(cx, rng)
-        inner = hull(cx, rng.sample(b_sub.vertices,
-                                    1 + rng.randrange(len(b_sub))))
+        inner = _sampled_hull(cx, rng, b_sub.vertices, 1 + rng.randrange(len(b_sub)))
         x = rng.choice(inner.vertices)
         rec.check(recomputed(orth(b_sub, x)) <= recomputed(orth(inner, x)),
                   "contravariance", A=inner, B=b_sub, a=x)

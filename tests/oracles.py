@@ -46,7 +46,8 @@ AND per class of the mask on every call, which preceded the polar kept
 once per mask in `orth`; `PoolSplitMix64`, splitmix64 with a
 method call per raw draw, the rejection bound recomputed per draw and
 `sample` over a copy of the whole population, which preceded the inlined
-step, one bound per n and the sparse sample; and `per_member_maximal`,
+step, one bound per n, the sparse sample and the block of outputs per
+pass; and `per_member_maximal`,
 the clean-container maximality check over every member inside F, which
 preceded one member per crossing mask; `containment_chain`, the longest
 chain by a DP over every containment pair of members, which preceded one
@@ -947,6 +948,8 @@ class PoolSplitMix64:
         return z ^ (z >> 31)
 
     def randrange(self, n):
+        if not isinstance(n, int):
+            raise TypeError(f"randrange() bound must be an int, not {type(n).__name__}")
         if n <= 0:
             raise ValueError("randrange() bound must be positive")
         if n > 1 << 64:
@@ -966,6 +969,8 @@ class PoolSplitMix64:
         pool = list(seq)
         if k > len(pool):
             raise ValueError("sample() larger than population")
+        if k < 0:
+            raise ValueError(f"sample() size must be nonnegative, not {k}")
         for i in range(k):
             j = i + self.randrange(len(pool) - i)
             pool[i], pool[j] = pool[j], pool[i]

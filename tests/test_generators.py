@@ -1,5 +1,6 @@
 """Fixture generators: shapes, determinism, spec strings, composition."""
 
+import struct
 from unittest import mock
 
 import pytest
@@ -35,6 +36,7 @@ from cubemedian import (
 )
 from cubemedian import core
 from cubemedian.generators import KINDS, MAX_SPEC_DEPTH, _build_random_median
+from cubemedian import rng as rng_module
 from cubemedian.rng import SplitMix64
 
 
@@ -416,21 +418,100 @@ class TestSplitMix64AgainstPool:
         assert list(population) == before
         assert new.next64() == old.next64() and new._state == old._state
 
-    @pytest.mark.parametrize("call,message", [
-        (lambda r: r.randrange(0), "randrange() bound must be positive"),
-        (lambda r: r.randrange(-3), "randrange() bound must be positive"),
+    @pytest.mark.parametrize("call,message,error", [
+        (lambda r: r.randrange(0), "randrange() bound must be positive", ValueError),
+        (lambda r: r.randrange(-3), "randrange() bound must be positive", ValueError),
         (lambda r: r.randrange(2**64 + 1),
-         f"randrange() bound must be at most 2^64, not {2**64 + 1}"),
-        (lambda r: r.sample((4, 5, 6), 4), "sample() larger than population"),
-        (lambda r: r.sample(range(0), 1), "sample() larger than population"),
-        (lambda r: r.choice([]), "choice() on empty sequence"),
+         f"randrange() bound must be at most 2^64, not {2**64 + 1}", ValueError),
+        (lambda r: r.sample((4, 5, 6), 4), "sample() larger than population", ValueError),
+        (lambda r: r.sample(range(0), 1), "sample() larger than population", ValueError),
+        (lambda r: r.choice([]), "choice() on empty sequence", ValueError),
+        (lambda r: r.sample([1, 2, 3, 4], -1), "sample() size must be nonnegative, not -1",
+         ValueError),
+        (lambda r: r.randrange(2.5), "randrange() bound must be an int, not float", TypeError),
+        # 2.0 hashes as 2, whose rejection bound the first call stored
+        (lambda r: (r.randrange(2), r.randrange(2.0)),
+         "randrange() bound must be an int, not float", TypeError),
     ])
-    def test_refusals_unchanged(self, call, message):
+    def test_refusals_unchanged(self, call, message, error):
         new, old = SplitMix64(9), PoolSplitMix64(9)
         new.randrange(5), old.randrange(5)
         for rng in (new, old):
-            with pytest.raises(ValueError) as exc:
+            with pytest.raises(error) as exc:
                 call(rng)
-            assert str(exc.value) == message
+            assert type(exc.value) is error and str(exc.value) == message
         assert new._state == old._state
         assert new.randrange(2**63 + 1) == old.randrange(2**63 + 1)
+
+
+# 0 and 2^64 - 1 are the ends of the seed range; with -γ mod 2^64 the first
+# lane's add carries out of bit 63 exactly, to the state 0
+KERNEL_SEEDS = [0, 1, 2**64 - 1, -rng_module._GAMMA % 2**64]
+
+
+def outputs_read(rng, seed):
+    """How many outputs rng has read: its state's distance from the seed in steps of γ."""
+    return (rng._state - seed) * pow(rng_module._GAMMA, -1, 2**64) % 2**64
+
+
+class TestSplitMix64Kernel:
+    """The block kernel against the one-output-per-call generator: the raw
+    buffer, then every method and the state across buffer ends."""
+
+    @pytest.mark.parametrize("seed", KERNEL_SEEDS)
+    def test_raw_buffers_are_the_stream(self, seed):
+        rng, pool = SplitMix64(seed), PoolSplitMix64(seed)
+        raw = []
+        for _ in range(3):
+            raw += [rng._fill(), *reversed(rng._buf)]
+        assert len(raw) == 3 * rng_module._LANES == 768
+        assert raw == [pool.next64() for _ in raw]
+
+    @pytest.mark.parametrize("order,code", [("little", "<"), ("big", ">")])
+    def test_low_words_in_either_byte_order(self, order, code):
+        # a host of this byte order casts the bytes to the words struct reads with `code`
+        mask = 2**64 - 1
+        lanes = [j * rng_module._GAMMA & mask for j in range(rng_module._LANES)]
+        # each high word the complement of its low word, so a slice off by one word shows
+        x = sum((v | (v ^ mask) << 64) << 128 * j for j, v in enumerate(lanes))
+        words = struct.unpack(f"{code}{2 * rng_module._LANES}Q",
+                              x.to_bytes(16 * rng_module._LANES, order))
+        assert list(words[rng_module._LOW_WORDS[order]]) == lanes[::-1]
+
+    @pytest.mark.parametrize("seed", KERNEL_SEEDS)
+    def test_interleaved_calls_match_pool(self, seed):
+        new, old = SplitMix64(seed), PoolSplitMix64(seed)
+        pick = PoolSplitMix64(seed ^ 0xC0FFEE)  # chooses the calls, off both streams
+        population = tuple(range(-3, 37))
+        bounds = (1, 2, 3, 34, 1000, 2**63 + 1, 2**64 - 1, 2**64)
+        for _ in range(600):
+            op = pick.randrange(4)
+            if op == 0:
+                n = bounds[pick.randrange(len(bounds))]
+                assert new.randrange(n) == old.randrange(n)
+            elif op == 1:
+                k = pick.randrange(len(population) + 1)
+                assert new.sample(population, k) == old.sample(population, k)
+            elif op == 2:
+                assert new.choice(population) == old.choice(population)
+            else:
+                assert new.next64() == old.next64()
+            assert new._state == old._state
+        assert outputs_read(new, seed) > 3 * rng_module._LANES
+
+    def test_rejection_across_a_buffer_end(self):
+        # randrange(2^63 + 1) rejects an output with probability about 1/2
+        n, lanes = 2**63 + 1, rng_module._LANES
+
+        def last_of_first_buffer(seed):
+            pool = PoolSplitMix64(seed)
+            return [pool.next64() for _ in range(lanes)][-1]
+
+        seed = next(s for s in range(100) if last_of_first_buffer(s) >= 2**64 - 2**64 % n)
+        new, old = SplitMix64(seed), PoolSplitMix64(seed)
+        for _ in range(lanes - 1):
+            assert new.next64() == old.next64()
+        assert len(new._buf) == 1
+        assert new.randrange(n) == old.randrange(n)
+        assert new._state == old._state
+        assert outputs_read(new, seed) > lanes  # it rejected the last output and read on

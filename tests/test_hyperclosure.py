@@ -992,6 +992,32 @@ class TestReplayedVerdicts:
         assert set(cx._keys) == set(oracle_cx._keys)
 
 
+class TestSampledHull:
+    """verify's keys folded from the draws as they come, against the hull of
+    what `sample` draws: the same key, and the stream read as far, both for
+    `_random_convex` over range(n) and for the orth suite's inner hull over
+    a key's vertices."""
+
+    def check(self, cx, rng):
+        seed = rng.randrange(1 << 64)
+        fused, plain = SplitMix64(seed), SplitMix64(seed)
+        n = cx.vertex_count
+        for _ in range(40):
+            a = verify._random_convex(cx, fused)
+            assert a == hull(cx, plain.sample(range(n), min(plain.choice((1, 1, 2, 2, 3)), n)))
+            k = 1 + fused.randrange(len(a))
+            assert k == 1 + plain.randrange(len(a))
+            assert verify._sampled_hull(cx, fused, a.vertices, k) == hull(
+                cx, plain.sample(a.vertices, k))
+            assert fused._state == plain._state
+
+    @pytest.mark.parametrize("name", MEDIAN_FIXTURES)
+    def test_fixtures(self, name, request):
+        self.check(request.getfixturevalue(name), SplitMix64(23))
+
+    test_random_median, test_products_and_wedges = drawn_complexes(check)
+
+
 class TestCaseStreamPinned:
     """The cases verify draws, pinned as the inputs of violations forced by
     a check that always fails: a draw that moves changes the list."""
