@@ -424,7 +424,7 @@ class ConvexSubcomplex(_Frozen):
     constructor gives the exact crossing mask, which makes the key
     canonical, and returns the parent's one object for the two ints (stored
     by dict.setdefault, so two threads building it get one object): equality
-    is identity, and the hash is on the two ints alone.  The key cannot be
+    is identity, and the stored hash is on the two ints alone.  The key cannot be
     rebound; its ascending vertex tuple is filtered from the signs on first
     read unless `parallel_class` set it.
     """
@@ -433,7 +433,8 @@ class ConvexSubcomplex(_Frozen):
         s = parent._keys.get((crossing_mask, base))
         if s is None:
             s = object.__new__(cls)
-            s.__dict__.update(parent=parent, crossing_mask=crossing_mask, base=base)
+            s.__dict__.update(parent=parent, crossing_mask=crossing_mask, base=base,
+                              _hash=hash((crossing_mask, base)))
             s = parent._keys.setdefault((crossing_mask, base), s)
         return s
 
@@ -441,7 +442,7 @@ class ConvexSubcomplex(_Frozen):
         return ConvexSubcomplex, (self.parent, self.crossing_mask, self.base)
 
     def __hash__(self) -> int:
-        return hash((self.crossing_mask, self.base))
+        return self._hash
 
     def __repr__(self) -> str:
         return f"ConvexSubcomplex(crossing_mask={self.crossing_mask!r}, base={self.base!r})"

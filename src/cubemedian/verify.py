@@ -2,10 +2,12 @@
 
 Each suite draws cases from splitmix64, so a (complex, suite, cases, seed)
 quadruple is a complete reproduction of any reported violation.  A random
-convex subcomplex is keyed straight from its draws: `_sampled_hull` draws
-the vertices `SplitMix64.sample` would, by the same partial Fisher-Yates
-in the same order, and folds their signs into (crossing_mask, base) as
-`hull` does, so the stream and the keys are those of hull(sample(...)).
+convex subcomplex is keyed straight from its draws: `_random_convex` draws
+its at most three vertices in closed form, and `_sampled_hull` the k of the
+orth suite's inner hull by a partial Fisher-Yates, each as
+`SplitMix64.sample` would, in the same order, and each folds the drawn
+signs into (crossing_mask, base) as `hull` does, so the stream and the
+keys are those of hull(sample(...)).
 
 `cases` counts draws, not evaluations.  Every check of the gates and orth
 suites is a pure function of its input keys, and a complex holds one
@@ -16,8 +18,16 @@ list of F and its verdicts per F, and the product checks per (F, F2).
 Each case still draws every value and records every verdict in order, so
 the violations, their order and the cap are those of evaluating every
 case.  The tables are keyed by the full inputs, never by a crossing mask,
-and live for one suite run.  The violation that fills the cap ends the
-run: `_Recorder.check` raises there, and no later check or suite runs.
+and live for one suite run.  The suites call the recorder only when a
+check fails, and the violation that fills the cap ends the run:
+`_Recorder.fail` raises there, and no later check or suite runs.
+
+The checks work on keys and sign vectors.  Orthogonality to V is one AND
+against V's polar, the classes crossing every class of V, computed here
+from the crossing table rather than read from `orth`'s; maximality tests
+each member of F with that one AND.  A product check looks up each gate,
+the vertex with signs s & mask | base, in the sign index, with no `gate`
+call per region vertex.
 """
 
 from __future__ import annotations
@@ -56,7 +66,7 @@ class Violation:
 
 
 class _CapReached(Exception):
-    """Raised by `_Recorder.check` at the violation that fills the cap."""
+    """Raised by `_Recorder.fail` at the violation that fills the cap."""
 
 
 class _Recorder:
@@ -65,18 +75,55 @@ class _Recorder:
         self.out = out
         self.cap = cap
 
+    def fail(self, invariant: str, **inputs) -> None:
+        """Record a failed check; the suites call it only on failure."""
+        self.out.append(Violation(self.suite, invariant, {
+            name: v.vertices if isinstance(v, ConvexSubcomplex) else v
+            for name, v in inputs.items()}))
+        if len(self.out) >= self.cap:
+            raise _CapReached
+
     def check(self, ok: bool, invariant: str, **inputs) -> None:
+        """`fail` unless ok, for a caller that holds a verdict for every check."""
         if not ok:
-            self.out.append(Violation(self.suite, invariant, {
-                name: v.vertices if isinstance(v, ConvexSubcomplex) else v
-                for name, v in inputs.items()}))
-            if len(self.out) >= self.cap:
-                raise _CapReached
+            self.fail(invariant, **inputs)
+
+
+_SIZES = (1, 1, 2, 2, 3)  # the vertex counts a random convex subcomplex is drawn from
 
 
 def _random_convex(cx: MedianComplex, rng: SplitMix64) -> ConvexSubcomplex:
-    k = min(rng.choice((1, 1, 2, 2, 3)), cx.vertex_count)
-    return _sampled_hull(cx, rng, range(cx.vertex_count), k)
+    """hull(cx, rng.sample(range(n), min(rng.choice(_SIZES), n))), drawn as
+    that sample draws and keyed as `_sampled_hull` keys, with its partial
+    Fisher-Yates written out for k <= 3.
+
+    Slot i holds i until a swap moves it.  Step 0 draws a = randrange(n),
+    takes slot a and swaps slot 0 into it: slot a now holds 0.  Step 1
+    draws j = 1 + randrange(n - 1) and takes slot j, which holds 0 if
+    j == a (the only slot >= 1 step 0 wrote) and j otherwise; the swap then
+    writes slot 1's value into slot j, which is 0 if a == 1 and 1
+    otherwise.  Step 2 draws m = 2 + randrange(n - 2) and takes slot m: if
+    m == j, slot j holds what step 1 wrote last, 0 if a == 1 else 1; else
+    if m == a, slot a holds the 0 of step 0; else no swap has touched it,
+    and it holds m.
+    """
+    n, signs, randrange = cx.vertex_count, cx.signs, rng.randrange
+    k = _SIZES[randrange(5)]
+    a = randrange(n)
+    s0 = signs[a]
+    if k == 1 or n == 1:
+        return ConvexSubcomplex(cx, 0, s0)
+    j = 1 + randrange(n - 1)
+    free = signs[0 if j == a else j] ^ s0
+    if k == 3 and n > 2:
+        m = 2 + randrange(n - 2)
+        if m == j:
+            free |= signs[0 if a == 1 else 1] ^ s0
+        elif m == a:
+            free |= signs[0] ^ s0
+        else:
+            free |= signs[m] ^ s0
+    return ConvexSubcomplex(cx, free, s0 & ~free)
 
 
 def _sampled_hull(cx: MedianComplex, rng: SplitMix64, seq, k: int) -> ConvexSubcomplex:
@@ -110,9 +157,21 @@ def _true_copies(f, copies, perp) -> list[bool]:
 
 
 def _product_bijection_ok(region, left, right) -> bool:
-    coords = [(gate(left, v), gate(right, v)) for v in region.vertices]
-    return (len(set(coords)) == len(region) and
-            len(region) == len(left) * len(right))
+    """Whether the gates onto left and right map region one to one onto
+    left × right.  The gate of a vertex with signs s onto a key is the vertex
+    with signs s & mask | base, so each gate is one lookup in `by_sign`.  A
+    sign vector with no vertex, which only a non-median input has, takes
+    `gate` vertex by vertex, which raises its line at the first vertex that
+    meets one."""
+    cx = region.parent
+    signs, by_sign = cx.signs, cx.by_sign
+    lm, lb, rm, rb = left.crossing_mask, left.base, right.crossing_mask, right.base
+    try:
+        pairs = {(by_sign[signs[v] & lm | lb], by_sign[signs[v] & rm | rb])
+                 for v in region.vertices}
+    except KeyError:
+        pairs = {(gate(left, v), gate(right, v)) for v in region.vertices}
+    return len(pairs) == len(region) and len(region) == len(left) * len(right)
 
 
 def _copies_verdicts(f, kept: dict[int, list[ConvexSubcomplex]]):
@@ -154,30 +213,39 @@ def _gates_suite(cx, rng, cases, rec: _Recorder):
         z = _random_convex(cx, rng)
         img = project(y, z)
         key = recomputed(img)
-        rec.check(key == img and key.crossing_mask == y.crossing_mask & z.crossing_mask,
-                  "gate-crossing-law", Y=y, Z=z)
-        rec.check(convex(img), "projection-convex", Y=y, Z=z)
-        rec.check(is_parallel(key, recomputed(project(z, y))), "symmetric-parallelism", Y=y, Z=z)
+        if key != img or key.crossing_mask != y.crossing_mask & z.crossing_mask:
+            rec.fail("gate-crossing-law", Y=y, Z=z)
+        if not convex(img):
+            rec.fail("projection-convex", Y=y, Z=z)
+        if not is_parallel(key, recomputed(project(z, y))):
+            rec.fail("symmetric-parallelism", Y=y, Z=z)
 
-        c, d, e = (_random_convex(cx, rng) for _ in range(3))
-        p1, p2, p3 = (recomputed(p) for p in (project(project(c, d), e),
-                                              project(c, project(d, e)),
-                                              project(c, project(e, d))))
-        rec.check(is_parallel(p1, p2) and is_parallel(p2, p3), "projection-currying",
-                  C=c, D=d, E=e)
+        c = _random_convex(cx, rng)
+        d = _random_convex(cx, rng)
+        e = _random_convex(cx, rng)
+        p1 = recomputed(project(project(c, d), e))
+        p2 = recomputed(project(c, project(d, e)))
+        p3 = recomputed(project(c, project(e, d)))
+        if not (is_parallel(p1, p2) and is_parallel(p2, p3)):
+            rec.fail("projection-currying", C=c, D=d, E=e)
 
         f = _random_convex(cx, rng)
         copies, has_self, parallel, complete, false = copies_of(f)
-        rec.check(has_self, "copies-contain-self", F=f)
-        rec.check(parallel, "copies-parallel", F=f)
-        rec.check(complete, "copies-complete", F=f)
+        if not has_self:
+            rec.fail("copies-contain-self", F=f)
+        if not parallel:
+            rec.fail("copies-parallel", F=f)
+        if not complete:
+            rec.fail("copies-complete", F=f)
         i = rng.randrange(len(copies))  # as rng.choice(copies) draws
         if i in false:
             continue  # a false copy spans no product with F
         f2 = copies[i]
         signature, bijection = products(f, f2)
-        rec.check(signature, "parallel-product-signature", F=f, F2=f2)
-        rec.check(bijection, "parallel-product-bijection", F=f, F2=f2)
+        if not signature:
+            rec.fail("parallel-product-signature", F=f, F2=f2)
+        if not bijection:
+            rec.fail("parallel-product-bijection", F=f, F2=f2)
 
 
 def _orth_suite(cx, rng, cases, rec: _Recorder, closure: Hyperclosure):
@@ -187,20 +255,22 @@ def _orth_suite(cx, rng, cases, rec: _Recorder, closure: Hyperclosure):
         a = rng.choice(a_sub.vertices)
         o1 = recomputed(orth(a_sub, a))
         o3 = orth(orth(o1, a), a)
-        rec.check(o3 == o1, "triple-complement", A=a_sub, a=a)
+        if o3 != o1:
+            rec.fail("triple-complement", A=a_sub, a=a)
 
         b_sub = _random_convex(cx, rng)
         inner = _sampled_hull(cx, rng, b_sub.vertices, 1 + rng.randrange(len(b_sub)))
         x = rng.choice(inner.vertices)
-        rec.check(recomputed(orth(b_sub, x)) <= recomputed(orth(inner, x)),
-                  "contravariance", A=inner, B=b_sub, a=x)
+        if not recomputed(orth(b_sub, x)) <= recomputed(orth(inner, x)):
+            rec.fail("contravariance", A=inner, B=b_sub, a=x)
 
     for member in closure.members:
         points = member.vertices
         if len(points) > 8:
             points = tuple(sorted(rng.sample(points, 8)))
         for x in points:
-            rec.check(orth(orth(member, x), x) == member, "double-complement", F=member, x=x)
+            if orth(orth(member, x), x) != member:
+                rec.fail("double-complement", F=member, x=x)
 
 
 def _closure_suite(cx, rng, cases, rec: _Recorder, closure: Hyperclosure):
@@ -212,18 +282,20 @@ def _closure_suite(cx, rng, cases, rec: _Recorder, closure: Hyperclosure):
     for _ in range(cases):
         f = rng.choice(members)
         f2 = rng.choice(members)
-        rec.check(project(f, f2) in member_set, "projection-closure", F=f, F2=f2)
+        if project(f, f2) not in member_set:
+            rec.fail("projection-closure", F=f, F2=f2)
         a_sub = _random_convex(cx, rng)
         a = rng.choice(a_sub.vertices)
-        rec.check(orth(a_sub, a) in member_set, "complement-closure", A=a_sub, a=a)
+        if orth(a_sub, a) not in member_set:
+            rec.fail("complement-closure", A=a_sub, a=a)
 
     first_of_class: dict[int, ConvexSubcomplex] = {}  # a class's members share one copy list
     for member in members:
         if first_of_class.setdefault(member.crossing_mask, member) is member:
-            rec.check(all(c in member_set for c in parallel_copies(member)),
-                      "parallelism-closure", F=member)
-        rec.check(member == _recomputed(member) and _sound_derivation(closure, sides, member),
-                  "grading-soundness", F=member, grade=closure.grade[member])
+            if not member_set.issuperset(parallel_copies(member)):
+                rec.fail("parallelism-closure", F=member)
+        if not (member == _recomputed(member) and _sound_derivation(closure, sides, member)):
+            rec.fail("grading-soundness", F=member, grade=closure.grade[member])
 
     _clean_container_checks(cx, rng, cases, rec, closure)
 
@@ -239,13 +311,18 @@ def _sound_derivation(closure: Hyperclosure, sides, member) -> bool:
     return n == closure.grade[der.source] + 1 and project(side, der.source) == member
 
 
-def _orthogonal(cx, s, t) -> bool:
-    """True iff every class crossing S crosses every class crossing T; as no
-    class crosses itself, no class then crosses both.  Crossing is symmetric,
-    so the loop runs over the sparser of the two masks."""
-    a, b = sorted((s.crossing_mask, t.crossing_mask), key=int.bit_count)
+def _polar(cx, mask: int) -> int:
+    """The classes crossing every class of the mask: the AND of their
+    crossing masks, every class for mask 0.  S is orthogonal to T, every
+    class crossing S crossing every class crossing T, iff S's crossing mask
+    lies in the polar of T's.  It is computed from the crossing table, not
+    read from the polars `orth` keeps, so the checks do not hold `orth` to
+    itself."""
+    perp = (1 << len(cx.classes)) - 1
     crossing = cx.crossing_masks
-    return all(b & ~crossing[i] == 0 for i in _bits(a))
+    for i in _bits(mask):
+        perp &= crossing[i]
+    return perp
 
 
 def _containments(h: Hyperclosure):
@@ -272,21 +349,26 @@ def _clean_container_checks(cx, rng, cases, rec: _Recorder, closure: Hyperclosur
     if cx.vertex_count > 12 and len(pairs) > cases:
         pairs = [pairs[rng.randrange(len(pairs))] for _ in range(cases)]
     # maximality reads a member W of F only through its crossing mask (both in
-    # _orthogonal(W, V) and in parallel_into(W, U)), so one W per mask decides it
+    # its orthogonality to V and in parallel_into(W, U)), so one W per mask decides it
     one_per_mask: dict[ConvexSubcomplex, list[ConvexSubcomplex]] = {}
+    member_set = closure.member_set
     for f, v in pairs:
         x = v.vertices[0]
         u = clean_container(closure, f, v, x)
-        rec.check(u == _recomputed(u) and u in closure.member_set,
-                  "clean-container-member", F=f, V=v, x=x)
-        rec.check(_orthogonal(cx, u, v), "clean-container-orthogonal", F=f, V=v, x=x)
+        if u != _recomputed(u) or u not in member_set:
+            rec.fail("clean-container-member", F=f, V=v, x=x)
+        polar = _polar(cx, v.crossing_mask)
+        if u.crossing_mask & ~polar:
+            rec.fail("clean-container-orthogonal", F=f, V=v, x=x)
         region = hull(cx, v.vertices + u.vertices)
-        rec.check(region <= f and _product_bijection_ok(region, v, u),
-                  "clean-container-product", F=f, V=v, x=x)
+        if not (region <= f and _product_bijection_ok(region, v, u)):
+            rec.fail("clean-container-product", F=f, V=v, x=x)
         if f not in one_per_mask:
             one_per_mask[f] = list({w.crossing_mask: w for w in inside[f]}.values())
-        maximal = all(parallel_into(w, u) for w in one_per_mask[f] if _orthogonal(cx, w, v))
-        rec.check(maximal, "clean-container-maximality", F=f, V=v, x=x)
+        for w in one_per_mask[f]:
+            if w.crossing_mask & ~polar == 0 and not parallel_into(w, u):
+                rec.fail("clean-container-maximality", F=f, V=v, x=x)
+                break
 
 
 def verify_complex(cx: MedianComplex, suite: str = "all", cases: int = 1000,

@@ -53,7 +53,10 @@ preceded one member per crossing mask; `containment_chain`, the longest
 chain by a DP over every containment pair of members, which preceded one
 pass over the member masks; and `one_sided_orthogonal`, verify's
 orthogonality test looping over the first argument's classes, which
-preceded the loop over the sparser mask; `mask_split_classes`, the
+preceded the loop over the sparser mask and then the one AND against the
+second argument's polar; `gate_product_bijection_ok`, verify's product
+check by one `gate` pair per region vertex, which preceded the lookups
+of the gates' sign vectors in the sign index; `mask_split_classes`, the
 class-by-class wall rule with halfspaces built one bit at a time, one
 n-bit mask shift per edge and class, and signs read off the plus sides,
 which preceded the split rule's edge labelling through the tail it shares
@@ -105,6 +108,7 @@ from cubemedian.generators import (
 from cubemedian.errors import DEFAULT_ORACLE_BOUND, InvariantViolation, ResourceLimitError
 from cubemedian.gates import (
     crossing_signature,
+    gate,
     is_parallel,
     parallel_copies,
     project,
@@ -996,6 +1000,14 @@ def one_sided_orthogonal(cx, s, t):
     loop over the classes crossing S."""
     crossing, t_mask = cx.crossing_masks, t.crossing_mask
     return all(t_mask & ~crossing[i] == 0 for i in _bits(s.crossing_mask))
+
+
+def gate_product_bijection_ok(region, left, right) -> bool:
+    """Whether gating onto left and right maps region one to one onto
+    left × right, by the gate pair of each region vertex."""
+    coords = [(gate(left, v), gate(right, v)) for v in region.vertices]
+    return (len(set(coords)) == len(region) and
+            len(region) == len(left) * len(right))
 
 
 def lattice_members(cx):

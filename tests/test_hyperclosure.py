@@ -3,6 +3,7 @@ fixpoint oracle, the graded search over keys and the crossing-mask
 lattice, multiplicity, chains and clean containers."""
 
 import importlib
+import re
 
 import networkx as nx
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import BENCH_SPECS, MEDIAN_FIXTURES, by_label, draw_product_or_wedge
+import oracles
 from oracles import (
     by_sig_parallel_classes,
     contained_member_pairs,
@@ -17,6 +19,7 @@ from oracles import (
     copies_by_scan,
     crossing_pairs_by_squares,
     fixpoint_hyperclosure,
+    gate_product_bijection_ok,
     graded_bfs_hyperclosure,
     lattice_members,
     mask_longest_chain,
@@ -30,9 +33,11 @@ from oracles import (
 )
 from cubemedian import (
     ConvexSubcomplex,
+    InvariantViolation,
     MedianComplex,
     ResourceLimitError,
     all_convex_subcomplexes,
+    box,
     carrier,
     clean_container,
     comb_side,
@@ -51,6 +56,7 @@ from cubemedian import (
     parse_spec,
     project,
     random_median,
+    save_complex,
     staircase,
     subcomplex,
     theta_classes,
@@ -58,7 +64,7 @@ from cubemedian import (
     verify,
     whole_complex,
 )
-from cubemedian import core, gates
+from cubemedian import cli, core, gates
 from cubemedian.rng import SplitMix64
 from cubemedian.verify import _containments
 
@@ -886,17 +892,18 @@ class TestMaximalityPerMask:
     test_random_median, test_products_and_wedges = drawn_complexes(degenerate_check)
 
 
-class TestOrthogonalSparserLoop:
-    """verify's orthogonality test, looping over the sparser crossing mask,
-    against the loop over the first argument's classes, on every ordered
-    pair of members."""
+class TestOrthogonalByPolar:
+    """verify's orthogonality test, S's crossing mask inside the polar of
+    T's, against the loop over S's classes, on every ordered pair of
+    members."""
 
     def check(self, cx, rng=None):
         members = hyperclosure(cx).members
         seen = set()
-        for s in members:
-            for t in members:
-                got = verify._orthogonal(cx, s, t)
+        for t in members:
+            polar = verify._polar(cx, t.crossing_mask)
+            for s in members:
+                got = s.crossing_mask & ~polar == 0
                 assert got == one_sided_orthogonal(cx, s, t)
                 seen.add(got)
         return seen
@@ -907,6 +914,74 @@ class TestOrthogonalSparserLoop:
         assert seen == ({True} if name == "single_vertex" else {False, True})
 
     test_random_median, test_products_and_wedges = drawn_complexes(check)
+
+
+# the 3-cube less one vertex: wall classes, one sign vector per vertex, and no median
+# for some triples, so gates onto its keys can meet a sign vector with no vertex
+CUBE_LESS_ONE = MedianComplex(7, [(0, 1), (0, 2), (1, 3), (1, 4), (2, 3), (2, 5), (3, 6),
+                                  (4, 6), (5, 6)])
+
+
+class TestProductCheckAgainstGates:
+    """verify's product check on pairs of gate sign vectors against the
+    check by one gate pair per region vertex: the same verdict on every
+    (F, true copy) and (V, clean container) region and on drawn triples of
+    keys, and off median graphs the same line, raised at the same gate."""
+
+    def check(self, cx, rng, fs):
+        closure = hyperclosure(cx)
+        cases = []
+        for f in fs:
+            copies = parallel_copies(f)
+            is_copy = verify._true_copies(f, copies, orth(f, f.vertices[0]))
+            cases += [(hull(cx, f.vertices + f2.vertices), f, gates.parallel_bridge(f, f2))
+                      for f2, ok in zip(copies, is_copy) if ok]
+        for j, i in _containments(closure):
+            v, f = closure.members[j], closure.members[i]
+            u = clean_container(closure, f, v, v.vertices[0])
+            cases.append((hull(cx, v.vertices + u.vertices), v, u))
+        products = len(cases)
+        cases += [tuple(verify._random_convex(cx, rng) for _ in range(3)) for _ in range(40)]
+        verdicts = [gate_product_bijection_ok(*case) for case in cases]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(verify, "gate", None)  # on a median complex every gate is a lookup
+            assert [verify._product_bijection_ok(*case) for case in cases] == verdicts
+        assert all(verdicts[:products])
+        return set(verdicts)
+
+    @pytest.mark.parametrize("name", MEDIAN_FIXTURES)
+    def test_fixtures(self, name, request):
+        cx = request.getfixturevalue(name)
+        seen = self.check(cx, SplitMix64(29), all_convex_subcomplexes(cx))
+        assert seen == ({True} if name == "single_vertex" else {False, True})
+
+    test_random_median, test_products_and_wedges = drawn_complexes(
+        lambda self, cx, rng: self.check(cx, rng, [verify._random_convex(cx, rng)
+                                                   for _ in range(30)]))
+
+    def test_non_median_line(self, tmp_path, capsys, monkeypatch):
+        path = tmp_path / "cube_less_one.json"
+        save_complex(CUBE_LESS_ONE, path)
+        assert cli.run(["verify", str(path), "--suite", "gates", "--cases", "40", "--seed", "1",
+                        "--no-validate"]) == 1
+        assert capsys.readouterr() == ("", f"error: invariant violation: {core._NOT_MEDIAN}\n")
+        # the suite stops inside the product check, at the gate the per-vertex check stops at
+        checked = []
+        honest = verify._product_bijection_ok
+        monkeypatch.setattr(verify, "_product_bijection_ok", lambda *case: (
+            checked.append(case) or honest(*case)))
+        with pytest.raises(InvariantViolation, match=re.escape(core._NOT_MEDIAN)):
+            verify.verify_complex(MedianComplex(7, CUBE_LESS_ONE.edges), "gates", 40, 1)
+        trails = []
+        for module, check in ((verify, honest), (oracles, gate_product_bijection_ok)):
+            trail = []
+            real_gate = module.gate
+            monkeypatch.setattr(module, "gate", lambda y, x, real_gate=real_gate, trail=trail: (
+                trail.append((y, x)) or real_gate(y, x)))
+            with pytest.raises(InvariantViolation, match=re.escape(core._NOT_MEDIAN)):
+                check(*checked[-1])
+            trails.append(trail)
+        assert trails[0] == trails[1] != []
 
 
 def forced_failures(mp):
@@ -1017,6 +1092,49 @@ class TestSampledHull:
 
     test_random_median, test_products_and_wedges = drawn_complexes(check)
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_paths_of_one_to_three_vertices(self, n):
+        # k clamped to n, and every draw of n = 2 and 3 past its last slot
+        self.check(box(n - 1) if n > 1 else MedianComplex(1, []), SplitMix64(n))
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**64 - 1))
+    def test_slot_map_branches(self, seed):
+        """`_random_convex` against the swaps made on a list of slots, on the
+        4-cycle: the same keys and stream, with every branch of its slot map
+        taken (slot j after step 0, slot m after step 1)."""
+        cx = grid(1, 1)
+        fused, plain = SplitMix64(seed), SplitMix64(seed)
+        hits = dict.fromkeys(("j == a", "m == j", "m == a", "neither"), 0)
+        # about 200 draws of k = 3, each taking m == a with chance 1/6
+        for _ in range(1000):
+            k = (1, 1, 2, 2, 3)[plain.randrange(5)]
+            slots, picked = list(range(4)), []
+            for i in range(k):
+                j = i + plain.randrange(4 - i)
+                picked.append(j)
+                slots[i], slots[j] = slots[j], slots[i]
+            assert verify._random_convex(cx, fused) == hull(cx, slots[:k])
+            assert fused._state == plain._state
+            if k >= 2:
+                hits["j == a"] += picked[1] == picked[0]
+            if k == 3:
+                a, j, m = picked
+                hits["m == j" if m == j else "m == a" if m == a else "neither"] += 1
+        assert all(hits.values()), hits
+
+
+class Unmatched:
+    """A stand-in key equal to nothing and inside nothing, itself included."""
+
+    __hash__ = object.__hash__
+
+    def __eq__(self, other):
+        return False
+
+    def __le__(self, other):
+        return False
+
 
 class TestCaseStreamPinned:
     """The cases verify draws, pinned as the inputs of violations forced by
@@ -1031,15 +1149,22 @@ class TestCaseStreamPinned:
         assert closure == PINNED_CLOSURE_CASES
 
     def test_orth_cases(self, monkeypatch):
-        # every check records, and no cap cuts the stream short of the member pass
-        check = verify._Recorder.check
-
-        def record_all(rec, ok, invariant, **inputs):
-            check(rec, False, invariant, **inputs)
-
-        monkeypatch.setattr(verify._Recorder, "check", record_all)
+        # every check fails, and no cap cuts the stream short of the member pass
+        never = Unmatched()
+        monkeypatch.setattr(verify, "orth", lambda a, x: never)
+        monkeypatch.setattr(verify, "_recomputed", lambda s: never)
         found = verify.verify_complex(staircase(3), "orth", 40, 7, max_violations=1000)
         assert [(v.invariant, v.inputs) for v in found] == PINNED_ORTH_CASES
+
+
+@pytest.mark.parametrize("name", MEDIAN_FIXTURES)
+def test_passing_run_records_nothing(name, request, monkeypatch):
+    """The suites call the recorder only when a check fails."""
+    failed = []
+    monkeypatch.setattr(verify._Recorder, "fail",
+                        lambda rec, invariant, **inputs: failed.append(invariant))
+    assert verify.verify_complex(request.getfixturevalue(name), "all", 200, 3) == []
+    assert failed == []
 
 
 # Recorded with the pool-based `sample` and the check of every member inside F.
