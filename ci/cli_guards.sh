@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# CLI guards: exit codes, exact lines and five wall-clock bounds of the
+# CLI guards: exit codes, exact lines and six wall-clock bounds of the
 # cubemedian command line.  Run it in an empty directory, which it fills
 # with its inputs and outputs, and pass the command to run:
 #
@@ -85,6 +85,11 @@ timed 30 "${cli[@]}" analyze tree4000.json > tree4000.report.json \
 # a polar recomputed per orth call costs |F|·k in the double-complement pass: over 13 s
 timed 10 "${cli[@]}" verify tree4000.json --suite orth --cases 250 --seed 1 \
   || { echo "verify tree(4000) --suite orth: failed or exceeded 10 s"; exit 1; }
+# sparse scale: the path box(4000) has 4,000 walls; halfspaces transposed from the
+# signs one bit at a time cost the sum of all depths, 8 million steps, over 3 s
+"${cli[@]}" build --kind box --params 4000 -o box4000.json
+timed 1.5 "${cli[@]}" analyze box4000.json > box4000.report.json \
+  || { echo "analyze box(4000): failed or exceeded 1.5 s"; exit 1; }
 # the verify kernels at 1000 cases: every suite on staircase(30), 1.3-2.2 s on a 2-vCPU VM
 "${cli[@]}" build --kind staircase --params 30 -o st30.json
 timed 10 "${cli[@]}" verify st30.json --suite all --cases 1000 --seed 1 > st30.verify.out \

@@ -9,7 +9,6 @@ process given a median complex never compiles it.
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Optional
 
 from .core import (
@@ -35,9 +34,8 @@ def _classes_by_split(cx: MedianComplex) -> tuple[tuple["HyperplaneClass", ...],
             continue
         near: list[Optional[bool]] = [None] * cx.vertex_count
         near[u], near[v] = True, False
-        queue = deque((u, v))
-        while queue:
-            x = queue.popleft()
+        queue = [u, v]
+        for x in queue:
             for y in cx.neighbors[x]:
                 if near[y] is None:
                     near[y] = near[x]

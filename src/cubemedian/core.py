@@ -10,14 +10,17 @@ isometrically in a hypercube, and distance, interval, median, hull and
 convexity are bit expressions over them (`median`, `interval`,
 `is_convex` and `subcomplex` are in `gates`, next to the gate maps).
 
-One BFS from vertex 0 labels the classes and the sign vectors, and one
-pass over the pairs of neighbours of every vertex (the square condition)
-certifies that labelling, proves the graph median and finds the squares,
-which give the crossing walls.  No step loops over all vertices or all
-edges once per class, except the class-by-class rule that non-median
-input falls back to (see `MedianComplex.classes`).  That rule and the
-witnesses of failed checks live in `_nonmedian`, imported only when
-they run, so a process given a median graph does not compile them.
+One BFS from vertex 0 labels the classes and the sign vectors, and the
+wall pipeline walks that BFS's one visiting order: the labelling and the
+signs forward along it, the halfspaces by one fold back along it, with no
+sort by depth.  One pass over the pairs of neighbours of every vertex
+(the square condition) certifies that labelling, proves the graph median
+and finds the squares, which give the crossing walls.  No step loops over
+all vertices or all edges once per class, except the class-by-class rule
+that non-median input falls back to (see `MedianComplex.classes`).  That
+rule and the witnesses of failed checks live in `_nonmedian`, imported
+only when they run, so a process given a median graph does not compile
+them.
 
 `validate` reports; `_validated`, the one gate that raises
 ValidationError, passes every complex that `io` loads or `generators` builds.
@@ -38,7 +41,6 @@ CLI process would pay.  `_lazy` stands in for functools.cached_property.
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .errors import InvariantViolation, StructuralError, ValidationError
@@ -86,27 +88,27 @@ def _bits(mask: int):
 
 
 def _two_colour(cx: "MedianComplex", source: int = 0
-                ) -> tuple[list[int], list[int], Optional[tuple[int, int]]]:
+                ) -> tuple[list[int], list[int], Optional[tuple[int, int]], list[int]]:
     """BFS 2-colouring from `source`: depths (-1 if unreachable; the colour
-    is the depth's parity), BFS parents, and the first edge found joining
-    two vertices of one colour."""
+    is the depth's parity), BFS parents, the first edge found joining two
+    vertices of one colour, and the reached vertices in visiting order.
+    That list is the BFS queue itself, so it starts at `source`, depth
+    never decreases along it, and each BFS parent comes before its children."""
     n = cx.vertex_count
     depth = [-1] * n
     parent = [-1] * n
-    odd = None
+    order, odd = [source] if n else [], None
     if n:
         depth[source] = 0
-        queue = deque([source])
-        while queue:
-            x = queue.popleft()
-            for y in cx.neighbors[x]:
-                if depth[y] < 0:
-                    depth[y] = depth[x] + 1
-                    parent[y] = x
-                    queue.append(y)
-                elif depth[y] == depth[x] and odd is None:
-                    odd = (x, y)
-    return depth, parent, odd
+    for x in order:
+        for y in cx.neighbors[x]:
+            if depth[y] < 0:
+                depth[y] = depth[x] + 1
+                parent[y] = x
+                order.append(y)
+            elif depth[y] == depth[x] and odd is None:
+                odd = (x, y)
+    return depth, parent, odd, order
 
 
 class MedianComplex:
@@ -171,7 +173,10 @@ class MedianComplex:
         signs along the BFS tree, s(v) = s(u) ^ bit(class(uv)), checks that
         the ends of every edge differ in exactly its own class bit, and
         orients each class so that the least endpoint of the least dual edge
-        is on the minus side.
+        is on the minus side.  The wall pipeline walks one BFS order, the
+        visiting order of the 2-colouring from vertex 0 that `validate`
+        shares: the one-BFS rule and the signs follow it, the tail folds the
+        halfspaces back along it, and no step sorts the vertices by depth.
 
         The BFS rule is sound only on median graphs, so its labelling is kept
         only if it certifies itself: it passes the tail's edge check, the
@@ -193,8 +198,9 @@ class MedianComplex:
         return self._walls[1]
 
     @_lazy
-    def _colouring(self) -> tuple[list[int], list[int], Optional[tuple[int, int]]]:
-        """`_two_colour` from vertex 0, once for the walls and `validate` alike."""
+    def _colouring(self) -> tuple[list[int], list[int], Optional[tuple[int, int]], list[int]]:
+        """`_two_colour` from vertex 0, once for the walls and `validate` alike;
+        its visiting order is the one vertex order the wall pipeline walks."""
         return _two_colour(self)
 
     @_lazy
@@ -202,7 +208,7 @@ class MedianComplex:
                               Optional["_Squares"], Optional[dict[int, int]]]:
         """The classes, the signs, and the square scan and sign index that
         certified them (both None when the classes were built class by class)."""
-        depth, _, odd = self._colouring
+        depth, _, odd, _ = self._colouring
         if -1 in depth:
             raise InvariantViolation("wall classes undefined: graph is disconnected")
         if odd is not None:
@@ -290,7 +296,7 @@ def _label_by_bfs(cx: MedianComplex, depth: list[int]
     n, nbrs = cx.vertex_count, cx.neighbors
     preds = [[u for u in nbrs[v] if depth[u] < depth[v]] for v in range(n)]
     opened: dict[tuple[int, int], int] = {}  # (nearer, farther end) -> class, in order of opening
-    for v in sorted(range(n), key=depth.__getitem__)[1:]:
+    for v in cx._colouring[3][1:]:
         p = preds[v]
         if len(p) == 1:
             opened[(p[0], v)] = len(opened)
@@ -309,28 +315,45 @@ def _walls_from_labels(cx: MedianComplex, depth: list[int], label: dict[tuple[in
     """The classes and signs of an edge labelling: `label` maps every edge,
     as (nearer, farther end) from vertex 0, to its class.  The classes are
     numbered by least edge, and the signs set along the BFS tree of
-    `cx._colouring`, relative to vertex 0; None unless the ends of every
-    edge then differ in exactly its own class bit.  Each class is oriented
-    so that the least endpoint of its least dual edge is on the minus side."""
+    `cx._colouring`, in its visiting order, relative to vertex 0; None
+    unless the ends of every edge then differ in exactly its own class bit.
+    Each class is oriented so that the least endpoint of its least dual
+    edge is on the minus side.
+
+    The halfspace of class i away from vertex 0, away[i], is the set of
+    vertices w with bit i of rel[w] set.  It is the XOR of the subtree
+    masks below the BFS-tree edges labelled i (the subtree lemma).  Proof:
+    rel[v] = rel[parent[v]] ^ bit(label of (parent[v], v)), so bit i of
+    rel[w] is the parity of the class-i tree edges on w's tree path to
+    vertex 0.  The tree edge (parent[v], v) lies on that path iff w lies
+    in the subtree below v.  So w is in away[i] iff it lies in an odd
+    number of the subtrees below class-i tree edges, which is their XOR.
+    One pass back along the visiting order reaches every vertex after all
+    its descendants: there its mask, the union of its children's subtrees,
+    gets its own bit, is folded into its parent's mask and into away[i]
+    for the class i of its tree edge, and is freed.  That is n ORs and n
+    XORs, against the sum of all depths for a transposition of the signs
+    bit by bit, and only the masks of vertices whose parent is not yet
+    reached are alive at once."""
     dual: dict[object, list[tuple[int, int]]] = {}  # label -> its edges, least edge first
     for a, b in cx.edges:
         dual.setdefault(label[(a, b) if depth[a] < depth[b] else (b, a)], []).append((a, b))
-    bit = {c: 1 << i for i, c in enumerate(dual)}
-    parent = cx._colouring[1]
+    index = {c: i for i, c in enumerate(dual)}  # label -> class; bits 1 << i would hold k²/2 bits
+    _, parent, _, order = cx._colouring
     rel = [0] * cx.vertex_count
-    for v in sorted(range(cx.vertex_count), key=depth.__getitem__)[1:]:
-        rel[v] = rel[parent[v]] ^ bit[label[(parent[v], v)]]
-    if any(rel[u] ^ rel[v] != bit[c] for (u, v), c in label.items()):
+    for v in order[1:]:
+        rel[v] = rel[parent[v]] ^ 1 << index[label[(parent[v], v)]]
+    if any(rel[u] ^ rel[v] != 1 << index[c] for (u, v), c in label.items()):
         return None
-    # halfspaces away from vertex 0, by one transposition of the relative signs
-    away = [0] * len(dual)
-    for v, s in enumerate(rel):
-        bit_v = 1 << v
-        for i in _bits(s):
-            away[i] |= bit_v
+    away, sub = dict.fromkeys(dual, 0), [0] * cx.vertex_count
+    for v in reversed(order[1:]):
+        below, p = sub[v] | 1 << v, parent[v]
+        sub[p] |= below
+        away[label[(p, v)]] ^= below
+        sub[v] = 0
     full, flip, classes = cx.full_mask, 0, []
-    for i, edges in enumerate(dual.values()):
-        plus = away[i]
+    for i, (c, edges) in enumerate(dual.items()):
+        plus = away[c]
         if (rel[edges[0][0]] >> i) & 1:  # the least end of the least edge goes to the minus side
             plus, flip = full & ~plus, flip | 1 << i
         classes.append(HyperplaneClass(cx, i, tuple(edges), full & ~plus, plus))
@@ -569,7 +592,7 @@ def validate(cx: MedianComplex) -> ValidationReport:
         failures.append(InvariantFailure("connected", "empty complex"))
         return ValidationReport(False, failures)
 
-    depth, parent, odd = cx._colouring
+    depth, parent, odd, _ = cx._colouring
     if -1 in depth:
         failures.append(InvariantFailure(
             "connected", f"vertex {depth.index(-1)} unreachable from vertex 0"))

@@ -60,7 +60,11 @@ of the gates' sign vectors in the sign index; `mask_split_classes`, the
 class-by-class wall rule with halfspaces built one bit at a time, one
 n-bit mask shift per edge and class, and signs read off the plus sides,
 which preceded the split rule's edge labelling through the tail it shares
-with the one-BFS rule; and `wedged_glued_ray`, glued_staircase_ray(n) by n
+with the one-BFS rule; and `transposed_halfspaces`, the wall tail with
+the vertices sorted by depth and each halfspace filled by visiting every
+set bit of every relative sign vector, which preceded one walk of the
+BFS order and the halfspaces by one fold of subtree masks; and
+`wedged_glued_ray`, glued_staircase_ray(n) by n
 validated wedges of validated staircases, which preceded one edge list
 validated once; and `char_parse_spec`, the spec parser that walked the
 text one character at a time, which preceded the compiled token patterns
@@ -1071,6 +1075,33 @@ def mask_split_classes(cx):
         for w in _bits(h.side_plus_mask):
             signs[w] |= 1 << h.class_id
     return tuple(classes), tuple(signs)
+
+
+def transposed_halfspaces(cx, depth, label):
+    """`core._walls_from_labels` with the vertices sorted by depth, and the
+    halfspaces away from vertex 0 by a transposition of the relative signs,
+    one set bit at a time: the sum of all depths in big-int ORs."""
+    dual = {}
+    for a, b in cx.edges:
+        dual.setdefault(label[(a, b) if depth[a] < depth[b] else (b, a)], []).append((a, b))
+    bit = {c: 1 << i for i, c in enumerate(dual)}
+    parent = cx._colouring[1]
+    rel = [0] * cx.vertex_count
+    for v in sorted(range(cx.vertex_count), key=depth.__getitem__)[1:]:
+        rel[v] = rel[parent[v]] ^ bit[label[(parent[v], v)]]
+    if any(rel[u] ^ rel[v] != bit[c] for (u, v), c in label.items()):
+        return None
+    away = [0] * len(dual)
+    for v, s in enumerate(rel):
+        for i in _bits(s):
+            away[i] |= 1 << v
+    full, flip, classes = cx.full_mask, 0, []
+    for i, edges in enumerate(dual.values()):
+        plus = away[i]
+        if (rel[edges[0][0]] >> i) & 1:
+            plus, flip = full & ~plus, flip | 1 << i
+        classes.append(HyperplaneClass(cx, i, tuple(edges), full & ~plus, plus))
+    return tuple(classes), tuple(s ^ flip for s in rel)
 
 
 def wedged_glued_ray(n):

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 import oracles
 from conftest import MEDIAN_FIXTURES, draw_product_or_wedge
+from test_hyperclosure import drawn_complexes
 from cubemedian import (
     MedianComplex,
     StructuralError,
@@ -433,6 +434,25 @@ class TestWallLabelling:
         with no_fallback(), pytest.raises(AssertionError, match="class-by-class rule used"):
             validate(relabelled(c6, range(6)))
 
+    @staticmethod
+    def assert_bfs_order(cx):
+        """The colouring's visiting order is a BFS order from vertex 0."""
+        depth, parent, _, order = cx._colouring
+        assert order[0] == 0
+        assert sorted(order) == [v for v in range(cx.vertex_count) if depth[v] >= 0]
+        assert all(depth[a] <= depth[b] for a, b in zip(order, order[1:]))
+        position = {v: k for k, v in enumerate(order)}
+        assert all(position[parent[v]] < position[v] for v in order[1:])
+
+    @pytest.mark.parametrize("name", MEDIAN_FIXTURES)
+    def test_visiting_order(self, name, request):
+        self.assert_bfs_order(request.getfixturevalue(name))
+
+    def test_visiting_order_disconnected(self):
+        cx = MedianComplex(7, [(0, 3), (3, 5), (0, 6), (1, 2), (2, 4)])
+        self.assert_bfs_order(cx)
+        assert sorted(cx._colouring[3]) == [0, 3, 5, 6]
+
     def test_tree_2000(self):
         cx = tree(2000, seed=1)
         with no_fallback():
@@ -541,6 +561,93 @@ class TestSplitRule:
     @given(data=st.data())
     def test_drawn_median(self, data):
         self.same_as_bfs(draw_median(data))
+
+
+def tail_labellings(cx):
+    """The edge labellings that the two rules of MedianComplex.classes pass
+    to `_walls_from_labels` on cx: the one-BFS rule's when it gets that far,
+    and the class-by-class rule's unless it finds the relation intransitive."""
+    spy = mock.Mock(wraps=core._walls_from_labels)
+    with mock.patch.object(core, "_walls_from_labels", spy), \
+            mock.patch.object(_nonmedian, "_walls_from_labels", spy):
+        core._label_by_bfs(cx, cx._colouring[0])
+        with contextlib.suppress(InvariantViolation):
+            _nonmedian._classes_by_split(cx)
+    return [call.args[2] for call in spy.call_args_list]
+
+
+def tail_outcome(walls):
+    """A tail result's class ids, dual edges, sides and signs, or None."""
+    if walls is None:
+        return None
+    classes, signs = walls
+    return [(h.class_id, h.dual_edges, h.side_minus_mask, h.side_plus_mask)
+            for h in classes], signs
+
+
+class TestSubtreeHalfspaces:
+    """The wall tail, walking one BFS order and folding subtree masks, against
+    the tail that sorted by depth and transposed the relative signs bit by
+    bit: the same classes and signs on every labelling the rules produce,
+    and None from both on labellings the tail refuses."""
+
+    @staticmethod
+    def agrees(cx, label):
+        depth = cx._colouring[0]
+        got = tail_outcome(core._walls_from_labels(cx, depth, label))
+        assert got == tail_outcome(oracles.transposed_halfspaces(cx, depth, label))
+        return "refused" if got is None else "classes"
+
+    def check(self, cx, rng=None):
+        labellings = tail_labellings(cx)
+        assert labellings
+        for label in labellings:
+            self.agrees(cx, label)
+
+    @pytest.mark.parametrize("name", MEDIAN_FIXTURES)
+    def test_median_fixtures(self, name, request):
+        self.check(request.getfixturevalue(name))
+
+    test_random_median, test_products_and_wedges = drawn_complexes(check)
+
+    @pytest.mark.parametrize("n,edges", [
+        (6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5)]),                  # C6
+        (5, [(0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4)]),                  # K2,3
+        (12, WRONG_LABELLING_EDGES),
+    ])
+    def test_named_non_median(self, n, edges):
+        self.check(MedianComplex(n, edges))
+
+    def test_holed_grid(self):
+        g = grid(8, 8)
+        centre = next(v for v, lab in g.labels.items() if lab == (4, 4))
+        self.check(MedianComplex(80, [(u - (u > centre), v - (v > centre)) for u, v in g.edges
+                                      if centre not in (u, v)]))
+
+    @settings(max_examples=60, deadline=None)
+    @given(cx=st.one_of(induced_hypercube_subgraphs(4), induced_hypercube_subgraphs(5),
+                        random_bipartite_graphs(), holed_grids()))
+    def test_drawn_non_median(self, cx):
+        for label in tail_labellings(cx):
+            event(self.agrees(cx, label))
+
+    def test_refused_by_both(self, q2, g33):
+        # one class per edge: every edge off the BFS tree flips more than its own bit
+        for cx in (q2, g33):
+            depth = cx._colouring[0]
+            label = {(a, b) if depth[a] < depth[b] else (b, a): i
+                     for i, (a, b) in enumerate(cx.edges)}
+            assert self.agrees(cx, label) == "refused"
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_drawn_labellings(self, data):
+        # arbitrary labels on a median complex's edges: many are refused
+        cx = draw_median(data)
+        depth = cx._colouring[0]
+        label = {(a, b) if depth[a] < depth[b] else (b, a): data.draw(st.integers(0, 3))
+                 for a, b in cx.edges}
+        event(self.agrees(cx, label))
 
 
 class TestCrossingAndDimension:
