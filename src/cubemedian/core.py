@@ -357,7 +357,10 @@ def _walls_from_labels(cx: MedianComplex, depth: list[int], label: dict[tuple[in
         if (rel[edges[0][0]] >> i) & 1:  # the least end of the least edge goes to the minus side
             plus, flip = full & ~plus, flip | 1 << i
         classes.append(HyperplaneClass(cx, i, tuple(edges), full & ~plus, plus))
-    return tuple(classes), tuple(s ^ flip for s in rel)
+    if flip:  # in place, so that no second set of sign vectors is alive at once
+        for v in range(len(rel)):
+            rel[v] ^= flip
+    return tuple(classes), tuple(rel)
 
 
 class _Squares(NamedTuple):

@@ -25,7 +25,6 @@ imports this module only when it runs the oracle.
 
 from __future__ import annotations
 
-from collections import deque
 from typing import TYPE_CHECKING
 
 from .core import ConvexSubcomplex, MedianComplex, _bits
@@ -130,9 +129,8 @@ def all_convex_subcomplexes(cx: MedianComplex) -> list[ConvexSubcomplex]:
     """
     signs = cx.signs
     seen = {(0, s) for s in signs}
-    queue = deque(seen)
-    while queue:
-        free, base = queue.popleft()
+    queue = list(seen)
+    for free, base in queue:
         for s in signs:
             grown = free | (s ^ base)
             if grown != free:

@@ -3,11 +3,10 @@
 Each suite draws cases from splitmix64, so a (complex, suite, cases, seed)
 quadruple is a complete reproduction of any reported violation.  A random
 convex subcomplex is keyed straight from its draws: `_random_convex` draws
-its at most three vertices in closed form, and `_sampled_hull` the k of the
-orth suite's inner hull by a partial Fisher-Yates, each as
-`SplitMix64.sample` would, in the same order, and each folds the drawn
-signs into (crossing_mask, base) as `hull` does, so the stream and the
-keys are those of hull(sample(...)).
+its at most three vertices in closed form, as `SplitMix64.sample` would, in
+the same order, and folds the drawn signs into (crossing_mask, base) as
+`hull` does, so the stream and the keys are those of hull(sample(...)).
+The orth suite's inner hull is hull(sample(...)) itself.
 
 `cases` counts draws, not evaluations.  Every check of the gates and orth
 suites is a pure function of its input keys, and a complex holds one
@@ -38,7 +37,6 @@ from typing import Optional
 from .core import ConvexSubcomplex, MedianComplex, _bits, hull, whole_complex
 from .gates import (
     crossing_signature,
-    gate,
     is_convex,
     is_parallel,
     parallel_bridge,
@@ -83,19 +81,16 @@ class _Recorder:
         if len(self.out) >= self.cap:
             raise _CapReached
 
-    def check(self, ok: bool, invariant: str, **inputs) -> None:
-        """`fail` unless ok, for a caller that holds a verdict for every check."""
-        if not ok:
-            self.fail(invariant, **inputs)
-
 
 _SIZES = (1, 1, 2, 2, 3)  # the vertex counts a random convex subcomplex is drawn from
 
 
 def _random_convex(cx: MedianComplex, rng: SplitMix64) -> ConvexSubcomplex:
     """hull(cx, rng.sample(range(n), min(rng.choice(_SIZES), n))), drawn as
-    that sample draws and keyed as `_sampled_hull` keys, with its partial
-    Fisher-Yates written out for k <= 3.
+    that sample draws, with its partial Fisher-Yates written out for k <= 3,
+    and keyed as the draws come: each vertex's signs are folded into the
+    crossing mask, with none of hull's copy and range scans, which drawn
+    vertices pass.
 
     Slot i holds i until a swap moves it.  Step 0 draws a = randrange(n),
     takes slot a and swaps slot 0 into it: slot a now holds 0.  Step 1
@@ -126,23 +121,6 @@ def _random_convex(cx: MedianComplex, rng: SplitMix64) -> ConvexSubcomplex:
     return ConvexSubcomplex(cx, free, s0 & ~free)
 
 
-def _sampled_hull(cx: MedianComplex, rng: SplitMix64, seq, k: int) -> ConvexSubcomplex:
-    """hull(cx, rng.sample(seq, k)) for vertices seq of cx and 1 <= k <= len(seq),
-    drawn as `SplitMix64.sample` draws (its partial Fisher-Yates, over the
-    indices of seq) and keyed as the draws come: each vertex's signs are
-    folded into the crossing mask, with none of hull's copy and range scans,
-    which drawn vertices pass."""
-    signs, n = cx.signs, len(seq)
-    j = rng.randrange(n)
-    s0, free = signs[seq[j]], 0
-    moved = {j: 0}  # slot -> the index a swap put there
-    for i in range(1, k):
-        j = i + rng.randrange(n - i)
-        free |= signs[seq[moved.get(j, j)]] ^ s0
-        moved[j] = moved.get(i, i)
-    return ConvexSubcomplex(cx, free, s0 & ~free)
-
-
 def _recomputed(s):
     """The key S's vertices recompute; the checks below hold keys to it."""
     return hull(s.parent, s.vertices)
@@ -159,18 +137,20 @@ def _true_copies(f, copies, perp) -> list[bool]:
 def _product_bijection_ok(region, left, right) -> bool:
     """Whether the gates onto left and right map region one to one onto
     left × right.  The gate of a vertex with signs s onto a key is the vertex
-    with signs s & mask | base, so each gate is one lookup in `by_sign`.  A
-    sign vector with no vertex, which only a non-median input has, takes
-    `gate` vertex by vertex, which raises its line at the first vertex that
-    meets one."""
+    with signs s & mask | base, so each gate is one lookup in `by_sign`.  The
+    lookups run vertex by vertex, left before right, as a `gate` pair per
+    vertex would, so the first sign vector with no vertex, which only a
+    non-median input has, is the one `gate` would meet first, and
+    `vertex_at` raises its line as `gate` does."""
     cx = region.parent
     signs, by_sign = cx.signs, cx.by_sign
     lm, lb, rm, rb = left.crossing_mask, left.base, right.crossing_mask, right.base
     try:
         pairs = {(by_sign[signs[v] & lm | lb], by_sign[signs[v] & rm | rb])
                  for v in region.vertices}
-    except KeyError:
-        pairs = {(gate(left, v), gate(right, v)) for v in region.vertices}
+    except KeyError as exc:
+        cx.vertex_at(exc.args[0])
+        raise
     return len(pairs) == len(region) and len(region) == len(left) * len(right)
 
 
@@ -259,7 +239,7 @@ def _orth_suite(cx, rng, cases, rec: _Recorder, closure: Hyperclosure):
             rec.fail("triple-complement", A=a_sub, a=a)
 
         b_sub = _random_convex(cx, rng)
-        inner = _sampled_hull(cx, rng, b_sub.vertices, 1 + rng.randrange(len(b_sub)))
+        inner = hull(cx, rng.sample(b_sub.vertices, 1 + rng.randrange(len(b_sub))))
         x = rng.choice(inner.vertices)
         if not recomputed(orth(b_sub, x)) <= recomputed(orth(inner, x)):
             rec.fail("contravariance", A=inner, B=b_sub, a=x)

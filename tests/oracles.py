@@ -1203,6 +1203,14 @@ def char_parse_spec(text: str) -> GeneratorSpec:
     return node
 
 
+def _check(rec, ok, invariant, **inputs):
+    """Record the failed check with rec.fail unless ok: the per-case suites
+    hold a verdict for every check, where verify's suites call the recorder
+    only on failure."""
+    if not ok:
+        rec.fail(invariant, **inputs)
+
+
 def per_case_gates_suite(cx, rng, cases, rec):
     """verify's gates suite with every check evaluated on every case.  It
     reads each library function through the `verify` module, so a test that
@@ -1213,39 +1221,39 @@ def per_case_gates_suite(cx, rng, cases, rec):
         z = v._random_convex(cx, rng)
         img = v.project(y, z)
         key = v._recomputed(img)
-        rec.check(key == img and key.crossing_mask == y.crossing_mask & z.crossing_mask,
-                  "gate-crossing-law", Y=y, Z=z)
-        rec.check(v.is_convex(cx, img.vertices), "projection-convex", Y=y, Z=z)
-        rec.check(v.is_parallel(key, v._recomputed(v.project(z, y))),
-                  "symmetric-parallelism", Y=y, Z=z)
+        _check(rec, key == img and key.crossing_mask == y.crossing_mask & z.crossing_mask,
+               "gate-crossing-law", Y=y, Z=z)
+        _check(rec, v.is_convex(cx, img.vertices), "projection-convex", Y=y, Z=z)
+        _check(rec, v.is_parallel(key, v._recomputed(v.project(z, y))),
+               "symmetric-parallelism", Y=y, Z=z)
 
         c, d, e = (v._random_convex(cx, rng) for _ in range(3))
         p1, p2, p3 = (v._recomputed(p) for p in (v.project(v.project(c, d), e),
                                                  v.project(c, v.project(d, e)),
                                                  v.project(c, v.project(e, d))))
-        rec.check(v.is_parallel(p1, p2) and v.is_parallel(p2, p3), "projection-currying",
-                  C=c, D=d, E=e)
+        _check(rec, v.is_parallel(p1, p2) and v.is_parallel(p2, p3), "projection-currying",
+               C=c, D=d, E=e)
 
         f = v._random_convex(cx, rng)
         copies = v.parallel_copies(f)
-        rec.check(f in copies, "copies-contain-self", F=f)
+        _check(rec, f in copies, "copies-contain-self", F=f)
         perp = v.orth(f, f.vertices[0])
         is_copy = v._true_copies(f, copies, perp)
-        rec.check(all(is_copy), "copies-parallel", F=f)
-        rec.check(len({c2.base for c2, ok in zip(copies, is_copy) if ok}) == len(perp),
-                  "copies-complete", F=f)
+        _check(rec, all(is_copy), "copies-parallel", F=f)
+        _check(rec, len({c2.base for c2, ok in zip(copies, is_copy) if ok}) == len(perp),
+               "copies-complete", F=f)
         i = rng.randrange(len(copies))
         if not is_copy[i]:
             continue
         f2 = copies[i]
         region = v.hull(cx, f.vertices + f2.vertices)
         seps = v.separators(f, f2)
-        rec.check(v.crossing_signature(region) == v.crossing_signature(f) | seps and
-                  not v.crossing_signature(f) & seps,
-                  "parallel-product-signature", F=f, F2=f2)
+        _check(rec, v.crossing_signature(region) == v.crossing_signature(f) | seps and
+               not v.crossing_signature(f) & seps,
+               "parallel-product-signature", F=f, F2=f2)
         bridge = v.parallel_bridge(f, f2)
-        rec.check(v._product_bijection_ok(region, f, bridge),
-                  "parallel-product-bijection", F=f, F2=f2)
+        _check(rec, v._product_bijection_ok(region, f, bridge),
+               "parallel-product-bijection", F=f, F2=f2)
 
 
 def per_case_orth_suite(cx, rng, cases, rec, closure):
@@ -1257,21 +1265,21 @@ def per_case_orth_suite(cx, rng, cases, rec, closure):
         a = rng.choice(a_sub.vertices)
         o1 = v._recomputed(v.orth(a_sub, a))
         o3 = v.orth(v.orth(o1, a), a)
-        rec.check(o3 == o1, "triple-complement", A=a_sub, a=a)
+        _check(rec, o3 == o1, "triple-complement", A=a_sub, a=a)
 
         b_sub = v._random_convex(cx, rng)
         inner = v.hull(cx, rng.sample(b_sub.vertices, 1 + rng.randrange(len(b_sub))))
         x = rng.choice(inner.vertices)
-        rec.check(v._recomputed(v.orth(b_sub, x)) <= v._recomputed(v.orth(inner, x)),
-                  "contravariance", A=inner, B=b_sub, a=x)
+        _check(rec, v._recomputed(v.orth(b_sub, x)) <= v._recomputed(v.orth(inner, x)),
+               "contravariance", A=inner, B=b_sub, a=x)
 
     for member in closure.members:
         points = member.vertices
         if len(points) > 8:
             points = tuple(sorted(rng.sample(points, 8)))
         for x in points:
-            rec.check(v.orth(v.orth(member, x), x) == member, "double-complement",
-                      F=member, x=x)
+            _check(rec, v.orth(v.orth(member, x), x) == member, "double-complement",
+                   F=member, x=x)
 
 
 def argparse_parser() -> argparse.ArgumentParser:

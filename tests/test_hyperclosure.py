@@ -7,7 +7,7 @@ import re
 
 import networkx as nx
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
 from conftest import BENCH_SPECS, MEDIAN_FIXTURES, by_label, draw_product_or_wedge
@@ -943,9 +943,7 @@ class TestProductCheckAgainstGates:
         products = len(cases)
         cases += [tuple(verify._random_convex(cx, rng) for _ in range(3)) for _ in range(40)]
         verdicts = [gate_product_bijection_ok(*case) for case in cases]
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(verify, "gate", None)  # on a median complex every gate is a lookup
-            assert [verify._product_bijection_ok(*case) for case in cases] == verdicts
+        assert [verify._product_bijection_ok(*case) for case in cases] == verdicts
         assert all(verdicts[:products])
         return set(verdicts)
 
@@ -959,7 +957,38 @@ class TestProductCheckAgainstGates:
         lambda self, cx, rng: self.check(cx, rng, [verify._random_convex(cx, rng)
                                                    for _ in range(30)]))
 
-    def test_non_median_line(self, tmp_path, capsys, monkeypatch):
+    @staticmethod
+    def outcome(check, case):
+        """check(*case): its verdict or the line it raised, the sign vectors
+        `vertex_at` received, and the (key, vertex) of each oracle `gate` call."""
+        asked, gated = [], []
+        honest_at, honest_gate = MedianComplex.vertex_at, oracles.gate
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(MedianComplex, "vertex_at",
+                       lambda cx, sign: asked.append(sign) or honest_at(cx, sign))
+            mp.setattr(oracles, "gate", lambda y, x: gated.append((y, x)) or honest_gate(y, x))
+            try:
+                result = check(*case)
+            except InvariantViolation as exc:
+                result = str(exc)
+        return result, asked, gated
+
+    def agree_off_median(self, case):
+        """Both product checks on one (region, left, right) case: the same
+        verdict, or the same line raised for the sign vector of the oracle's
+        last `gate` call.  Returns the factor that call gates onto, or None
+        when no sign vector is missing."""
+        got, asked, _ = self.outcome(verify._product_bijection_ok, case)
+        want, asked_by_gate, gated = self.outcome(gate_product_bijection_ok, case)
+        assert got == want
+        if not asked_by_gate:
+            assert asked == []
+            return None
+        y, x = gated[-1]
+        assert asked == asked_by_gate == [case[0].parent.signs[x] & y.crossing_mask | y.base]
+        return "left" if len(gated) % 2 else "right"  # the oracle gates left, then right
+
+    def test_non_median_line(self, tmp_path, capsys):
         path = tmp_path / "cube_less_one.json"
         save_complex(CUBE_LESS_ONE, path)
         assert cli.run(["verify", str(path), "--suite", "gates", "--cases", "40", "--seed", "1",
@@ -968,20 +997,56 @@ class TestProductCheckAgainstGates:
         # the suite stops inside the product check, at the gate the per-vertex check stops at
         checked = []
         honest = verify._product_bijection_ok
-        monkeypatch.setattr(verify, "_product_bijection_ok", lambda *case: (
-            checked.append(case) or honest(*case)))
-        with pytest.raises(InvariantViolation, match=re.escape(core._NOT_MEDIAN)):
-            verify.verify_complex(MedianComplex(7, CUBE_LESS_ONE.edges), "gates", 40, 1)
-        trails = []
-        for module, check in ((verify, honest), (oracles, gate_product_bijection_ok)):
-            trail = []
-            real_gate = module.gate
-            monkeypatch.setattr(module, "gate", lambda y, x, real_gate=real_gate, trail=trail: (
-                trail.append((y, x)) or real_gate(y, x)))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(verify, "_product_bijection_ok", lambda *case: (
+                checked.append(case) or honest(*case)))
             with pytest.raises(InvariantViolation, match=re.escape(core._NOT_MEDIAN)):
-                check(*checked[-1])
-            trails.append(trail)
-        assert trails[0] == trails[1] != []
+                verify.verify_complex(MedianComplex(7, CUBE_LESS_ONE.edges), "gates", 40, 1)
+        assert self.agree_off_median(checked[-1]) is not None
+
+    def missing_factors(self, cx, rng, cases=200):
+        """The factors the first missing sign vector is on, over drawn triples
+        of keys of a non-median complex."""
+        return {self.agree_off_median(tuple(verify._random_convex(cx, rng) for _ in range(3)))
+                for _ in range(cases)} - {None}
+
+    def test_left_and_right_factor(self):
+        g8, g4 = grid(8, 8), grid(4, 4)
+        at8, at4 = by_label(g8), by_label(g4)
+        # grid(4,4) less two holes: some vertices meet a missing sign vector on
+        # both factors at once, a different one on each
+        for cx in (MedianComplex(7, CUBE_LESS_ONE.edges), less_vertices(g8, {at8[4, 4]}),
+                   less_vertices(g4, {at4[1, 2], at4[3, 2]})):
+            assert self.missing_factors(cx, SplitMix64(31)) == {"left", "right"}
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_drawn_non_median(self, data):
+        """Drawn median complexes less one or two vertices, unvalidated, as
+        `--no-validate` loads them, wherever they still have one sign vector
+        per vertex."""
+        spec =data.draw(st.sampled_from(("box(1,1,1)", "box(2,2,2)", "grid(3,3)", "staircase(3)",
+                                          "random_median(4,6,seed={})")))
+        g = generate(parse_spec(spec.format(data.draw(st.integers(0, 99)))))
+        # with two holes, both gates of one vertex can miss, on different sign vectors
+        cx = less_vertices(g, data.draw(st.sets(st.integers(1, g.vertex_count - 1),
+                                                min_size=1, max_size=2)))
+        assume(len(cx._colouring[3]) == cx.vertex_count)  # connected
+        try:
+            cx.by_sign
+        except InvariantViolation:
+            assume(False)  # no wall classes, or two vertices with one sign vector
+        for factor in sorted(self.missing_factors(cx, SplitMix64(data.draw(st.integers(0, 99))),
+                                                  cases=40)):
+            event(f"first missing sign vector on the {factor} factor")
+
+
+def less_vertices(cx, holes):
+    """A fresh, unvalidated complex: cx without the holes, the other vertices
+    renumbered in order."""
+    index = {v: i for i, v in enumerate(v for v in range(cx.vertex_count) if v not in holes)}
+    return MedianComplex(len(index), [(index[u], index[v]) for u, v in cx.edges
+                                      if u in index and v in index])
 
 
 def forced_failures(mp):
@@ -1068,10 +1133,9 @@ class TestReplayedVerdicts:
 
 
 class TestSampledHull:
-    """verify's keys folded from the draws as they come, against the hull of
-    what `sample` draws: the same key, and the stream read as far, both for
-    `_random_convex` over range(n) and for the orth suite's inner hull over
-    a key's vertices."""
+    """`_random_convex`, its key folded from the draws as they come, against
+    the hull of what `sample` draws over range(n): the same key, and the
+    stream read as far."""
 
     def check(self, cx, rng):
         seed = rng.randrange(1 << 64)
@@ -1080,10 +1144,6 @@ class TestSampledHull:
         for _ in range(40):
             a = verify._random_convex(cx, fused)
             assert a == hull(cx, plain.sample(range(n), min(plain.choice((1, 1, 2, 2, 3)), n)))
-            k = 1 + fused.randrange(len(a))
-            assert k == 1 + plain.randrange(len(a))
-            assert verify._sampled_hull(cx, fused, a.vertices, k) == hull(
-                cx, plain.sample(a.vertices, k))
             assert fused._state == plain._state
 
     @pytest.mark.parametrize("name", MEDIAN_FIXTURES)
