@@ -62,12 +62,16 @@ code=0; "${cli[@]}" build --kind product --params 'grid(1,1' 'box(2)' -o bad.jso
 grep -q '256 vertices, 1024 edges' rm8.out \
   || { cat rm8.out; echo "build random_median(8,256,seed=1): not 256 vertices, 1024 edges"; exit 1; }
 # the splitmix64 stream, pinned on every Python: seeded builds against the digests
-# of the files that the one-output-per-step generator wrote
+# of the files that the one-output-per-step generator wrote; the glued ray and the
+# nested pw.json against the files that validating each node of a spec wrote
 "${cli[@]}" build --kind tree --params 300 --seed 1 -o tree300.json > /dev/null
 "${cli[@]}" build --kind random_median --params 6 10 --seed 3 -o rm610.json > /dev/null
+"${cli[@]}" build --kind glued_staircase_ray --params 6 -o gsr6.json > /dev/null
 sha256sum -c --quiet <<'DIGESTS' || { echo "seeded builds: the splitmix64 stream moved"; exit 1; }
 3a21eb9064ee808828f479e0180043be80feec53687a09b4bfca90d25407d73d  tree300.json
 b550c6a91571d37a6120a792fdf88c5c9c3b1e239c2308cf9bc7719fb83587c2  rm610.json
+f47e165875b8d4315ebdef34741a087630ada2ad78c99d4bdbae8f7424c7b0e1  gsr6.json
+1e8578e254186b90614c54117a476d02ecdd92d0ec1b2676762e4326ce874cc9  pw.json
 DIGESTS
 "${cli[@]}" build --kind staircase --params 4 -o st4.json
 expect 'verify ok: suite=closure cases=50 seed=1' "${cli[@]}" verify st4.json --suite closure --cases 50 --seed 1

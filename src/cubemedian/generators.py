@@ -1,10 +1,11 @@
 """Deterministic constructors for the fixture families.
 
-Every generated complex, and each node of a nested spec, passes the gate
-`core._validated` before it is returned, carries coordinate labels where
-the construction has natural coordinates, and records its canonical spec
-string (identical spec, identical complex, bit for bit).  Randomized
-kinds draw from splitmix64 only.
+Every generated complex passes the gate `core._validated` before it is
+returned, carries coordinate labels where the construction has natural
+coordinates, and records its canonical spec string (identical spec,
+identical complex, bit for bit).  A nested spec is glued as one edge list
+and validated once, as a whole; `generate` says why that is as strict as
+validating each node.  Randomized kinds draw from splitmix64 only.
 """
 
 from __future__ import annotations
@@ -212,43 +213,40 @@ def _build_random_median(dim: int, count: int, seed: int):
     return len(words), sorted(edges), labels
 
 
+def _product(a, b):
+    """Graph product of two (n, edges, labels) triples: vertex pairs, edges in
+    one coordinate at a time, tuple labels joined."""
+    (n1, edges1, l1), (n2, edges2, l2) = a, b
+    edges = [(u * n2 + w, v * n2 + w) for u, v in edges1 for w in range(n2)]
+    edges += [(u * n2 + v, u * n2 + w) for u in range(n1) for v, w in edges2]
+    labels = None
+    if l1 and l2 and all(isinstance(l, tuple) for l in (*l1.values(), *l2.values())):
+        labels = {u * n2 + v: l1[u] + l2[v] for u in range(n1) for v in range(n2)}
+    return n1 * n2, edges, labels
+
+
+def _wedge(a, v1, b, v2):
+    """Identify v1 of triple a with v2 of triple b: a keeps its vertex indices,
+    b's other vertices follow in their order, and the wedge has no labels."""
+    (n1, edges1, _), (n2, edges2, _) = a, b
+    if not 0 <= v1 < n1 or not 0 <= v2 < n2:
+        raise ValueError("wedge vertex out of range")
+    remap = [*range(n1, n1 + v2), v1, *range(n1 + v2, n1 + n2 - 1)]
+    return n1 + n2 - 1, [*edges1, *((remap[u], remap[w]) for u, w in edges2)], None
+
+
+def _triple(cx: MedianComplex):
+    return cx.vertex_count, cx.edges, cx.labels
+
+
 def product(x1: MedianComplex, x2: MedianComplex) -> MedianComplex:
     """Graph product: vertex pairs, edges in one coordinate at a time."""
-    n1, n2 = x1.vertex_count, x2.vertex_count
-    edges = []
-    for u, v in x1.edges:
-        for w in range(n2):
-            edges.append((u * n2 + w, v * n2 + w))
-    for u in range(n1):
-        for v, w in x2.edges:
-            edges.append((u * n2 + v, u * n2 + w))
-    labels = None
-    if x1.labels and x2.labels:
-        l1, l2 = x1.labels, x2.labels
-        if all(isinstance(l, tuple) for l in l1.values()) and \
-                all(isinstance(l, tuple) for l in l2.values()):
-            labels = {u * n2 + v: l1[u] + l2[v] for u in range(n1) for v in range(n2)}
-    return _validated(MedianComplex(n1 * n2, sorted(edges), labels=labels))
+    return _validated(MedianComplex(*_product(_triple(x1), _triple(x2))))
 
 
 def wedge(x1: MedianComplex, v1: int, x2: MedianComplex, v2: int) -> MedianComplex:
     """Identify v1 in x1 with v2 in x2; x1 keeps its vertex indices."""
-    if not 0 <= v1 < x1.vertex_count or not 0 <= v2 < x2.vertex_count:
-        raise ValueError("wedge vertex out of range")
-    n1 = x1.vertex_count
-    remap = {}
-    nxt = n1
-    for w in range(x2.vertex_count):
-        if w == v2:
-            remap[w] = v1
-        else:
-            remap[w] = nxt
-            nxt += 1
-    edges = list(x1.edges)
-    for u, w in x2.edges:
-        a, b = remap[u], remap[w]
-        edges.append((min(a, b), max(a, b)))
-    return _validated(MedianComplex(nxt, sorted(edges)))
+    return _validated(MedianComplex(*_wedge(_triple(x1), v1, _triple(x2), v2)))
 
 
 def _require(cond: bool, message: str):
@@ -257,7 +255,26 @@ def _require(cond: bool, message: str):
 
 
 def generate(spec: GeneratorSpec) -> MedianComplex:
-    """Build, validate and label the complex described by the spec."""
+    """Build, validate and label the complex described by the spec.
+
+    The spec is glued as one (n, edges, labels) triple and validated once, as
+    a whole.  That is as strict as validating each node.  Every leaf builder
+    makes a connected median graph (each kind's construction; random_median
+    is proven in its builder).  A product, or a wedge at one vertex, of
+    graphs is connected iff its parts are, and when they are it is median
+    iff its parts are: each part is a gated subgraph of the product or the
+    wedge, hence median if the whole is, and products and gated amalgams of
+    median graphs are median.  So the whole is median iff every node is, and
+    a node that came out wrong would still fail the one check.
+    """
+    cx = _validated(MedianComplex(*_build(spec)))
+    cx.generator = spec_to_string(spec)
+    return cx
+
+
+def _build(spec: GeneratorSpec):
+    """The (n, edges, labels) triple of the spec, its nodes glued in one
+    recursion; every refusal is a ValueError, raised at the first bad node."""
     kind, params, seed = spec.kind, spec.parameters, spec.seed
     _require(kind in KINDS, f"unknown generator kind {kind!r}")
     if seed is not None:
@@ -270,54 +287,42 @@ def generate(spec: GeneratorSpec) -> MedianComplex:
     if kind == "product":
         _require(len(params) == 2 and all(isinstance(p, GeneratorSpec) for p in params),
                  "product needs two sub-specs")
-        cx = product(generate(params[0]), generate(params[1]))
-    elif kind == "wedge":
+        return _product(_build(params[0]), _build(params[1]))
+    if kind == "wedge":
         _require(len(params) == 4 and isinstance(params[0], GeneratorSpec)
                  and isinstance(params[2], GeneratorSpec)
                  and type(params[1]) is int and type(params[3]) is int,
                  "wedge needs (spec, vertex, spec, vertex)")
-        cx = wedge(generate(params[0]), params[1], generate(params[2]), params[3])
-    else:  # a leaf kind; product and wedge validate what they glue
-        if kind == "grid":
-            _require(ints and len(params) == 2 and min(params) >= 0, "grid(w,h) needs w,h >= 0")
-            n, edges, labels = _build_box(params)
-        elif kind == "box":
-            _require(ints and len(params) >= 1 and min(params) >= 0,
-                     "box(d1,...,dk) needs k >= 1 path lengths >= 0")
-            n, edges, labels = _build_box(params)
-        elif kind == "tree":
-            _require(ints and len(params) == 1 and params[0] >= 1, "tree(n) needs n >= 1")
-            n, edges, labels = _build_tree(params[0], seed or 0)
-        elif kind == "staircase":
-            _require(ints and len(params) == 1 and params[0] >= 1, "staircase(n) needs n >= 1")
-            n, edges, labels = _build_staircase(params[0])
-        elif kind == "random_median":
-            _require(ints and len(params) == 2, "random_median(dim, count) needs two ints")
-            dim, count = params
-            # the closure can have up to 2^dim vertices, and no size limit is
-            # checked before it is built, so the dimension is kept small
-            _require(1 <= dim <= 8, "random_median dimension must be in 1..8")
-            _require(1 <= count <= (1 << dim), "random_median count must be in 1..2^dim")
-            n, edges, labels = _build_random_median(dim, count, seed or 0)
-        else:  # glued_staircase_ray
-            _require(ints and len(params) == 1 and params[0] >= 1,
-                     "glued_staircase_ray(n) needs n >= 1")
-            n, edges, labels = _build_glued_ray(params[0])
-        cx = _validated(MedianComplex(n, edges, labels=labels))
-    cx.generator = spec_to_string(spec)
-    return cx
-
-
-def _build_glued_ray(n: int):
-    # path 0..n with staircase(k) wedged at path vertex k at its (0,0) corner, its
-    # vertex 0; as `wedge` numbers them, its other vertices follow all before them
-    edges, count = [(k, k + 1) for k in range(n)], n + 1
+        return _wedge(_build(params[0]), params[1], _build(params[2]), params[3])
+    if kind == "grid":
+        _require(ints and len(params) == 2 and min(params) >= 0, "grid(w,h) needs w,h >= 0")
+        return _build_box(params)
+    if kind == "box":
+        _require(ints and len(params) >= 1 and min(params) >= 0,
+                 "box(d1,...,dk) needs k >= 1 path lengths >= 0")
+        return _build_box(params)
+    if kind == "tree":
+        _require(ints and len(params) == 1 and params[0] >= 1, "tree(n) needs n >= 1")
+        return _build_tree(params[0], seed or 0)
+    if kind == "staircase":
+        _require(ints and len(params) == 1 and params[0] >= 1, "staircase(n) needs n >= 1")
+        return _build_staircase(params[0])
+    if kind == "random_median":
+        _require(ints and len(params) == 2, "random_median(dim, count) needs two ints")
+        dim, count = params
+        # the closure can have up to 2^dim vertices, and no size limit is
+        # checked before it is built, so the dimension is kept small
+        _require(1 <= dim <= 8, "random_median dimension must be in 1..8")
+        _require(1 <= count <= (1 << dim), "random_median count must be in 1..2^dim")
+        return _build_random_median(dim, count, seed or 0)
+    _require(ints and len(params) == 1 and params[0] >= 1, "glued_staircase_ray(n) needs n >= 1")
+    # the path 0..n with staircase(k) wedged at path vertex k by its vertex 0,
+    # the (0,0) corner
+    n = params[0]
+    ray = n + 1, [(k, k + 1) for k in range(n)], None
     for k in range(1, n + 1):
-        m, st_edges, _ = _build_staircase(k)
-        remap = [k, *range(count, count + m - 1)]  # increasing, as k < count
-        edges += [(remap[a], remap[b]) for a, b in st_edges]
-        count += m - 1
-    return count, sorted(edges), None
+        ray = _wedge(ray, k, _build_staircase(k), 0)
+    return ray
 
 
 # -- convenience constructors ------------------------------------------------

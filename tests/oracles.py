@@ -66,7 +66,11 @@ set bit of every relative sign vector, which preceded one walk of the
 BFS order and the halfspaces by one fold of subtree masks; and
 `wedged_glued_ray`, glued_staircase_ray(n) by n
 validated wedges of validated staircases, which preceded one edge list
-validated once; and `char_parse_spec`, the spec parser that walked the
+validated once; and `nodewise_generate`, `generate` validating each node
+of a nested spec, with `product` and `wedge` glued on validated complexes
+and the glued ray by its own renumbering (`_build_glued_ray`), which
+preceded one recursion over (n, edges, labels) triples validated once as
+a whole; and `char_parse_spec`, the spec parser that walked the
 text one character at a time, which preceded the compiled token patterns
 of `parse_spec`; and `per_case_gates_suite` and `per_case_orth_suite`,
 verify's gates and orth suites evaluating every check on every case,
@@ -99,13 +103,21 @@ from cubemedian.core import (
     ValidationReport,
     _bits,
     _max_clique,
+    _validated,
     whole_complex,
 )
 from cubemedian.generators import (
+    _RANDOM_KINDS,
     KINDS,
     MAX_SPEC_DEPTH,
     GeneratorSpec,
     Param,
+    _build_box,
+    _build_random_median,
+    _build_staircase,
+    _build_tree,
+    _require,
+    spec_to_string,
     staircase,
     wedge,
 )
@@ -1113,6 +1125,110 @@ def wedged_glued_ray(n):
         corner = next(i for i, lab in st.labels.items() if lab == (0, 0))
         cx = wedge(cx, k, st, corner)
     return cx
+
+
+def _nodewise_product(x1: MedianComplex, x2: MedianComplex) -> MedianComplex:
+    """Graph product: vertex pairs, edges in one coordinate at a time."""
+    n1, n2 = x1.vertex_count, x2.vertex_count
+    edges = []
+    for u, v in x1.edges:
+        for w in range(n2):
+            edges.append((u * n2 + w, v * n2 + w))
+    for u in range(n1):
+        for v, w in x2.edges:
+            edges.append((u * n2 + v, u * n2 + w))
+    labels = None
+    if x1.labels and x2.labels:
+        l1, l2 = x1.labels, x2.labels
+        if all(isinstance(l, tuple) for l in l1.values()) and \
+                all(isinstance(l, tuple) for l in l2.values()):
+            labels = {u * n2 + v: l1[u] + l2[v] for u in range(n1) for v in range(n2)}
+    return _validated(MedianComplex(n1 * n2, sorted(edges), labels=labels))
+
+
+def _nodewise_wedge(x1: MedianComplex, v1: int, x2: MedianComplex, v2: int) -> MedianComplex:
+    """Identify v1 in x1 with v2 in x2; x1 keeps its vertex indices."""
+    if not 0 <= v1 < x1.vertex_count or not 0 <= v2 < x2.vertex_count:
+        raise ValueError("wedge vertex out of range")
+    n1 = x1.vertex_count
+    remap = {}
+    nxt = n1
+    for w in range(x2.vertex_count):
+        if w == v2:
+            remap[w] = v1
+        else:
+            remap[w] = nxt
+            nxt += 1
+    edges = list(x1.edges)
+    for u, w in x2.edges:
+        a, b = remap[u], remap[w]
+        edges.append((min(a, b), max(a, b)))
+    return _validated(MedianComplex(nxt, sorted(edges)))
+
+
+def nodewise_generate(spec: GeneratorSpec) -> MedianComplex:
+    """`generate` as it validated each node of a nested spec."""
+    kind, params, seed = spec.kind, spec.parameters, spec.seed
+    _require(kind in KINDS, f"unknown generator kind {kind!r}")
+    if seed is not None:
+        _require(kind in _RANDOM_KINDS, f"{kind} does not take a seed")
+        # type, not isinstance: a bool would be recorded as True, which parse_spec refuses
+        _require(type(seed) is int, "seed must be an integer")
+        _require(0 <= seed < (1 << 64), "seed must fit in 64 bits")
+    ints = all(type(p) is int for p in params)
+
+    if kind == "product":
+        _require(len(params) == 2 and all(isinstance(p, GeneratorSpec) for p in params),
+                 "product needs two sub-specs")
+        cx = _nodewise_product(nodewise_generate(params[0]), nodewise_generate(params[1]))
+    elif kind == "wedge":
+        _require(len(params) == 4 and isinstance(params[0], GeneratorSpec)
+                 and isinstance(params[2], GeneratorSpec)
+                 and type(params[1]) is int and type(params[3]) is int,
+                 "wedge needs (spec, vertex, spec, vertex)")
+        cx = _nodewise_wedge(nodewise_generate(params[0]), params[1],
+                              nodewise_generate(params[2]), params[3])
+    else:  # a leaf kind; product and wedge validate what they glue
+        if kind == "grid":
+            _require(ints and len(params) == 2 and min(params) >= 0, "grid(w,h) needs w,h >= 0")
+            n, edges, labels = _build_box(params)
+        elif kind == "box":
+            _require(ints and len(params) >= 1 and min(params) >= 0,
+                     "box(d1,...,dk) needs k >= 1 path lengths >= 0")
+            n, edges, labels = _build_box(params)
+        elif kind == "tree":
+            _require(ints and len(params) == 1 and params[0] >= 1, "tree(n) needs n >= 1")
+            n, edges, labels = _build_tree(params[0], seed or 0)
+        elif kind == "staircase":
+            _require(ints and len(params) == 1 and params[0] >= 1, "staircase(n) needs n >= 1")
+            n, edges, labels = _build_staircase(params[0])
+        elif kind == "random_median":
+            _require(ints and len(params) == 2, "random_median(dim, count) needs two ints")
+            dim, count = params
+            # the closure can have up to 2^dim vertices, and no size limit is
+            # checked before it is built, so the dimension is kept small
+            _require(1 <= dim <= 8, "random_median dimension must be in 1..8")
+            _require(1 <= count <= (1 << dim), "random_median count must be in 1..2^dim")
+            n, edges, labels = _build_random_median(dim, count, seed or 0)
+        else:  # glued_staircase_ray
+            _require(ints and len(params) == 1 and params[0] >= 1,
+                     "glued_staircase_ray(n) needs n >= 1")
+            n, edges, labels = _build_glued_ray(params[0])
+        cx = _validated(MedianComplex(n, edges, labels=labels))
+    cx.generator = spec_to_string(spec)
+    return cx
+
+
+def _build_glued_ray(n: int):
+    # path 0..n with staircase(k) wedged at path vertex k at its (0,0) corner, its
+    # vertex 0; as `wedge` numbers them, its other vertices follow all before them
+    edges, count = [(k, k + 1) for k in range(n)], n + 1
+    for k in range(1, n + 1):
+        m, st_edges, _ = _build_staircase(k)
+        remap = [k, *range(count, count + m - 1)]  # increasing, as k < count
+        edges += [(remap[a], remap[b]) for a, b in st_edges]
+        count += m - 1
+    return count, sorted(edges), None
 
 
 def char_parse_spec(text: str) -> GeneratorSpec:

@@ -12,6 +12,7 @@ from oracles import (
     PoolSplitMix64,
     char_parse_spec,
     majority_random_median,
+    nodewise_generate,
     tuple_random_median,
     wedged_glued_ray,
 )
@@ -242,12 +243,14 @@ class TestValidationGate:
 
     @pytest.mark.parametrize("build, calls", [
         (lambda path: glued_staircase_ray(6), 1),
-        # each node of a nested spec is validated
-        (lambda path: generate(parse_spec("product(grid(1,1),box(2))")), 3),
-        (lambda path: generate(parse_spec("wedge(box(2),0,tree(3,seed=1),0)")), 3),
+        # a nested spec is validated once, as a whole
+        (lambda path: generate(parse_spec("product(grid(1,1),box(2))")), 1),
+        (lambda path: generate(parse_spec("wedge(box(2),0,tree(3,seed=1),0)")), 1),
+        (lambda path: generate(parse_spec("product(wedge(box(1),0,box(1),0),grid(1,1))")), 1),
         (load_complex, 1),
         (lambda path: load_complex(path, run_validate=False), 0),
-    ], ids=["glued_ray", "product_spec", "wedge_spec", "load", "load_unvalidated"])
+    ], ids=["glued_ray", "product_spec", "wedge_spec", "five_node_spec", "load",
+            "load_unvalidated"])
     def test_validated_once(self, build, calls, tmp_path):
         path = tmp_path / "grid.json"
         save_complex(grid(1, 1), path)
@@ -263,6 +266,68 @@ class TestValidationGate:
         with pytest.raises(ValidationError) as raised:
             glue(c6)
         assert raised.value.report.summary() == f"invalid median complex: unique-median: {summary}"
+
+
+SEEDS = st.none() | st.integers(0, 2**64 - 1)
+# every leaf kind, at sizes whose products of four stay a few hundred vertices
+LEAF_SPECS = st.one_of(
+    st.tuples(st.integers(0, 2), st.integers(0, 1)).map(lambda wh: GeneratorSpec("grid", wh)),
+    st.lists(st.integers(0, 2), min_size=1, max_size=2).map(
+        lambda sides: GeneratorSpec("box", tuple(sides))),
+    st.builds(lambda n, seed: GeneratorSpec("tree", (n,), seed), st.integers(1, 5), SEEDS),
+    st.integers(1, 2).map(lambda n: GeneratorSpec("staircase", (n,))),
+    st.integers(1, 2).map(lambda n: GeneratorSpec("glued_staircase_ray", (n,))),
+    st.integers(1, 3).flatmap(lambda dim: st.builds(
+        lambda count, seed: GeneratorSpec("random_median", (dim, count), seed),
+        st.integers(1, 1 << dim), SEEDS)),
+)
+
+
+@st.composite
+def glued_specs(draw, depth=3):
+    """A spec nested up to `depth` levels: leaves, products and wedges whose
+    vertices are mostly in range and sometimes one to three past it."""
+    if depth == 1 or draw(st.integers(0, 2)) == 0:
+        return draw(LEAF_SPECS)
+    a, b = draw(glued_specs(depth - 1)), draw(glued_specs(depth - 1))
+    if draw(st.booleans()):
+        return GeneratorSpec("product", (a, b))
+
+    def vertex(part):
+        try:
+            n = nodewise_generate(part).vertex_count
+        except ValueError:
+            n = 1
+        if draw(st.integers(0, 15)):
+            return draw(st.integers(0, n - 1))
+        return n + draw(st.integers(0, 2))
+
+    return GeneratorSpec("wedge", (a, vertex(a), b, vertex(b)))
+
+
+def outcome(build, spec):
+    """What the build gives: the complex's fields in order, or the refusal."""
+    try:
+        cx = build(spec)
+    except (ValueError, ValidationError) as exc:
+        return type(exc), str(exc)
+    labels = cx.labels and list(cx.labels.items())
+    return cx.vertex_count, cx.edges, labels, cx.generator
+
+
+class TestNodewiseOracle:
+    """One glued triple validated once against the complexes built and
+    validated node by node: the same complex, or the same refusal."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(spec=glued_specs())
+    @example(spec=parse_spec("product(wedge(box(1),0,box(1),0),grid(1,1))"))
+    @example(spec=parse_spec("wedge(glued_staircase_ray(2),12,staircase(2),7)"))
+    @example(spec=parse_spec("wedge(box(1),2,box(1),0)"))
+    @example(spec=parse_spec("wedge(box(1),0,staircase(0),9)"))
+    @example(spec=parse_spec("glued_staircase_ray(20)"))
+    def test_same_complex_or_refusal(self, spec):
+        assert outcome(generate, spec) == outcome(nodewise_generate, spec)
 
 
 class TestSpecStrings:
