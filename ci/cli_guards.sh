@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# CLI guards: exit codes, exact lines and six wall-clock bounds of the
+# CLI guards: exit codes, exact lines and seven wall-clock bounds of the
 # cubemedian command line.  Run it in an empty directory, which it fills
 # with its inputs and outputs, and pass the command to run:
 #
@@ -111,3 +111,9 @@ python -c 'import json, sys; d = json.load(open(sys.argv[1])); c = 50 * 101 + 50
 code=0; timed 5 "${cli[@]}" analyze holed100.json > /dev/null 2> holed100.err || code=$?
 { [ "$code" -eq 1 ] && grep -q unique-median holed100.err; } \
   || { cat holed100.err; echo "analyze grid(100,100) minus centre: exit $code, not 1 with unique-median within 5 s"; exit 1; }
+# out of memory is a named limit: grid(3000,3000) in a 400 MiB address space
+# exits 3 with one line naming the limit `memory`, not a MemoryError traceback
+code=0; ( ulimit -v 409600; timed 10 "${cli[@]}" build --kind grid --params 3000 3000 -o oom.json ) \
+  2> oom.err || code=$?
+{ [ "$code" -eq 3 ] && [ "$(wc -l < oom.err)" -eq 1 ] && grep -q "'memory'" oom.err; } \
+  || { cat oom.err; echo "build grid(3000,3000) under ulimit -v 409600: exit $code, not 3 with one stderr line"; exit 1; }

@@ -17,7 +17,7 @@ import sys
 import threading
 import types
 
-from ._version import __version__
+__version__ = "0.1.0"
 
 # submodule -> the public names the package takes from it
 _EXPORTS = {

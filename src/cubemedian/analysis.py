@@ -8,28 +8,24 @@ when the oracle ran.  `analyze` imports the oracle only when it runs it.
 from __future__ import annotations
 
 import json
-from typing import Optional
+from typing import NamedTuple, Optional
 
-from ._version import __version__
+from . import __version__
 from .core import MedianComplex, dimension, theta_classes
 from .errors import DEFAULT_MAX_GRADE, DEFAULT_MAX_MEMBERS, DEFAULT_ORACLE_BOUND
 from .hyperclosure import grades_report, hyperclosure, longest_chain, multiplicity
 
 
-class AnalysisReport:
-    def __init__(self, complex_stats: dict, hyperclosure_size: int,
-                 grade_histogram: dict[int, int], multiplicity: dict, longest_chain: dict,
-                 oracle_checked: bool, oracle_agrees: Optional[bool], tool_version: str,
-                 spec_echo: dict):
-        self.complex_stats = complex_stats
-        self.hyperclosure_size = hyperclosure_size
-        self.grade_histogram = grade_histogram
-        self.multiplicity = multiplicity
-        self.longest_chain = longest_chain
-        self.oracle_checked = oracle_checked
-        self.oracle_agrees = oracle_agrees
-        self.tool_version = tool_version
-        self.spec_echo = spec_echo
+class AnalysisReport(NamedTuple):
+    complex_stats: dict
+    hyperclosure_size: int
+    grade_histogram: dict[int, int]
+    multiplicity: dict
+    longest_chain: dict
+    oracle_checked: bool
+    oracle_agrees: Optional[bool]
+    tool_version: str
+    spec_echo: dict
 
 
 def analyze(cx: MedianComplex, *, max_members: int = DEFAULT_MAX_MEMBERS,
@@ -78,22 +74,16 @@ def analyze(cx: MedianComplex, *, max_members: int = DEFAULT_MAX_MEMBERS,
 
 
 def report_to_json(report: AnalysisReport) -> str:
-    obj = {
-        "complex_stats": report.complex_stats,
-        "hyperclosure_size": report.hyperclosure_size,
-        "grade_histogram": {str(k): v for k, v in sorted(report.grade_histogram.items())},
-        "multiplicity": {
-            "max": report.multiplicity["max"],
-            "histogram": {str(k): v
-                          for k, v in sorted(report.multiplicity["histogram"].items())},
-        },
-        "longest_chain": report.longest_chain,
+    """The report's fields in order, the histograms sorted and string-keyed,
+    and `oracle_agrees` only when the oracle ran."""
+    obj = report._asdict()
+    obj["grade_histogram"] = {str(k): v for k, v in sorted(report.grade_histogram.items())}
+    obj["multiplicity"] = {
+        "max": report.multiplicity["max"],
+        "histogram": {str(k): v for k, v in sorted(report.multiplicity["histogram"].items())},
     }
-    obj["oracle_checked"] = report.oracle_checked
-    if report.oracle_checked:
-        obj["oracle_agrees"] = report.oracle_agrees
-    obj["tool_version"] = report.tool_version
-    obj["spec_echo"] = report.spec_echo
+    if not report.oracle_checked:
+        del obj["oracle_agrees"]
     return json.dumps(obj, indent=2) + "\n"
 
 

@@ -28,7 +28,7 @@ import re
 import sys
 from types import SimpleNamespace
 
-from ._version import __version__
+from . import __version__
 from .errors import (
     DEFAULT_MAX_GRADE,
     DEFAULT_MAX_MEMBERS,
@@ -340,6 +340,9 @@ def run(argv: list[str]) -> int:
         return COMMANDS[command][0](args)
     except ResourceLimitError as exc:
         print(f"error: resource limit '{exc.limit}': {exc}", file=sys.stderr)
+        return EXIT_RESOURCE
+    except MemoryError:
+        print("error: resource limit 'memory': out of memory", file=sys.stderr)
         return EXIT_RESOURCE
     except ValidationError as exc:
         print(f"error: {exc.report.summary()}", file=sys.stderr)

@@ -34,9 +34,11 @@ parallel copies and containment are bit expressions over keys.  Each
 complex holds one object per key, and a key cannot be rebound; its sorted
 vertex tuple is filtered once, or set by one pass per parallel class.
 
-Records are NamedTuples or plain classes, not dataclasses: importing
-dataclasses pulls in inspect, ast, dis and tokenize, start-up that every
-CLI process would pay.  `_lazy` stands in for functools.cached_property.
+Records are NamedTuples, one field list each, immutable and compared by
+value; the complex, its walls and keys, and the closure are plain
+classes.  None is a dataclass: importing dataclasses pulls in inspect,
+ast, dis and tokenize, start-up that every CLI process would pay.
+`_lazy` stands in for functools.cached_property.
 """
 
 from __future__ import annotations
@@ -518,10 +520,9 @@ class InvariantFailure(NamedTuple):
     witness: str
 
 
-class ValidationReport:
-    def __init__(self, passed: bool, failures: list[InvariantFailure]):
-        self.passed = passed
-        self.failures = failures
+class ValidationReport(NamedTuple):
+    passed: bool
+    failures: list[InvariantFailure]
 
     def summary(self) -> str:
         if self.passed:

@@ -20,14 +20,13 @@ do not compile them.
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .core import (
     ConvexSubcomplex,
     HyperplaneClass,
     MedianComplex,
     _bits,
-    _Frozen,
     _same_parent,
     hull,
 )
@@ -121,17 +120,17 @@ def parallel_bridge(f: ConvexSubcomplex, f2: ConvexSubcomplex) -> ConvexSubcompl
     return hull(f.parent, (x, gate(f2, x)))
 
 
-class ProductRegion(_Frozen):
+class ProductRegion(NamedTuple):
     """Hull of a subcomplex and its orthogonal complement at a basepoint.
 
     coordinates maps each region vertex to its (base, complement) gate pair
     and is a bijection onto base × complement.
     """
 
-    def __init__(self, base: ConvexSubcomplex, complement: ConvexSubcomplex,
-                 region: ConvexSubcomplex, coordinates: dict[int, tuple[int, int]]):
-        self.__dict__.update(base=base, complement=complement, region=region,
-                             coordinates=coordinates)
+    base: ConvexSubcomplex
+    complement: ConvexSubcomplex
+    region: ConvexSubcomplex
+    coordinates: dict[int, tuple[int, int]]
 
 
 def product_region(a: ConvexSubcomplex, basepoint: int) -> ProductRegion:

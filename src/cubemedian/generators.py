@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import functools
 import heapq
-import itertools
 import operator
 import re
 from typing import NamedTuple, Optional, Union
@@ -106,16 +105,10 @@ def parse_spec(text: str) -> GeneratorSpec:
 
 
 def _build_box(lengths: tuple[int, ...]):
-    ranges = [range(side + 1) for side in lengths]
-    coords = list(itertools.product(*ranges))
-    index = {c: i for i, c in enumerate(coords)}
-    edges = []
-    for c in coords:
-        for axis in range(len(lengths)):
-            if c[axis] < lengths[axis]:
-                d = c[:axis] + (c[axis] + 1,) + c[axis + 1:]
-                edges.append((index[c], index[d]))
-    return len(coords), sorted(edges), {i: c for c, i in index.items()}
+    """The product of one labelled path per length, glued by `_product`."""
+    return functools.reduce(_product, [
+        (a + 1, [(i, i + 1) for i in range(a)], {i: (i,) for i in range(a + 1)})
+        for a in lengths])
 
 
 def _build_staircase(n: int):

@@ -21,6 +21,16 @@ and live for one suite run.  The suites call the recorder only when a
 check fails, and the violation that fills the cap ends the run:
 `_Recorder.fail` raises there, and no later check or suite runs.
 
+Some checks run whatever `cases` is, and scale with the complex and its
+closure instead.  The orth suite takes the double complement of every
+member of the closure, at up to 8 of its points, drawn from the stream
+when it has more.  The closure suite builds one hull per class side, runs
+parallelism-closure once per crossing mask of the members and
+grading-soundness on every member.  Its clean-container checks run on
+every pair of a member and a member inside it when the complex has at
+most 12 vertices or there are at most `cases` pairs; otherwise on `cases`
+pairs drawn with replacement.
+
 The checks work on keys and sign vectors.  Orthogonality to V is one AND
 against V's polar, the classes crossing every class of V, computed here
 from the crossing table rather than read from `orth`'s; maximality tests
@@ -32,7 +42,7 @@ call per region vertex.
 from __future__ import annotations
 
 import functools
-from typing import Optional
+from typing import NamedTuple
 
 from .core import ConvexSubcomplex, MedianComplex, _bits, hull, whole_complex
 from .gates import (
@@ -52,15 +62,10 @@ from .rng import SplitMix64
 SUITES = ("gates", "orth", "closure")
 
 
-class Violation:
-    def __init__(self, suite: str, invariant: str, inputs: Optional[dict] = None):
-        self.suite = suite
-        self.invariant = invariant
-        self.inputs = {} if inputs is None else inputs
-
-    def __repr__(self) -> str:
-        return (f"Violation(suite={self.suite!r}, invariant={self.invariant!r}, "
-                f"inputs={self.inputs!r})")
+class Violation(NamedTuple):
+    suite: str
+    invariant: str
+    inputs: dict
 
 
 class _CapReached(Exception):

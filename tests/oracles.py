@@ -66,7 +66,9 @@ set bit of every relative sign vector, which preceded one walk of the
 BFS order and the halfspaces by one fold of subtree masks; and
 `wedged_glued_ray`, glued_staircase_ray(n) by n
 validated wedges of validated staircases, which preceded one edge list
-validated once; and `nodewise_generate`, `generate` validating each node
+validated once; and `coordinate_box`, the box built from its coordinate
+tuples with one edge per coordinate step, which preceded the box as the
+product of its paths; and `nodewise_generate`, `generate` validating each node
 of a nested spec, with `product` and `wedge` glued on validated complexes
 and the glued ray by its own renumbering (`_build_glued_ray`), which
 preceded one recursion over (n, edges, labels) triples validated once as
@@ -85,6 +87,7 @@ with no search and no vertex bound.
 import argparse
 import functools
 import heapq
+import itertools
 import operator
 from collections import deque
 from itertools import combinations
@@ -92,9 +95,8 @@ from typing import Optional
 
 import networkx as nx
 
-from cubemedian import MedianComplex, hull, orth, subcomplex
+from cubemedian import MedianComplex, __version__, hull, orth, subcomplex
 from cubemedian._nonmedian import _odd_cycle_witness
-from cubemedian._version import __version__
 from cubemedian.cli import SUITE_CHOICES
 from cubemedian.core import (
     ConvexSubcomplex,
@@ -112,7 +114,6 @@ from cubemedian.generators import (
     MAX_SPEC_DEPTH,
     GeneratorSpec,
     Param,
-    _build_box,
     _build_random_median,
     _build_staircase,
     _build_tree,
@@ -1116,6 +1117,20 @@ def transposed_halfspaces(cx, depth, label):
     return tuple(classes), tuple(s ^ flip for s in rel)
 
 
+def coordinate_box(lengths: tuple[int, ...]):
+    """box(*lengths) as an (n, edges, labels) triple, from its coordinate tuples."""
+    ranges = [range(side + 1) for side in lengths]
+    coords = list(itertools.product(*ranges))
+    index = {c: i for i, c in enumerate(coords)}
+    edges = []
+    for c in coords:
+        for axis in range(len(lengths)):
+            if c[axis] < lengths[axis]:
+                d = c[:axis] + (c[axis] + 1,) + c[axis + 1:]
+                edges.append((index[c], index[d]))
+    return len(coords), sorted(edges), {i: c for c, i in index.items()}
+
+
 def wedged_glued_ray(n):
     """glued_staircase_ray(n) before its generator stamp, by wedges."""
     # path 0..n with staircase(k) wedged at path vertex k, at its (0,0) corner
@@ -1191,11 +1206,11 @@ def nodewise_generate(spec: GeneratorSpec) -> MedianComplex:
     else:  # a leaf kind; product and wedge validate what they glue
         if kind == "grid":
             _require(ints and len(params) == 2 and min(params) >= 0, "grid(w,h) needs w,h >= 0")
-            n, edges, labels = _build_box(params)
+            n, edges, labels = coordinate_box(params)
         elif kind == "box":
             _require(ints and len(params) >= 1 and min(params) >= 0,
                      "box(d1,...,dk) needs k >= 1 path lengths >= 0")
-            n, edges, labels = _build_box(params)
+            n, edges, labels = coordinate_box(params)
         elif kind == "tree":
             _require(ints and len(params) == 1 and params[0] >= 1, "tree(n) needs n >= 1")
             n, edges, labels = _build_tree(params[0], seed or 0)

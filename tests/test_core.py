@@ -20,7 +20,10 @@ from cubemedian import (
     MedianComplex,
     StructuralError,
     InvariantViolation,
+    Violation,
+    __version__,
     all_convex_subcomplexes,
+    analyze,
     box,
     dimension,
     grid,
@@ -30,6 +33,7 @@ from cubemedian import (
     is_convex,
     median,
     orth,
+    product_region,
     project,
     random_median,
     subcomplex,
@@ -928,6 +932,39 @@ class TestSubcomplex:
             "seed=2)), seed=None)")
         assert repr(validate(MedianComplex(0, [])).failures) == (
             "[InvariantFailure(invariant='connected', witness='empty complex')]")
+        assert repr(validate(MedianComplex(0, []))) == (
+            "ValidationReport(passed=False, failures=[InvariantFailure("
+            "invariant='connected', witness='empty complex')])")
+        assert repr(Violation("gates", "gate-crossing-law", {"Y": (0, 1)})) == (
+            "Violation(suite='gates', invariant='gate-crossing-law', inputs={'Y': (0, 1)})")
+        assert repr(product_region(subcomplex(grid(1, 1), [0, 1]), 0)) == (
+            "ProductRegion(base=ConvexSubcomplex(crossing_mask=1, base=0), "
+            "complement=ConvexSubcomplex(crossing_mask=2, base=0), "
+            "region=ConvexSubcomplex(crossing_mask=3, base=0), "
+            "coordinates={0: (0, 0), 1: (1, 0), 2: (0, 2), 3: (1, 2)})")
+        assert repr(analyze(box(1))) == (
+            "AnalysisReport(complex_stats={'vertices': 2, 'edges': 1, 'classes': 1, "
+            "'dimension': 1}, hyperclosure_size=3, grade_histogram={0: 1, 1: 2}, "
+            "multiplicity={'max': 2, 'histogram': {2: 2}}, longest_chain={'length': 2, "
+            "'witness': [[0], [0, 1]]}, oracle_checked=False, oracle_agrees=None, "
+            f"tool_version={__version__!r}, spec_echo={{'input': None, 'generator': 'box(1)', "
+            "'validated': True, 'max_members': 100000, 'max_grade': 32, "
+            "'with_oracle': False})")
+
+    def test_records_are_immutable(self):
+        """Assigning any field of a record raises, as it does for a NamedTuple."""
+        records = [
+            (validate(MedianComplex(0, [])), "passed failures"),
+            (Violation("gates", "gate-crossing-law", {"Y": (0, 1)}), "suite invariant inputs"),
+            (product_region(subcomplex(grid(1, 1), [0, 1]), 0),
+             "base complement region coordinates"),
+            (analyze(box(1)), "complex_stats hyperclosure_size grade_histogram multiplicity "
+                              "longest_chain oracle_checked oracle_agrees tool_version spec_echo"),
+        ]
+        for record, names in records:
+            for name in names.split():
+                with pytest.raises(AttributeError):
+                    setattr(record, name, None)
 
 
 class TestVertexTable:

@@ -11,6 +11,7 @@ from conftest import by_label
 from oracles import (
     PoolSplitMix64,
     char_parse_spec,
+    coordinate_box,
     majority_random_median,
     nodewise_generate,
     tuple_random_median,
@@ -18,6 +19,7 @@ from oracles import (
 )
 from cubemedian import (
     GeneratorSpec,
+    MedianComplex,
     ValidationError,
     box,
     generate,
@@ -36,7 +38,7 @@ from cubemedian import (
     wedge,
 )
 from cubemedian import core
-from cubemedian.generators import KINDS, MAX_SPEC_DEPTH, _build_random_median
+from cubemedian.generators import KINDS, MAX_SPEC_DEPTH, _build_box, _build_random_median
 from cubemedian import rng as rng_module
 from cubemedian.rng import SplitMix64
 
@@ -328,6 +330,27 @@ class TestNodewiseOracle:
     @example(spec=parse_spec("glued_staircase_ray(20)"))
     def test_same_complex_or_refusal(self, spec):
         assert outcome(generate, spec) == outcome(nodewise_generate, spec)
+
+
+
+class TestBoxOracle:
+    """The box as the product of its paths against the box from its
+    coordinate tuples: the same vertices, edges and labels, in order."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(lengths=st.lists(st.integers(0, 4), min_size=1, max_size=5))
+    @example(lengths=[0])
+    @example(lengths=[0, 3])
+    @example(lengths=[3, 0, 2])
+    @example(lengths=[1] * 10)
+    @example(lengths=[40, 60])
+    @example(lengths=[4000])
+    def test_same_complex(self, lengths):
+        folded, coordinates = (MedianComplex(*build(tuple(lengths)))
+                               for build in (_build_box, coordinate_box))
+        assert folded.vertex_count == coordinates.vertex_count
+        assert folded.edges == coordinates.edges
+        assert list(folded.labels.items()) == list(coordinates.labels.items())
 
 
 class TestSpecStrings:

@@ -308,6 +308,29 @@ def test_runs_without_site_packages(tmp_path):
     assert json.loads(proc.stdout)["hyperclosure_size"] == len(hyperclosure(staircase(2)))
 
 
+@pytest.mark.parametrize("argv", [
+    ["build", "--kind", "grid", "--params", "3000", "3000", "-o", "grid.json"],
+    ["export", "huge.json", "--dot", "huge.dot"],
+])
+def test_out_of_memory_is_a_named_limit(argv, tmp_path):
+    # in a child whose address space is capped at 400 MiB, a run that
+    # exhausts it ends in one line naming the limit, not a MemoryError traceback
+    resource = pytest.importorskip("resource")
+    (tmp_path / "huge.json").write_text('{"vertices": 3000000000, "edges": []}')
+
+    def cap_address_space():
+        hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+        cap = 400 << 20 if hard == resource.RLIM_INFINITY else min(400 << 20, hard)
+        resource.setrlimit(resource.RLIMIT_AS, (cap, hard))
+
+    env = dict(os.environ, PYTHONPATH=str(Path(cubemedian.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "cubemedian.cli", *argv], cwd=tmp_path,
+                          env=env, preexec_fn=cap_address_space, capture_output=True,
+                          text=True, timeout=120)
+    assert (proc.returncode, proc.stderr) == (3, "error: resource limit 'memory': out of memory\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["huge.json"]
+
+
 NON_MEDIAN = {
     "c6": {"vertices": 6, "edges": [[0, 1], [1, 2], [2, 3], [3, 4], [4, 5], [0, 5]]},
     "k23": {"vertices": 5, "edges": [[0, 2], [0, 3], [0, 4], [1, 2], [1, 3], [1, 4]]},

@@ -5,6 +5,7 @@ import contextlib
 import io
 import os
 import pickle
+import re
 import subprocess
 import sys
 import textwrap
@@ -57,6 +58,11 @@ class TestNames:
     def test_unknown_name_raises(self):
         with pytest.raises(AttributeError, match="no attribute 'nope'"):
             cubemedian.nope
+
+    def test_version_is_the_project_version(self):
+        # a regex, not tomllib, which Python 3.10 lacks
+        text = (Path(SRC).parent / "pyproject.toml").read_text()
+        assert re.search(r'(?m)^version = "([^"]+)"$', text)[1] == cubemedian.__version__
 
     def test_hyperclosure_stays_the_function(self):
         out = fresh("""
