@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# CLI guards: exit codes, exact lines and seven wall-clock bounds of the
+# CLI guards: exit codes, exact lines and eight wall-clock bounds of the
 # cubemedian command line.  Run it in an empty directory, which it fills
 # with its inputs and outputs, and pass the command to run:
 #
@@ -104,6 +104,11 @@ grep -qx 'verify ok: suite=all cases=1000 seed=1' st30.verify.out \
 "${cli[@]}" build --kind box --params 1 1 1 1 1 1 1 1 1 1 -o box1x10.json
 timed 6 "${cli[@]}" analyze box1x10.json > box1x10.report.json \
   || { echo "analyze box(1^10): failed or exceeded 6 s"; exit 1; }
+# the oracle's vertex bound is checked before the closure: building box(1^10)'s
+# 59,049 members first and then refusing took 1.4 s
+code=0; timed 1 "${cli[@]}" oracle box1x10.json 2> box1x10.oracle.err || code=$?
+{ [ "$code" -eq 3 ] && [ "$(wc -l < box1x10.oracle.err)" -eq 1 ] && grep -q oracle_vertex_bound box1x10.oracle.err; } \
+  || { cat box1x10.oracle.err; echo "oracle box(1^10): exit $code, not 3 with one oracle_vertex_bound line within 1 s"; exit 1; }
 # non-median scale: grid(100,100) minus its centre goes to the class-by-class wall
 # rule; with its own halfspace masks and sign loop that took 7.1-7.5 s, now 1.9-2.4 s
 "${cli[@]}" build --kind grid --params 100 100 -o grid100.json

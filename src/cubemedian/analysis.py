@@ -32,16 +32,19 @@ def analyze(cx: MedianComplex, *, max_members: int = DEFAULT_MAX_MEMBERS,
             max_grade: int = DEFAULT_MAX_GRADE, with_oracle: bool = False,
             oracle_bound: int = DEFAULT_ORACLE_BOUND,
             source: Optional[str] = None) -> AnalysisReport:
-    """Run the full hyperclosure pipeline and summarize it."""
+    """Run the full hyperclosure pipeline and summarize it.  With the oracle,
+    its vertex bound is checked before the closure (see
+    `orthocomplement._refuse_before_closure`)."""
+    if with_oracle:
+        from .orthocomplement import _refuse_before_closure, oracle_hyperclosure
+
+        _refuse_before_closure(cx, oracle_bound)
     closure = hyperclosure(cx, max_members=max_members, max_grade=max_grade)
     profile = multiplicity(closure)
     chain_len, chain = longest_chain(closure)
     oracle_agrees = None
     if with_oracle:
-        from .orthocomplement import oracle_hyperclosure
-
-        oracle = oracle_hyperclosure(cx, max_vertices=oracle_bound)
-        oracle_agrees = oracle == closure.member_set
+        oracle_agrees = oracle_hyperclosure(cx, max_vertices=oracle_bound) == closure.member_set
     return AnalysisReport(
         complex_stats={
             "vertices": cx.vertex_count,

@@ -102,9 +102,10 @@ def _cmd_verify(args) -> int:
 def _cmd_oracle(args) -> int:
     from .hyperclosure import hyperclosure
     from .io import load_complex
-    from .orthocomplement import oracle_hyperclosure
+    from .orthocomplement import _refuse_before_closure, oracle_hyperclosure
 
     cx = load_complex(args.file, run_validate=not args.no_validate)
+    _refuse_before_closure(cx, args.oracle_bound)
     closure = hyperclosure(cx, max_members=args.max_members, max_grade=args.max_grade)
     oracle = oracle_hyperclosure(cx, max_vertices=args.oracle_bound)
     only_closure = sorted(m.vertices for m in closure.member_set - oracle)

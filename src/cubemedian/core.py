@@ -31,8 +31,11 @@ So a convex subcomplex is keyed by two ints, its crossing mask and its
 base (its signs on the classes not crossing it), and that key is the
 currency of every higher operation: hull, projection, complement,
 parallel copies and containment are bit expressions over keys.  Each
-complex holds one object per key, and a key cannot be rebound; its sorted
-vertex tuple is filtered once, or set by one pass per parallel class.
+complex holds one object per key in its key table, a dict that builds a
+missing key on its first lookup, so the hot constructors find an existing
+key with one dict lookup and run no Python code for it.  A key cannot be
+rebound; its sorted vertex tuple is filtered once, or set by one pass per
+parallel class.
 
 Records are NamedTuples, one field list each, immutable and compared by
 value; the complex, its walls and keys, and the closure are plain
@@ -150,7 +153,7 @@ class MedianComplex:
         self.generator = generator
         self.validated = False
         self.full_mask = (1 << vertex_count) - 1
-        self._keys: dict[tuple[int, int], ConvexSubcomplex] = {}  # see ConvexSubcomplex
+        self._keys = _KeyTable(self)  # (crossing mask, base) -> its one ConvexSubcomplex
         self._polars: dict[int, int] = {}  # crossing mask -> its polar, see orthocomplement.orth
 
     def __reduce__(self):
@@ -270,7 +273,7 @@ class MedianComplex:
             for v in verts:
                 spread |= signs[v] ^ first
             if spread == mask:
-                s = ConvexSubcomplex(self, mask, base)
+                s = self._keys[mask, base]
                 s.__dict__.setdefault("vertices", tuple(verts))
                 yield s
 
@@ -443,6 +446,24 @@ class HyperplaneClass(_Frozen):
         return tuple(ConvexSubcomplex(cx, free, cx.signs[e] & ~free) for e in self.dual_edges[0])
 
 
+class _KeyTable(dict):
+    """A complex's convex subcomplexes by key: `table[mask, base]` is the one
+    object for the two ints.  A missing key is built on its first lookup and
+    stored by dict.setdefault, so two threads building it get one object;
+    a key that exists is found by the dict alone."""
+
+    __slots__ = ("parent",)
+
+    def __init__(self, parent: MedianComplex):
+        self.parent = parent
+
+    def __missing__(self, key: tuple[int, int]) -> "ConvexSubcomplex":
+        s = object.__new__(ConvexSubcomplex)
+        s.__dict__.update(parent=self.parent, crossing_mask=key[0], base=key[1],
+                          _hash=hash(key))
+        return self.setdefault(key, s)
+
+
 class ConvexSubcomplex(_Frozen):
     """A convex subcomplex, keyed by the wall classes that cross it and its
     signs on the others.
@@ -450,21 +471,15 @@ class ConvexSubcomplex(_Frozen):
     A convex set is the set of all vertices whose signs equal `base` on the
     classes outside `crossing_mask`, so the pair fixes it.  Every
     constructor gives the exact crossing mask, which makes the key
-    canonical, and returns the parent's one object for the two ints (stored
-    by dict.setdefault, so two threads building it get one object): equality
-    is identity, and the stored hash is on the two ints alone.  The key cannot be
-    rebound; its ascending vertex tuple is filtered from the signs on first
-    read unless `parallel_class` set it.
+    canonical, and returns the parent's one object for the two ints from
+    its key table (`parent._keys[crossing_mask, base]`, which the hot paths
+    index directly): equality is identity, and the stored hash is on the two
+    ints alone.  The key cannot be rebound; its ascending vertex tuple is
+    filtered from the signs on first read unless `parallel_class` set it.
     """
 
     def __new__(cls, parent: MedianComplex, crossing_mask: int, base: int) -> "ConvexSubcomplex":
-        s = parent._keys.get((crossing_mask, base))
-        if s is None:
-            s = object.__new__(cls)
-            s.__dict__.update(parent=parent, crossing_mask=crossing_mask, base=base,
-                              _hash=hash((crossing_mask, base)))
-            s = parent._keys.setdefault((crossing_mask, base), s)
-        return s
+        return parent._keys[crossing_mask, base]
 
     def __reduce__(self):
         return ConvexSubcomplex, (self.parent, self.crossing_mask, self.base)
@@ -657,7 +672,7 @@ def hull(cx: MedianComplex, vertices: Iterable[int]) -> ConvexSubcomplex:
     free = 0
     for v in verts:
         free |= signs[v] ^ s0
-    return ConvexSubcomplex(cx, free, s0 & ~free)
+    return cx._keys[free, s0 & ~free]
 
 
 def _max_clique(adj: Sequence[int], n: int) -> int:

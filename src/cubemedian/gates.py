@@ -50,7 +50,7 @@ def project(y: ConvexSubcomplex, z: ConvexSubcomplex) -> ConvexSubcomplex:
     crossing Y but not Z.  It is crossed exactly by the classes crossing both."""
     _same_parent(y, z)
     fy, fz = y.crossing_mask, z.crossing_mask
-    return ConvexSubcomplex(y.parent, fy & fz, y.base | (z.base & fy & ~fz))
+    return y.parent._keys[fy & fz, y.base | (z.base & fy & ~fz)]
 
 
 def crossing_signature(s: ConvexSubcomplex) -> frozenset[int]:

@@ -175,7 +175,7 @@ def hyperclosure(cx: MedianComplex, *, max_members: int = DEFAULT_MAX_MEMBERS,
                 new.append(p)
         frontier = new
 
-    key = {p: ConvexSubcomplex(cx, *p) for p in grade}
+    key = {p: cx._keys[p] for p in grade}
     # one pass per mask sets the members' vertex tuples, so the sort filters no key
     by_mask = {mask: tuple(cx.parallel_class(mask)) for mask in {p[0] for p in grade}}
     ordered = sorted(key.values(), key=lambda s: (len(s.vertices), s.vertices))

@@ -16,18 +16,21 @@ gives F back exactly when F is one.
 The paper's other description of the hyperclosure (Hagen–Susse,
 arXiv:1609.01313) is the set of orthogonal complements of all convex
 subcomplexes at their points.  `oracle_hyperclosure` computes it by brute
-force from `all_convex_subcomplexes`, independently of the graded
-projection search in `hyperclosure`, and `clean_container` takes one
-complement inside a member.  Both are built on `orth`, so they live here
-with `all_convex_subcomplexes`, which only the oracle calls: `analyze`
-imports this module only when it runs the oracle.
+force, independently of the graded projection search in `hyperclosure`,
+and `clean_container` takes one complement inside a member.  Both are
+built on the polar that `orth` keeps per crossing mask, so they live here
+with `all_convex_subcomplexes`.  The oracle and `all_convex_subcomplexes`
+walk the convex keys of one breadth-first search as int pairs; the oracle
+collects the complements as int pairs too, and builds key objects only for
+the distinct results.  `analyze` imports this module only when it runs the
+oracle, and checks the oracle's vertex bound before it runs the closure.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from .core import ConvexSubcomplex, MedianComplex, _bits
+from .core import ConvexSubcomplex, MedianComplex, _bits, whole_complex
 from .errors import DEFAULT_ORACLE_BOUND, ResourceLimitError
 
 if TYPE_CHECKING:
@@ -67,11 +70,20 @@ def orth(a: ConvexSubcomplex, basepoint: int) -> ConvexSubcomplex:
     cx, mask = a.parent, a.crossing_mask
     perp = cx._polars.get(mask)
     if perp is None:
-        perp = (1 << len(cx.classes)) - 1  # K: every class until a class crossing A narrows it
+        perp = _polar(cx, mask)
+    return cx._keys[perp, cx.signs[basepoint] & ~perp]
+
+
+def _polar(cx: MedianComplex, mask: int) -> int:
+    """K for the crossing mask: the classes crossing every class of it,
+    computed on the complex's first ask and kept in `cx._polars`."""
+    perp = cx._polars.get(mask)
+    if perp is None:
+        perp = (1 << len(cx.classes)) - 1  # K: every class until a class of the mask narrows it
         for i in _bits(mask):
             perp &= cx.crossing_masks[i]
         perp = cx._polars.setdefault(mask, perp)
-    return ConvexSubcomplex(cx, perp, cx.signs[basepoint] & ~perp)
+    return perp
 
 
 def witness_compact(f: ConvexSubcomplex) -> tuple[ConvexSubcomplex, int]:
@@ -120,17 +132,18 @@ def clean_container(h: Hyperclosure, f: ConvexSubcomplex, v: ConvexSubcomplex,
     return ConvexSubcomplex(h.complex, free, h.complex.signs[x] & ~free)
 
 
-def all_convex_subcomplexes(cx: MedianComplex) -> list[ConvexSubcomplex]:
-    """Every convex subcomplex, as the closure of singletons under hull-insertion.
+def _convex_keys(signs: tuple[int, ...]):
+    """Every convex key (crossing mask, base), once each, as the closure of
+    the singletons under hull-insertion, in breadth-first order.
 
     Every convex set C is reached: grow from a singleton of C by repeatedly
     hulling in one more vertex of C; all intermediate hulls stay inside C.
     A hull is kept as its crossing classes and its signs on the others.
     """
-    signs = cx.signs
     seen = {(0, s) for s in signs}
     queue = list(seen)
     for free, base in queue:
+        yield free, base
         for s in signs:
             grown = free | (s ^ base)
             if grown != free:
@@ -138,21 +151,51 @@ def all_convex_subcomplexes(cx: MedianComplex) -> list[ConvexSubcomplex]:
                 if key not in seen:
                     seen.add(key)
                     queue.append(key)
-    subs = [ConvexSubcomplex(cx, free, base) for free, base in seen]
+
+
+def all_convex_subcomplexes(cx: MedianComplex) -> list[ConvexSubcomplex]:
+    """Every convex subcomplex, by size, then by vertex tuple."""
+    subs = [cx._keys[key] for key in _convex_keys(cx.signs)]
     return sorted(subs, key=lambda s: (len(s.vertices), s.vertices))
+
+
+def _check_oracle_bound(cx: MedianComplex, max_vertices: int) -> None:
+    """The oracle's vertex bound: ResourceLimitError when cx has more vertices."""
+    if cx.vertex_count > max_vertices:
+        raise ResourceLimitError(
+            "oracle_vertex_bound",
+            f"oracle limited to {max_vertices} vertices, complex has {cx.vertex_count}")
+
+
+def _refuse_before_closure(cx: MedianComplex, max_vertices: int) -> None:
+    """The oracle's vertex bound, as a command that runs the oracle checks it
+    before the closure: a complex the oracle refuses costs no closure, and
+    the bound is named before the closure's limits.  A non-median input
+    over the bound still stops first where the closure's first reads stop
+    it: at a hyperplane side, or at the vertices of the whole complex, none
+    when it is empty."""
+    if cx.vertex_count > max_vertices:
+        for h in cx.classes:
+            h.comb_sides
+        whole_complex(cx).vertices
+        _check_oracle_bound(cx, max_vertices)
 
 
 def oracle_hyperclosure(cx: MedianComplex, *,
                         max_vertices: int = DEFAULT_ORACLE_BOUND) -> frozenset[ConvexSubcomplex]:
     """Brute-force oracle: orthogonal complements of every convex subcomplex
     at every basepoint.  Guarded by a vertex bound; independent of the
-    graded projection search."""
-    if cx.vertex_count > max_vertices:
-        raise ResourceLimitError(
-            "oracle_vertex_bound",
-            f"oracle limited to {max_vertices} vertices, complex has {cx.vertex_count}")
-    out: set[ConvexSubcomplex] = set()
-    for c in all_convex_subcomplexes(cx):
-        for x in c.vertices:
-            out.add(orth(c, x))
-    return frozenset(out)
+    graded projection search.
+
+    It runs on int pairs: orth(C, x) is keyed by K, the polar of C's
+    crossing mask, and x's signs off K, so each convex key (free, base)
+    takes its polar once and adds (K, s & ~K) for the signs s of its
+    points, those with s & ~free == base.  Keys are built only for the
+    distinct complements."""
+    _check_oracle_bound(cx, max_vertices)
+    signs = cx.signs
+    out: set[tuple[int, int]] = set()
+    for free, base in _convex_keys(signs):
+        perp, fixed = _polar(cx, free), ~free
+        out.update((perp, s & ~perp) for s in signs if s & fixed == base)
+    return frozenset(cx._keys[key] for key in out)

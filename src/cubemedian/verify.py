@@ -42,7 +42,7 @@ call per region vertex.
 from __future__ import annotations
 
 import functools
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from .core import ConvexSubcomplex, MedianComplex, _bits, hull, whole_complex
 from .gates import (
@@ -55,9 +55,11 @@ from .gates import (
     project,
     separators,
 )
-from .hyperclosure import Hyperclosure, hyperclosure
 from .orthocomplement import clean_container, orth
 from .rng import SplitMix64
+
+if TYPE_CHECKING:
+    from .hyperclosure import Hyperclosure
 
 SUITES = ("gates", "orth", "closure")
 
@@ -112,7 +114,7 @@ def _random_convex(cx: MedianComplex, rng: SplitMix64) -> ConvexSubcomplex:
     a = randrange(n)
     s0 = signs[a]
     if k == 1 or n == 1:
-        return ConvexSubcomplex(cx, 0, s0)
+        return cx._keys[0, s0]
     j = 1 + randrange(n - 1)
     free = signs[0 if j == a else j] ^ s0
     if k == 3 and n > 2:
@@ -123,7 +125,7 @@ def _random_convex(cx: MedianComplex, rng: SplitMix64) -> ConvexSubcomplex:
             free |= signs[0] ^ s0
         else:
             free |= signs[m] ^ s0
-    return ConvexSubcomplex(cx, free, s0 & ~free)
+    return cx._keys[free, s0 & ~free]
 
 
 def _recomputed(s):
@@ -372,7 +374,11 @@ def verify_complex(cx: MedianComplex, suite: str = "all", cases: int = 1000,
     wanted = SUITES if suite == "all" else (suite,)
     violations: list[Violation] = []
     whole_complex(cx).vertices  # none on an empty complex: the not-median line, as for the closure
-    closure = hyperclosure(cx) if {"orth", "closure"} & set(wanted) else None
+    closure = None
+    if {"orth", "closure"} & set(wanted):  # a gates-only run compiles no closure
+        from .hyperclosure import hyperclosure
+
+        closure = hyperclosure(cx)
     try:
         for name in wanted:
             rng = SplitMix64(seed * len(SUITES) + SUITES.index(name))

@@ -78,7 +78,10 @@ of `parse_spec`; and `per_case_gates_suite` and `per_case_orth_suite`,
 verify's gates and orth suites evaluating every check on every case,
 which preceded one evaluation per distinct input with the verdict
 replayed for repeated draws; and `argparse_parser`, the CLI's argparse
-parser, which preceded the command table read by `cli.parse_args`.
+parser, which preceded the command table read by `cli.parse_args`; and
+`per_pair_oracle_hyperclosure`, the oracle with one `orth` call and one
+key per (convex set, point) pair, which preceded one polar per convex
+key and the complements collected as int pairs.
 `lattice_members` is the
 member set and its parallel classes read off the crossing-mask lattice,
 with no search and no vertex bound.
@@ -131,6 +134,7 @@ from cubemedian.gates import (
     project,
     set_distance,
 )
+from cubemedian.orthocomplement import all_convex_subcomplexes
 from cubemedian.rng import SplitMix64
 from cubemedian.hyperclosure import (
     DEFAULT_MAX_GRADE,
@@ -949,6 +953,23 @@ def and_loop_orth(a, basepoint):
     cx = a.parent
     perp = and_loop_polar(cx, a.crossing_mask)
     return ConvexSubcomplex(cx, perp, cx.signs[basepoint] & ~perp)
+
+
+def per_pair_oracle_hyperclosure(cx: MedianComplex, *,
+                                 max_vertices: int = DEFAULT_ORACLE_BOUND
+                                 ) -> frozenset[ConvexSubcomplex]:
+    """Brute-force oracle: orthogonal complements of every convex subcomplex
+    at every basepoint.  Guarded by a vertex bound; independent of the
+    graded projection search."""
+    if cx.vertex_count > max_vertices:
+        raise ResourceLimitError(
+            "oracle_vertex_bound",
+            f"oracle limited to {max_vertices} vertices, complex has {cx.vertex_count}")
+    out: set[ConvexSubcomplex] = set()
+    for c in all_convex_subcomplexes(cx):
+        for x in c.vertices:
+            out.add(orth(c, x))
+    return frozenset(out)
 
 
 class PoolSplitMix64:

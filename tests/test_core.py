@@ -5,7 +5,9 @@ import copy
 import io
 import pickle
 import re
+import sys
 import tempfile
+import threading
 from pathlib import Path
 from unittest import mock
 
@@ -1052,6 +1054,33 @@ class TestInterning:
             assert (s.crossing_mask, s.base) == (t.crossing_mask, t.base) and s is not t
             assert core.ConvexSubcomplex(q2, s.crossing_mask, s.base) is s
             assert core.ConvexSubcomplex(p3, s.crossing_mask, s.base) is t
+
+    def test_threads_building_one_key_get_one_object(self):
+        # eight threads look up the same keys, new to a fresh complex, in the
+        # key table at once; a lost setdefault would hand one thread its own object
+        keys = [(s.crossing_mask, s.base) for s in all_convex_subcomplexes(box(1, 1, 1, 1))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(10):
+                cx = box(1, 1, 1, 1)
+                barrier = threading.Barrier(8, timeout=10)
+                got = [None] * 8
+
+                def build(i):
+                    barrier.wait()
+                    got[i] = [cx._keys[key] for key in keys]
+
+                threads = [threading.Thread(target=build, args=(i,)) for i in range(8)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=10)
+                    assert not t.is_alive()
+                for j, key in enumerate(keys):
+                    assert all(g[j] is cx._keys[key] for g in got)
+        finally:
+            sys.setswitchinterval(interval)
 
     @pytest.mark.parametrize("clone", ["deepcopy", "pickle"])
     def test_copies_and_pickles(self, clone, st3):

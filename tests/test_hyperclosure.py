@@ -256,16 +256,17 @@ class TestClosureWork:
     """Work guards that count calls, not time."""
 
     def test_keys_built_grow_with_members(self, monkeypatch):
-        # the graded search over keys built 180,898 keys here, one per projection
+        # the graded search over keys built 180,898 keys here, one per projection;
+        # a key is built where the key table misses it
         cx = tree(300, seed=1)
         built = []
-        new = core.ConvexSubcomplex.__new__
+        missing = core._KeyTable.__missing__
 
-        def counting(cls, *args):
-            built.append(args)
-            return new(cls, *args)
+        def counting(table, key):
+            built.append(key)
+            return missing(table, key)
 
-        monkeypatch.setattr(core.ConvexSubcomplex, "__new__", staticmethod(counting))
+        monkeypatch.setattr(core._KeyTable, "__missing__", counting)
         h = hyperclosure(cx)
         assert len(h) == 301
         assert len(built) < 10 * len(h)

@@ -207,6 +207,25 @@ class TestCli:
             assert err.startswith(f"error: resource limit '{flag[2:].replace('-', '_')}'")
             assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("argv", [
+        ["oracle"], ["analyze", "--with-oracle"],
+        ["oracle", "--max-members", "1"], ["analyze", "--with-oracle", "--max-grade", "0"],
+    ])
+    def test_oracle_bound_refused_before_the_closure(self, argv, tmp_path, capsys,
+                                                      monkeypatch):
+        # the bound is named before the closure runs, and so before its limits
+        path = tmp_path / "box1x5.json"
+        save_complex(cubemedian.box(1, 1, 1, 1, 1), path)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the refused oracle ran the closure")
+
+        for module in ("hyperclosure", "analysis"):
+            monkeypatch.setattr(sys.modules[f"cubemedian.{module}"], "hyperclosure", refuse)
+        assert run([argv[0], str(path), *argv[1:]]) == 3
+        assert capsys.readouterr() == ("", "error: resource limit 'oracle_vertex_bound': "
+                                           "oracle limited to 14 vertices, complex has 32\n")
+
     def test_negative_max_grade_exit_3(self, tmp_path, capsys):
         # the single vertex has only grade 0, so max_grade=-1 must refuse it
         one = tmp_path / "one.json"

@@ -7,17 +7,20 @@ from hypothesis import strategies as st
 import oracles
 from conftest import MEDIAN_FIXTURES, by_label, draw_product_or_wedge
 from cubemedian import (
+    ConvexSubcomplex,
     MedianComplex,
     crossing_signature,
     hull,
     hyperclosure,
     is_parallel,
+    oracle_hyperclosure,
     orth,
     random_median,
     subcomplex,
     whole_complex,
     witness_compact,
 )
+from cubemedian.errors import ResourceLimitError
 from cubemedian.orthocomplement import all_convex_subcomplexes
 from cubemedian.rng import SplitMix64
 
@@ -120,6 +123,51 @@ class TestPolarTable:
     @given(data=st.data())
     def test_random_median(self, data):
         dim = data.draw(st.integers(1, 6))
+        count = data.draw(st.integers(1, min(10, 1 << dim)))
+        self.check(random_median(dim, count, seed=data.draw(st.integers(0, 2**64 - 1))))
+
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_products_and_wedges(self, data):
+        self.check(draw_product_or_wedge(data))
+
+
+class TestIntPairOracle:
+    """The oracle on int pairs against the per-pair oracle it replaced, and
+    the key table both read: one object per key, whether the class call or
+    the table meets it first, hashed as its two ints."""
+
+    @staticmethod
+    def check(cx):
+        n = cx.vertex_count
+        got = oracle_hyperclosure(cx, max_vertices=n)
+        assert got == oracles.per_pair_oracle_hyperclosure(cx, max_vertices=n)
+        for oracle in (oracle_hyperclosure, oracles.per_pair_oracle_hyperclosure):
+            with pytest.raises(ResourceLimitError) as err:
+                oracle(cx, max_vertices=n - 1)
+            assert (err.value.limit, str(err.value)) == (
+                "oracle_vertex_bound", f"oracle limited to {n - 1} vertices, complex has {n}")
+        keys = [(s.crossing_mask, s.base) for s in (*all_convex_subcomplexes(cx), *got)]
+        for table_first in (False, True):
+            fresh = MedianComplex(n, cx.edges)
+            for m, b in keys:
+                if table_first:
+                    s = fresh._keys[m, b]
+                    assert ConvexSubcomplex(fresh, m, b) is s
+                else:
+                    s = ConvexSubcomplex(fresh, m, b)
+                    assert fresh._keys[m, b] is s
+                assert (s.parent, s.crossing_mask, s.base) == (fresh, m, b)
+                assert hash(s) == hash((m, b))
+
+    @pytest.mark.parametrize("name", MEDIAN_FIXTURES)
+    def test_fixtures(self, name, request):
+        self.check(request.getfixturevalue(name))
+
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_random_median(self, data):
+        dim = data.draw(st.integers(1, 5))
         count = data.draw(st.integers(1, min(10, 1 << dim)))
         self.check(random_median(dim, count, seed=data.draw(st.integers(0, 2**64 - 1))))
 

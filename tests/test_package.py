@@ -129,6 +129,8 @@ class TestLayersRun:
          ["core", "errors", "hyperclosure", "io", "orthocomplement"]),
         (["analyze", "{tmp}/st.json", "--with-oracle"],
          ["analysis", "core", "errors", "hyperclosure", "io", "orthocomplement"]),
+        (["verify", "{tmp}/st.json", "--suite", "gates", "--cases", "5"],
+         ["core", "errors", "gates", "io", "orthocomplement", "rng", "verify"]),
     ])
     def test_each_command_runs_only_its_layers(self, argv, ran, tmp_path):
         save_complex(staircase(2), tmp_path / "st.json")
