@@ -63,17 +63,23 @@ grep -q '256 vertices, 1024 edges' rm8.out \
   || { cat rm8.out; echo "build random_median(8,256,seed=1): not 256 vertices, 1024 edges"; exit 1; }
 # the splitmix64 stream, pinned on every Python: seeded builds against the digests
 # of the files that the one-output-per-step generator wrote; the glued ray and the
-# nested pw.json against the files that validating each node of a spec wrote
+# nested pw.json against the files that validating each node of a spec wrote;
+# st30.json and st4.dot against the files of the square-by-square staircase
+# and of the DOT colours looked up through each class's dual edges
 "${cli[@]}" build --kind tree --params 300 --seed 1 -o tree300.json > /dev/null
 "${cli[@]}" build --kind random_median --params 6 10 --seed 3 -o rm610.json > /dev/null
 "${cli[@]}" build --kind glued_staircase_ray --params 6 -o gsr6.json > /dev/null
+"${cli[@]}" build --kind staircase --params 30 -o st30.json
+"${cli[@]}" build --kind staircase --params 4 -o st4.json
+"${cli[@]}" export st4.json --dot st4.dot
 sha256sum -c --quiet <<'DIGESTS' || { echo "seeded builds: the splitmix64 stream moved"; exit 1; }
 3a21eb9064ee808828f479e0180043be80feec53687a09b4bfca90d25407d73d  tree300.json
 b550c6a91571d37a6120a792fdf88c5c9c3b1e239c2308cf9bc7719fb83587c2  rm610.json
 f47e165875b8d4315ebdef34741a087630ada2ad78c99d4bdbae8f7424c7b0e1  gsr6.json
 1e8578e254186b90614c54117a476d02ecdd92d0ec1b2676762e4326ce874cc9  pw.json
+e3f88377d89751f3291046b36da8343d3be9d092283e40c93a5a3e3256d61607  st30.json
+c78e0d1c342ce723f644133d6261eb21836246e1c63c20761e5101728f367d29  st4.dot
 DIGESTS
-"${cli[@]}" build --kind staircase --params 4 -o st4.json
 expect 'verify ok: suite=closure cases=50 seed=1' "${cli[@]}" verify st4.json --suite closure --cases 50 --seed 1
 # one suite at a time at the bench's case count
 "${cli[@]}" build --kind staircase --params 6 -o st6.json
@@ -95,7 +101,6 @@ timed 10 "${cli[@]}" verify tree4000.json --suite orth --cases 250 --seed 1 \
 timed 1.5 "${cli[@]}" analyze box4000.json > box4000.report.json \
   || { echo "analyze box(4000): failed or exceeded 1.5 s"; exit 1; }
 # the verify kernels at 1000 cases: every suite on staircase(30), 1.3-2.2 s on a 2-vCPU VM
-"${cli[@]}" build --kind staircase --params 30 -o st30.json
 timed 10 "${cli[@]}" verify st30.json --suite all --cases 1000 --seed 1 > st30.verify.out \
   || { cat st30.verify.out; echo "verify staircase(30) --suite all: failed or exceeded 10 s"; exit 1; }
 grep -qx 'verify ok: suite=all cases=1000 seed=1' st30.verify.out \

@@ -148,7 +148,9 @@ class MedianComplex:
         for u, v in self.edges:
             nbrs[u].append(v)
             nbrs[v].append(u)
-        self.neighbors: tuple[tuple[int, ...], ...] = tuple(tuple(sorted(a)) for a in nbrs)
+        # appended along the sorted edge list, each vertex gets its smaller
+        # neighbours in ascending order, then its larger ones: sorted already
+        self.neighbors: tuple[tuple[int, ...], ...] = tuple(map(tuple, nbrs))
         self.labels = dict(labels) if labels else None
         self.generator = generator
         self.validated = False

@@ -1,11 +1,16 @@
 """Deterministic constructors for the fixture families.
 
-Every generated complex passes the gate `core._validated` before it is
-returned, carries coordinate labels where the construction has natural
-coordinates, and records its canonical spec string (identical spec,
-identical complex, bit for bit).  A nested spec is glued as one edge list
-and validated once, as a whole; `generate` says why that is as strict as
-validating each node.  Randomized kinds draw from splitmix64 only.
+Every deterministic family comes from one labelled path, `_build_box`'s
+one-length case, by product, restriction and wedge: the box and the grid
+are products of paths, the staircase is the grid restricted to
+y <= min(x+1, n), the glued ray is a path with staircases wedged on, and
+product and wedge specs glue any of these.  Every generated complex
+passes the gate `core._validated` before it is returned, carries
+coordinate labels where the construction has natural coordinates, and
+records its canonical spec string (identical spec, identical complex,
+bit for bit).  A nested spec is glued as one edge list and validated
+once, as a whole; `generate` says why that is as strict as validating
+each node.  Randomized kinds draw from splitmix64 only.
 """
 
 from __future__ import annotations
@@ -112,20 +117,23 @@ def _build_box(lengths: tuple[int, ...]):
 
 
 def _build_staircase(n: int):
-    # squares (i,j) of [0,n]^2 with j <= i survive; take their 1-skeleton
-    labels = set()
-    edge_coords = set()
-    for i in range(n):
-        for j in range(i + 1):
-            c00, c10 = (i, j), (i + 1, j)
-            c01, c11 = (i, j + 1), (i + 1, j + 1)
-            labels.update((c00, c10, c01, c11))
-            edge_coords.update({(c00, c10), (c00, c01), (c10, c11), (c01, c11)})
-    verts = sorted(labels)
-    index = {c: i for i, c in enumerate(verts)}
-    edges = sorted((min(index[a], index[b]), max(index[a], index[b]))
-                   for a, b in edge_coords)
-    return len(verts), edges, {index[c]: c for c in verts}
+    """The grid [0,n]² cut by y <= min(x+1, n), renumbered in the grid's
+    order (x, then y), which is the sorted order of the labels; in the grid
+    y <= n already, so the cut is y <= x + 1.  That is the 1-skeleton of the
+    squares (i, j) of [0,n]² with j <= i, the staircase whose laws
+    `tests/test_closed_forms.py` proves from this vertex set:
+    - every kept point (x, y) is a corner of the square (min(x, n-1),
+      max(y-1, 0)), since y - 1 <= x and y - 1 <= n - 1;
+    - every grid edge between kept points is a side of one: the step from
+      (x, y) to (x+1, y) of the square (x, max(y-1, 0)), and the step from
+      (x, y) to (x, y+1), where y <= x and y < n, of the square
+      (min(x, n-1), y);
+    - and every corner of a square (i, j), j <= i < n, is kept.
+    So the restriction is the squares' 1-skeleton."""
+    _, edges, labels = _build_box((n, n))
+    index = {v: i for i, v in enumerate(v for v, (x, y) in labels.items() if y <= x + 1)}
+    return (len(index), [(index[u], index[w]) for u, w in edges if u in index and w in index],
+            {i: labels[v] for v, i in index.items()})
 
 
 def _build_tree(n: int, seed: int):
@@ -312,7 +320,7 @@ def _build(spec: GeneratorSpec):
     # the path 0..n with staircase(k) wedged at path vertex k by its vertex 0,
     # the (0,0) corner
     n = params[0]
-    ray = n + 1, [(k, k + 1) for k in range(n)], None
+    ray = _build_box((n,))
     for k in range(1, n + 1):
         ray = _wedge(ray, k, _build_staircase(k), 0)
     return ray

@@ -102,17 +102,18 @@ def load_complex(path: Union[str, os.PathLike], *, run_validate: bool = True) ->
 
 def to_dot(cx: MedianComplex, name: str = "mediancomplex") -> str:
     """DOT export: vertices labeled by coordinates (or index), edges colored
-    by wall class."""
-    edge_class = {}
-    for h in cx.classes:
-        for e in h.dual_edges:
-            edge_class[e] = h.class_id
+    by wall class.  The ends of an edge differ in exactly its class's bit
+    of the sign vectors (`core._walls_from_labels` checks that on every
+    edge, under both wall rules), so that bit is read off their XOR.  The
+    signs are read first: a graph without wall classes raises before a line
+    is written, as `cx.classes` would."""
+    signs = cx.signs
     lines = [f"graph {name} {{", "  node [shape=circle];"]
     for v in range(cx.vertex_count):
         label = str(cx.labels[v]) if cx.labels and v in cx.labels else str(v)
         lines.append(f'  v{v} [label="{label}"];')
     for u, v in cx.edges:
-        color = PALETTE[edge_class[(u, v)] % len(PALETTE)]
+        color = PALETTE[((signs[u] ^ signs[v]).bit_length() - 1) % len(PALETTE)]
         lines.append(f'  v{u} -- v{v} [color="{color}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -81,7 +81,11 @@ replayed for repeated draws; and `argparse_parser`, the CLI's argparse
 parser, which preceded the command table read by `cli.parse_args`; and
 `per_pair_oracle_hyperclosure`, the oracle with one `orth` call and one
 key per (convex set, point) pair, which preceded one polar per convex
-key and the complements collected as int pairs.
+key and the complements collected as int pairs; and `square_staircase`,
+the staircase as the union of its squares' corners and sides, which
+preceded the grid restricted to y <= min(x+1, n); and `dual_edge_dot`,
+the DOT export colouring each edge through a map from the classes' dual
+edges, which preceded the class read off the XOR of its ends' signs.
 `lattice_members` is the
 member set and its parallel classes read off the crossing-mask lattice,
 with no search and no vertex bound.
@@ -118,7 +122,6 @@ from cubemedian.generators import (
     GeneratorSpec,
     Param,
     _build_random_median,
-    _build_staircase,
     _build_tree,
     _require,
     spec_to_string,
@@ -126,6 +129,7 @@ from cubemedian.generators import (
     wedge,
 )
 from cubemedian.errors import DEFAULT_ORACLE_BOUND, InvariantViolation, ResourceLimitError
+from cubemedian.io import PALETTE
 from cubemedian.gates import (
     crossing_signature,
     gate,
@@ -1152,6 +1156,41 @@ def coordinate_box(lengths: tuple[int, ...]):
     return len(coords), sorted(edges), {i: c for c, i in index.items()}
 
 
+def square_staircase(n: int):
+    """staircase(n) as an (n, edges, labels) triple, square by square."""
+    # squares (i,j) of [0,n]^2 with j <= i survive; take their 1-skeleton
+    labels = set()
+    edge_coords = set()
+    for i in range(n):
+        for j in range(i + 1):
+            c00, c10 = (i, j), (i + 1, j)
+            c01, c11 = (i, j + 1), (i + 1, j + 1)
+            labels.update((c00, c10, c01, c11))
+            edge_coords.update({(c00, c10), (c00, c01), (c10, c11), (c01, c11)})
+    verts = sorted(labels)
+    index = {c: i for i, c in enumerate(verts)}
+    edges = sorted((min(index[a], index[b]), max(index[a], index[b]))
+                   for a, b in edge_coords)
+    return len(verts), edges, {index[c]: c for c in verts}
+
+
+def dual_edge_dot(cx: MedianComplex, name: str = "mediancomplex") -> str:
+    """`io.to_dot` with each edge's class looked up in a map built from the
+    classes' dual edges."""
+    edge_class = {}
+    for h in cx.classes:
+        for e in h.dual_edges:
+            edge_class[e] = h.class_id
+    lines = [f"graph {name} {{", "  node [shape=circle];"]
+    for v in range(cx.vertex_count):
+        label = str(cx.labels[v]) if cx.labels and v in cx.labels else str(v)
+        lines.append(f'  v{v} [label="{label}"];')
+    for u, v in cx.edges:
+        color = PALETTE[edge_class[(u, v)] % len(PALETTE)]
+        lines.append(f'  v{u} -- v{v} [color="{color}"];')
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
 def wedged_glued_ray(n):
     """glued_staircase_ray(n) before its generator stamp, by wedges."""
     # path 0..n with staircase(k) wedged at path vertex k, at its (0,0) corner
@@ -1237,7 +1276,7 @@ def nodewise_generate(spec: GeneratorSpec) -> MedianComplex:
             n, edges, labels = _build_tree(params[0], seed or 0)
         elif kind == "staircase":
             _require(ints and len(params) == 1 and params[0] >= 1, "staircase(n) needs n >= 1")
-            n, edges, labels = _build_staircase(params[0])
+            n, edges, labels = square_staircase(params[0])
         elif kind == "random_median":
             _require(ints and len(params) == 2, "random_median(dim, count) needs two ints")
             dim, count = params
@@ -1260,7 +1299,7 @@ def _build_glued_ray(n: int):
     # vertex 0; as `wedge` numbers them, its other vertices follow all before them
     edges, count = [(k, k + 1) for k in range(n)], n + 1
     for k in range(1, n + 1):
-        m, st_edges, _ = _build_staircase(k)
+        m, st_edges, _ = square_staircase(k)
         remap = [k, *range(count, count + m - 1)]  # increasing, as k < count
         edges += [(remap[a], remap[b]) for a, b in st_edges]
         count += m - 1

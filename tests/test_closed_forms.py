@@ -30,11 +30,12 @@ side of each of its edges, so it has grade 1.  Each vertex lies in 2
 members, and the longest chain is a vertex in the whole: 2.
 
 staircase(n).  Its vertices are (x, y) with 0 <= x <= n and
-0 <= y <= min(x + 1, n): (n+2)(n+3)/2 - 2 of them.  The classes are the
-vertical cuts V_c (x <= c against x > c) and the horizontal cuts H_c
-(y <= c against y > c) for c < n, 2n in all, and V_c crosses H_d iff the
-square (c, d) is there, iff d <= c.  So L is {all, none}, the masks
-H_{<=c} and the masks V_{>=d}, 2n + 2 of them.
+0 <= y <= min(x + 1, n): (n+2)(n+3)/2 - 2 of them, and its edges are the
+unit steps between them; `test_staircase` checks both on the complex.
+The classes are the vertical cuts V_c (x <= c against x > c) and the
+horizontal cuts H_c (y <= c against y > c) for c < n, 2n in all, and V_c
+crosses H_d iff the square (c, d) is there, iff d <= c.  So L is {all,
+none}, the masks H_{<=c} and the masks V_{>=d}, 2n + 2 of them.
 - Mask H_{<=c}: a fibre fixes x and either fixes y > c + 1 (no class of
   the mask varies) or is the column segment {x} × [0, c + 1], which spans
   the mask iff x >= c.  So n - c + 1 members.
@@ -120,6 +121,11 @@ def test_staircase(n):
     cx = staircase(n)
     report = analyze(cx)
     assert cx.vertex_count == (n + 2) * (n + 3) // 2 - 2
+    points = {(x, y) for x in range(n + 1) for y in range(min(x + 1, n) + 1)}
+    assert (set(cx.labels.values()),
+            {frozenset((cx.labels[u], cx.labels[v])) for u, v in cx.edges}) == (
+        points, {frozenset((p, q)) for p in points
+                 for q in ((p[0] + 1, p[1]), (p[0], p[1] + 1)) if q in points})
     assert report.complex_stats["classes"] == 2 * n
     assert profile(report) == (3 * n * (n + 1) // 2 + 4 * n + 2,
                                {0: 1, 1: 4 * n, 2: 3 * n * (n + 1) // 2 + 1}, 2 * n + 2, n + 2)

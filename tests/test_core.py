@@ -79,6 +79,20 @@ class TestStructural:
         with pytest.raises(StructuralError):
             MedianComplex(-1, [])
 
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_neighbours_sorted(self, data):
+        # appended along the sorted edge list, whatever order the edges came in
+        n = data.draw(st.integers(1, 12))
+        pairs = data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+                                   .filter(lambda e: e[0] < e[1]), unique=True))
+        edges = [(v, u) if data.draw(st.booleans()) else (u, v)
+                 for u, v in data.draw(st.permutations(pairs))]
+        cx = MedianComplex(n, edges)
+        for v in range(n):
+            assert cx.neighbors[v] == tuple(sorted({*(b for a, b in pairs if a == v),
+                                                   *(a for a, b in pairs if b == v)}))
+
 
 def component_of_zero(n, edges):
     """The connected component of vertex 0, relabelled 0..m-1 in order."""

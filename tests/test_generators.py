@@ -14,6 +14,7 @@ from oracles import (
     coordinate_box,
     majority_random_median,
     nodewise_generate,
+    square_staircase,
     tuple_random_median,
     wedged_glued_ray,
 )
@@ -38,7 +39,8 @@ from cubemedian import (
     wedge,
 )
 from cubemedian import core
-from cubemedian.generators import KINDS, MAX_SPEC_DEPTH, _build_box, _build_random_median
+from cubemedian.generators import (KINDS, MAX_SPEC_DEPTH, _build_box, _build_random_median,
+                                   _build_staircase)
 from cubemedian import rng as rng_module
 from cubemedian.rng import SplitMix64
 
@@ -351,6 +353,20 @@ class TestBoxOracle:
         assert folded.vertex_count == coordinates.vertex_count
         assert folded.edges == coordinates.edges
         assert list(folded.labels.items()) == list(coordinates.labels.items())
+
+
+class TestStaircaseOracle:
+    """The staircase as the grid restricted to y <= min(x+1, n) against the
+    union of its squares' corners and sides: the same vertices, edges and
+    labels."""
+
+    @pytest.mark.parametrize("n", [*range(1, 41), 60, 100])
+    def test_same_complex(self, n):
+        (count, edges, labels), (sq_count, sq_edges, sq_labels) = (
+            _build_staircase(n), square_staircase(n))
+        assert count == sq_count
+        assert sorted(edges) == sq_edges
+        assert list(labels.items()) == list(sq_labels.items())
 
 
 class TestSpecStrings:

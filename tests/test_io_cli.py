@@ -10,8 +10,12 @@ from pathlib import Path
 
 import pytest
 
+from conftest import MEDIAN_FIXTURES
+from oracles import dual_edge_dot
+from test_hyperclosure import drawn_complexes
 import cubemedian
 from cubemedian import (
+    InvariantViolation,
     MedianComplex,
     StructuralError,
     ValidationError,
@@ -82,6 +86,51 @@ class TestDot:
 
     def test_labels_used(self, st2):
         assert 'label="(2, 2)"' in to_dot(st2)
+
+
+NON_MEDIAN_GRAPHS = {
+    "c6": (6, [[0, 1], [1, 2], [2, 3], [3, 4], [4, 5], [0, 5]]),
+    "cube_less_one": (7, [[0, 1], [0, 2], [0, 4], [1, 3], [1, 5], [2, 3], [2, 6], [4, 5],
+                          [4, 6]]),
+}
+NO_WALL_GRAPHS = {
+    "k3": (3, [[0, 1], [1, 2], [0, 2]]),
+    "k23": (5, [[0, 2], [0, 3], [0, 4], [1, 2], [1, 3], [1, 4]]),
+    "disconnected": (4, [[0, 1], [2, 3]]),
+    "edgeless": (2, []),
+}
+
+
+def unvalidated(graph):
+    n, edges = graph
+    return complex_from_json(json.dumps({"vertices": n, "edges": edges}), run_validate=False)
+
+
+class TestDotOracle:
+    """Colours read off the XOR of an edge's signs against colours looked up
+    through the classes' dual edges: the same text, or the same refusal."""
+
+    def check(self, cx, rng=None):
+        assert to_dot(cx) == dual_edge_dot(cx)
+
+    @pytest.mark.parametrize("name", MEDIAN_FIXTURES)
+    def test_fixtures(self, name, request):
+        self.check(request.getfixturevalue(name))
+
+    test_random_median, test_products_and_wedges = drawn_complexes(check)
+
+    @pytest.mark.parametrize("name", NON_MEDIAN_GRAPHS)
+    def test_non_median_unvalidated(self, name):
+        self.check(unvalidated(NON_MEDIAN_GRAPHS[name]))
+
+    @pytest.mark.parametrize("name", NO_WALL_GRAPHS)
+    def test_same_refusal(self, name):
+        cx = unvalidated(NO_WALL_GRAPHS[name])
+        with pytest.raises(InvariantViolation) as read:
+            to_dot(cx)
+        with pytest.raises(InvariantViolation) as looked_up:
+            dual_edge_dot(unvalidated(NO_WALL_GRAPHS[name]))
+        assert str(read.value) == str(looked_up.value)
 
 
 class TestReports:
