@@ -29,15 +29,27 @@ timed() {
 code=0; "${cli[@]}" frobnicate 2> frob.err || code=$?
 { [ "$code" -eq 2 ] && [ "$(wc -l < frob.err)" -eq 2 ]; } \
   || { cat frob.err; echo "cubemedian frobnicate: exit $code, not 2 with two stderr lines"; exit 1; }
-# non-median input takes the refusal helpers: C6 misses a median, K3 has an odd cycle;
-# each exits 1 with one stderr line
+# holed IN C OUT: the complex file IN less its vertex C, the others renumbered in order
+holed() {
+  python -c 'import json, sys; d = json.load(open(sys.argv[1])); c = int(sys.argv[2]); json.dump({"vertices": d["vertices"] - 1, "edges": [[a - (a > c), b - (b > c)] for a, b in d["edges"] if c not in (a, b)]}, open(sys.argv[3], "w"))' "$@"
+}
+# non-median input takes the refusal helpers: C6 misses a median, K3 has an odd cycle,
+# and grid(4,4) less its vertex 6, the label [1, 1], loaded unvalidated, stops the gates
+# suite at the not-median gate before its first case, whatever the seed; each exits 1
+# with one stderr line
 echo '{"vertices": 6, "edges": [[0,1],[1,2],[2,3],[3,4],[4,5],[0,5]]}' > c6.json
 echo '{"vertices": 3, "edges": [[0,1],[1,2],[0,2]]}' > k3.json
-for argv in 'analyze c6.json' 'analyze k3.json' 'oracle c6.json'; do
+"${cli[@]}" build --kind grid --params 4 4 -o grid44.json > /dev/null
+holed grid44.json 6 h44.json
+for argv in 'analyze c6.json' 'analyze k3.json' 'oracle c6.json' \
+    'verify h44.json --suite gates --cases 5 --seed 0 --no-validate'; do
   code=0; "${cli[@]}" $argv 2> refused.err || code=$?
   { [ "$code" -eq 1 ] && [ "$(wc -l < refused.err)" -eq 1 ]; } \
     || { cat refused.err; echo "cubemedian $argv: exit $code, not 1 with one stderr line"; exit 1; }
 done
+# the last line refused, the holed grid's, names the cause
+grep -q 'the graph is not median' refused.err \
+  || { cat refused.err; echo "cubemedian verify h44.json --suite gates: not the not-median line"; exit 1; }
 "${cli[@]}" build --kind grid --params 2 2 -o grid22.json
 # expect LINE CMD...: CMD exits 0 and prints exactly LINE
 expect() {
@@ -61,11 +73,12 @@ code=0; "${cli[@]}" build --kind product --params 'grid(1,1' 'box(2)' -o bad.jso
 "${cli[@]}" build --kind random_median --params 8 256 --seed 1 -o rm8.json > rm8.out
 grep -q '256 vertices, 1024 edges' rm8.out \
   || { cat rm8.out; echo "build random_median(8,256,seed=1): not 256 vertices, 1024 edges"; exit 1; }
-# the splitmix64 stream, pinned on every Python: seeded builds against the digests
-# of the files that the one-output-per-step generator wrote; the glued ray and the
-# nested pw.json against the files that validating each node of a spec wrote;
-# st30.json and st4.dot against the files of the square-by-square staircase
-# and of the DOT colours looked up through each class's dual edges
+# built files pinned on every Python, one block per layer that writes them: the
+# splitmix64 stream, in the seeded builds, against the files that the
+# one-output-per-step generator wrote; generate's builders and gluing, in the glued
+# ray, the nested pw.json and st30.json, against the files that validating each
+# node of a spec and the square-by-square staircase wrote; to_dot, in st4.dot,
+# against the file of the DOT colours looked up through each class's dual edges
 "${cli[@]}" build --kind tree --params 300 --seed 1 -o tree300.json > /dev/null
 "${cli[@]}" build --kind random_median --params 6 10 --seed 3 -o rm610.json > /dev/null
 "${cli[@]}" build --kind glued_staircase_ray --params 6 -o gsr6.json > /dev/null
@@ -75,9 +88,13 @@ grep -q '256 vertices, 1024 edges' rm8.out \
 sha256sum -c --quiet <<'DIGESTS' || { echo "seeded builds: the splitmix64 stream moved"; exit 1; }
 3a21eb9064ee808828f479e0180043be80feec53687a09b4bfca90d25407d73d  tree300.json
 b550c6a91571d37a6120a792fdf88c5c9c3b1e239c2308cf9bc7719fb83587c2  rm610.json
+DIGESTS
+sha256sum -c --quiet <<'DIGESTS' || { echo "generated complexes: generate's builders or gluing moved"; exit 1; }
 f47e165875b8d4315ebdef34741a087630ada2ad78c99d4bdbae8f7424c7b0e1  gsr6.json
 1e8578e254186b90614c54117a476d02ecdd92d0ec1b2676762e4326ce874cc9  pw.json
 e3f88377d89751f3291046b36da8343d3be9d092283e40c93a5a3e3256d61607  st30.json
+DIGESTS
+sha256sum -c --quiet <<'DIGESTS' || { echo "DOT export: to_dot's output moved"; exit 1; }
 c78e0d1c342ce723f644133d6261eb21836246e1c63c20761e5101728f367d29  st4.dot
 DIGESTS
 expect 'verify ok: suite=closure cases=50 seed=1' "${cli[@]}" verify st4.json --suite closure --cases 50 --seed 1
@@ -117,7 +134,7 @@ code=0; timed 1 "${cli[@]}" oracle box1x10.json 2> box1x10.oracle.err || code=$?
 # non-median scale: grid(100,100) minus its centre goes to the class-by-class wall
 # rule; with its own halfspace masks and sign loop that took 7.1-7.5 s, now 1.9-2.4 s
 "${cli[@]}" build --kind grid --params 100 100 -o grid100.json
-python -c 'import json, sys; d = json.load(open(sys.argv[1])); c = 50 * 101 + 50; json.dump({"vertices": d["vertices"] - 1, "edges": [[a - (a > c), b - (b > c)] for a, b in d["edges"] if c not in (a, b)]}, open(sys.argv[2], "w"))' grid100.json holed100.json
+holed grid100.json $((50 * 101 + 50)) holed100.json
 code=0; timed 5 "${cli[@]}" analyze holed100.json > /dev/null 2> holed100.err || code=$?
 { [ "$code" -eq 1 ] && grep -q unique-median holed100.err; } \
   || { cat holed100.err; echo "analyze grid(100,100) minus centre: exit $code, not 1 with unique-median within 5 s"; exit 1; }

@@ -24,6 +24,8 @@ them.
 
 `validate` reports; `_validated`, the one gate that raises
 ValidationError, passes every complex that `io` loads or `generators` builds.
+`_certified` is the one gate of median-only work, which a complex loaded
+without validation may still reach.
 
 A convex set is the set of all vertices that agree with it on the classes
 where its signs are constant; the other classes are the ones crossing it.
@@ -50,7 +52,7 @@ from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .errors import InvariantViolation, StructuralError, ValidationError
 
-# raised where a wall arithmetic that holds only on median graphs finds no vertex
+# raised by `_certified`, and by the point queries that find no vertex off median graphs
 _NOT_MEDIAN = "no vertex has the required signs (the graph is not median)"
 
 
@@ -442,8 +444,7 @@ class HyperplaneClass(_Frozen):
         side, as keys: crossed by the classes crossing this wall, off them the signs
         of that side's end of the least dual edge.  Raises unless certified median."""
         cx = self.parent
-        if cx._walls[2] is None:
-            raise InvariantViolation(_NOT_MEDIAN)
+        _certified(cx)
         free = cx.crossing_masks[self.class_id]
         return tuple(ConvexSubcomplex(cx, free, cx.signs[e] & ~free) for e in self.dual_edges[0])
 
@@ -651,6 +652,19 @@ def _validated(cx: MedianComplex) -> MedianComplex:
     if not report.passed:
         raise ValidationError(report)
     return cx
+
+
+def _certified(cx: MedianComplex) -> None:
+    """The one gate of median-only work: gates, projections and the
+    hyperclosure exist only on median graphs.  It raises what reading the
+    walls raises (walls undefined, relation not transitive), and otherwise
+    the not-median line unless the square scan certified the walls of a
+    complex with at least one vertex.  `HyperplaneClass.comb_sides`,
+    `hyperclosure.hyperclosure`, `verify.verify_complex` and
+    `orthocomplement._refuse_before_closure` call it; past it, every gate's
+    sign vector is a vertex."""
+    if cx._walls[2] is None or not cx.vertex_count:
+        raise InvariantViolation(_NOT_MEDIAN)
 
 
 # -- base operations -------------------------------------------------------

@@ -149,13 +149,13 @@ def _build_tree(n: int, seed: int):
     edges = []
     for v in seq:
         leaf = heapq.heappop(leaves)
-        edges.append((min(leaf, v), max(leaf, v)))
+        edges.append((leaf, v))
         degree[v] -= 1
         if degree[v] == 1:
             heapq.heappush(leaves, v)
     u, w = heapq.heappop(leaves), heapq.heappop(leaves)
-    edges.append((min(u, w), max(u, w)))
-    return n, sorted(edges), None
+    edges.append((u, w))
+    return n, edges, None
 
 
 def _build_random_median(dim: int, count: int, seed: int):
@@ -211,7 +211,7 @@ def _build_random_median(dim: int, count: int, seed: int):
     edges = [(v, index[w ^ g]) for w, v in index.items() for g in groups.values()
              if index.get(w ^ g, -1) > v]
     labels = {v: tuple(w >> i & 1 for i in range(dim)) for v, w in enumerate(words)}
-    return len(words), sorted(edges), labels
+    return len(words), edges, labels
 
 
 def _product(a, b):

@@ -19,7 +19,7 @@ from __future__ import annotations
 from collections import Counter
 from typing import NamedTuple, Optional
 
-from .core import ConvexSubcomplex, MedianComplex, _lazy
+from .core import ConvexSubcomplex, MedianComplex, _certified, _lazy
 from .errors import DEFAULT_MAX_GRADE, DEFAULT_MAX_MEMBERS, InvariantViolation, ResourceLimitError
 
 
@@ -126,7 +126,8 @@ def hyperclosure(cx: MedianComplex, *, max_members: int = DEFAULT_MAX_MEMBERS,
 
     Raises ResourceLimitError naming the limit when the (max_members+1)-th
     member is found, or when a member of grade above max_grade appears; no
-    partial result is kept.
+    partial result is kept.  Past the argument checks, a complex that is not
+    certified median stops at `core._certified`.
     """
     if max_members < 1:
         raise ResourceLimitError(
@@ -134,6 +135,7 @@ def hyperclosure(cx: MedianComplex, *, max_members: int = DEFAULT_MAX_MEMBERS,
     if max_grade < 0:
         raise ResourceLimitError(
             "max_grade", f"hyperclosure grading exceeds max_grade={max_grade}")
+    _certified(cx)
     whole = ((1 << len(cx.classes)) - 1, 0)
     grade: dict[tuple[int, int], int] = {whole: 0}
     # sources stay int pairs until the keys are built

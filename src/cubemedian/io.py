@@ -83,7 +83,7 @@ def complex_from_json(text: str, *, run_validate: bool = True) -> MedianComplex:
     _check_types(obj["vertices"], obj["edges"])
     labels = {_label_vertex(key, value, obj["vertices"], list): tuple(value)
               for key, value in raw_labels.items() if key != "generator"}
-    cx = MedianComplex(obj["vertices"], [tuple(e) for e in obj["edges"]], labels=labels or None,
+    cx = MedianComplex(obj["vertices"], obj["edges"], labels=labels or None,
                        generator=_checked_generator(raw_labels.get("generator")))
     return _validated(cx) if run_validate else cx
 

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from .core import ConvexSubcomplex, MedianComplex, _bits, whole_complex
+from .core import ConvexSubcomplex, MedianComplex, _bits, _certified
 from .errors import DEFAULT_ORACLE_BOUND, ResourceLimitError
 
 if TYPE_CHECKING:
@@ -170,14 +170,11 @@ def _check_oracle_bound(cx: MedianComplex, max_vertices: int) -> None:
 def _refuse_before_closure(cx: MedianComplex, max_vertices: int) -> None:
     """The oracle's vertex bound, as a command that runs the oracle checks it
     before the closure: a complex the oracle refuses costs no closure, and
-    the bound is named before the closure's limits.  A non-median input
-    over the bound still stops first where the closure's first reads stop
-    it: at a hyperplane side, or at the vertices of the whole complex, none
-    when it is empty."""
+    the bound is named before the closure's limits.  An input over the
+    bound that is not certified median stops first at `core._certified`,
+    as the closure would."""
     if cx.vertex_count > max_vertices:
-        for h in cx.classes:
-            h.comb_sides
-        whole_complex(cx).vertices
+        _certified(cx)
         _check_oracle_bound(cx, max_vertices)
 
 

@@ -213,8 +213,8 @@ def run_quietly(argv):
 
 class TestNonMedianStopsAtTheFirstSide:
     """Without validation, a non-median graph that has wall classes stops at
-    the first hyperplane side the closure reads, or the first gate with no
-    vertex, with the not-median line."""
+    `core._certified` with the not-median line: the closure at its first
+    hyperplane side, and verify before its first case, the gates suite too."""
 
     @settings(max_examples=150, deadline=None)
     @given(cx=induced_hypercube_subgraphs(5))
@@ -231,29 +231,22 @@ class TestNonMedianStopsAtTheFirstSide:
         with tempfile.TemporaryDirectory() as tmp:
             path = str(Path(tmp) / "cx.json")
             save_complex(cx, path)
-            for command in ("analyze", "oracle"):
-                assert run_quietly([command, path, "--no-validate"]) == (
+            for argv in (["analyze"], ["oracle"], ["verify", "--suite", "gates", "--cases", "40"]):
+                assert run_quietly([argv[0], path, "--no-validate", *argv[1:]]) == (
                     1, "", f"error: invariant violation: {NOT_MEDIAN}\n")
         for h in classes:
             for read in (lambda: comb_side(h, -1), lambda: comb_side(h, 1),
                          lambda: carrier(h)):
                 with pytest.raises(InvariantViolation, match=re.escape(NOT_MEDIAN)):
                     read()
-        try:
-            cx.by_sign
-        except InvariantViolation:
-            return  # the walls leave two vertices one sign vector: gates stop at that
-        # a gate's sign vector has no vertex only off median graphs, so the
-        # gates suite ends with violations or with the not-median line
-        with tempfile.TemporaryDirectory() as tmp:
-            path = str(Path(tmp) / "cx.json")
-            save_complex(cx, path)
-            code, out, err = run_quietly(
-                ["verify", path, "--suite", "gates", "--cases", "40", "--no-validate"])
-        if err:
-            assert (code, out, err) == (1, "", f"error: invariant violation: {NOT_MEDIAN}\n")
-        else:
-            assert code == 0 or (code == 1 and out.startswith("violation: gates/"))
+
+    def test_certified_gate(self, q2, single_vertex, c6, k3):
+        assert core._certified(q2) is None and core._certified(single_vertex) is None
+        for cx in (c6, MedianComplex(0, [])):
+            with pytest.raises(InvariantViolation, match=re.escape(NOT_MEDIAN)):
+                core._certified(cx)
+        with pytest.raises(InvariantViolation, match="not bipartite"):
+            core._certified(k3)
 
     def test_vertex_at_names_the_cause(self, c6, q2):
         missing = next(w for w in range(1 << len(c6.classes)) if w not in c6.by_sign)

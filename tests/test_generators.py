@@ -196,6 +196,13 @@ class TestRandomMedian:
             random_median(3, 9)
 
 
+def edges_sorted(triple):
+    """An (n, edges, labels) triple with its edges in the order `MedianComplex`
+    gives them, the order that the builders leave to it."""
+    n, edges, labels = triple
+    return n, sorted(edges), labels
+
+
 class TestRandomMedianMajorityOracle:
     """The builder from the points' pair projections against the majority
     fixpoint on sign words it replaced: the same vertices in the same order,
@@ -209,7 +216,8 @@ class TestRandomMedianMajorityOracle:
     @example(args=(8, 256, 1))
     @example(args=(8, 10, 1))
     def test_same_vertices_edges_and_labels(self, args):
-        assert _build_random_median(*args) == majority_random_median(*args)
+        assert edges_sorted(_build_random_median(*args)) == edges_sorted(
+            majority_random_median(*args))
 
 
 class TestRandomMedianOracle:
@@ -222,7 +230,8 @@ class TestRandomMedianOracle:
         dim = data.draw(st.integers(1, 6))
         count = data.draw(st.integers(1, 1 << dim))
         seed = data.draw(st.integers(0, 2**64 - 1))
-        assert _build_random_median(dim, count, seed) == tuple_random_median(dim, count, seed)
+        assert edges_sorted(_build_random_median(dim, count, seed)) == edges_sorted(
+            tuple_random_median(dim, count, seed))
 
 
 class TestGluedRay:

@@ -22,6 +22,7 @@ from cubemedian import (
     analyze,
     complex_from_json,
     complex_to_json,
+    grid,
     hyperclosure,
     load_complex,
     parse_spec,
@@ -467,6 +468,30 @@ def test_empty_complex_exits_alike(argv, tmp_path, capsys):
     assert capsys.readouterr() == ("", f"error: invariant violation: {NON_MEDIAN_ERRORS['c6']}\n")
     assert run(command) == 1
     assert capsys.readouterr() == ("", "error: invalid median complex: connected: empty complex\n")
+
+
+def holed_grid44():
+    """grid(4,4) less its vertex (1,1), the others renumbered in order, as a
+    complex file: one sign vector per vertex, and no median for some triples."""
+    g = grid(4, 4)
+    hole = next(v for v, label in g.labels.items() if label == (1, 1))
+    return {"vertices": g.vertex_count - 1,
+            "edges": [[a - (a > hole), b - (b > hole)] for a, b in g.edges if hole not in (a, b)]}
+
+
+@pytest.mark.parametrize("name", [*sorted(NON_MEDIAN), "holed_grid44"])
+def test_gates_suite_stops_as_every_suite_does(name, tmp_path, capsys):
+    # whatever the seed, the gates suite stops before its first case, with the
+    # line of --suite all: it neither says ok nor reports violations
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(NON_MEDIAN[name] if name in NON_MEDIAN else holed_grid44()))
+    assert run(["verify", str(path), "--suite", "all", "--cases", "5", "--no-validate"]) == 1
+    line = NON_MEDIAN_ERRORS.get(name, NON_MEDIAN_ERRORS["c6"])
+    assert capsys.readouterr() == ("", f"error: invariant violation: {line}\n")
+    for seed in range(8):
+        assert run(["verify", str(path), "--suite", "gates", "--cases", "5", "--seed", str(seed),
+                    "--no-validate"]) == 1
+        assert capsys.readouterr() == ("", f"error: invariant violation: {line}\n")
 
 
 @pytest.mark.parametrize("text,field", [
